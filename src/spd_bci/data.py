@@ -82,6 +82,13 @@ def read_segment(path) -> EegSegment:
             f"expected {expected}"
         )
     samples = np.frombuffer(payload, dtype="<f8").reshape(n_channels, n_samples).copy()
+    finite = np.isfinite(samples)
+    if not finite.all():
+        first = int(np.argmin(finite))  # row-major index of the first non-finite value
+        raise DataError(
+            f"{path}: non-finite sample at offset {_HEADER.size + 8 * first} "
+            f"(channel {first // n_samples}, sample {first % n_samples})"
+        )
     if kind == _LABEL_NONE:
         label = None
     elif kind == _LABEL_CLASS:

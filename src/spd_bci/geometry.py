@@ -11,7 +11,10 @@ This module provides the matrix log/exp/inverse-sqrt kernels (one
 symmetric eigendecomposition each), the log/exp maps between manifold
 and tangent space, the iterative Riemannian (Karcher) mean, tangent-space
 half-vectorization with the sqrt(2) off-diagonal coefficient, PCA rank
-reduction, and a minimum-distance-to-mean classifier.
+reduction, and a minimum-distance-to-mean classifier. The matrix
+functions, congruence reduction and tangent vectorization also take a
+stack (..., R, R): one batched ``eigh`` covers it, and the per-matrix
+positive-definite check names the first matrix that fails.
 """
 
 from __future__ import annotations
@@ -27,35 +30,44 @@ EIGENVALUE_RTOL = 1e-12
 
 
 def _symmetrize(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
+    return 0.5 * (mat + np.swapaxes(mat, -1, -2))
 
 
-def _spd_eigh(mat: np.ndarray, what: str = "matrix"):
-    """Eigendecomposition of a symmetric matrix, rejecting near-singular SPD input.
+def _from_eigh(eigvals: np.ndarray, eigvecs: np.ndarray) -> np.ndarray:
+    """Reassemble V diag(w) V^T for a matrix or a stack."""
+    return _symmetrize((eigvecs * eigvals[..., None, :]) @ np.swapaxes(eigvecs, -1, -2))
+
+
+def _spd_eigh(mats: np.ndarray, what: str = "matrix"):
+    """Eigendecomposition of a symmetric matrix or stack (..., R, R), rejecting non-SPD input.
 
     Eigenvalues below EIGENVALUE_RTOL times the largest (or non-positive)
-    mean the matrix is not usably positive definite.
+    mean the matrix is not usably positive definite. In a stack, the error
+    names the index of the first matrix that fails.
     """
-    mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"{what} must be square, got shape {mat.shape}")
-    eigvals, eigvecs = np.linalg.eigh(_symmetrize(mat))
-    largest = eigvals[-1]
-    if largest <= 0.0 or eigvals[0] <= EIGENVALUE_RTOL * largest:
+    mats = np.asarray(mats, dtype=np.float64)
+    if mats.ndim < 2 or mats.shape[-1] != mats.shape[-2]:
+        raise ValueError(f"{what} must be square, got shape {mats.shape}")
+    eigvals, eigvecs = np.linalg.eigh(_symmetrize(mats))
+    largest = eigvals[..., -1]
+    bad = (largest <= 0.0) | (eigvals[..., 0] <= EIGENVALUE_RTOL * largest)
+    if np.any(bad):
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f" at stack index {', '.join(map(str, index))}" if index else ""
         raise NumericalError(
-            f"{what} is not positive definite within tolerance: "
-            f"eigenvalue range [{eigvals[0]:.3e}, {largest:.3e}]"
+            f"{what}{where} is not positive definite within tolerance: "
+            f"eigenvalue range [{eigvals[index][0]:.3e}, {eigvals[index][-1]:.3e}]"
         )
     return eigvals, eigvecs
 
 
 def _apply_to_eigvals(mat: np.ndarray, func, what: str) -> np.ndarray:
     eigvals, eigvecs = _spd_eigh(mat, what)
-    return _symmetrize((eigvecs * func(eigvals)) @ eigvecs.T)
+    return _from_eigh(func(eigvals), eigvecs)
 
 
 def logm(mat: np.ndarray) -> np.ndarray:
-    """Matrix logarithm of an SPD matrix."""
+    """Matrix logarithm of an SPD matrix or stack."""
     return _apply_to_eigvals(mat, np.log, "logm input")
 
 
@@ -66,10 +78,10 @@ def expm(mat: np.ndarray) -> np.ndarray:
     tangent-space matrices generally have negative eigenvalues.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise ValueError(f"expm input must be square, got shape {mat.shape}")
     eigvals, eigvecs = np.linalg.eigh(_symmetrize(mat))
-    return _symmetrize((eigvecs * np.exp(eigvals)) @ eigvecs.T)
+    return _from_eigh(np.exp(eigvals), eigvecs)
 
 
 def sqrtm(mat: np.ndarray) -> np.ndarray:
@@ -153,11 +165,11 @@ def reduce_signal(w: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def reduce_covariance(w: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Project a covariance: C' = W^T C W."""
+    """Project a covariance or a stack (..., N, N) of them: C' = W^T C W."""
     c = np.asarray(c, dtype=np.float64)
-    if c.shape != (w.shape[0], w.shape[0]):
+    if c.ndim < 2 or c.shape[-2:] != (w.shape[0], w.shape[0]):
         raise ValueError(
-            f"filter expects a {w.shape[0]} x {w.shape[0]} covariance, got {c.shape}"
+            f"filter expects {w.shape[0]} x {w.shape[0]} covariances, got {c.shape}"
         )
     return _symmetrize(w.T @ c @ w)
 
@@ -216,12 +228,9 @@ def riemannian_mean(mats, tol: float = 1e-9, max_iter: int = 50, return_info: bo
     for iterations in range(1, max_iter + 1):
         eigvals, eigvecs = _spd_eigh(center, "mean iterate")
         sqrt_vals = np.sqrt(eigvals)
-        half = _symmetrize((eigvecs * sqrt_vals) @ eigvecs.T)
-        inv_half = _symmetrize((eigvecs / sqrt_vals) @ eigvecs.T)
-        whitened_logs = np.stack(
-            [logm(_symmetrize(inv_half @ m @ inv_half)) for m in mats]
-        )
-        tangent_mean = whitened_logs.mean(axis=0)
+        half = _from_eigh(sqrt_vals, eigvecs)
+        inv_half = _from_eigh(1.0 / sqrt_vals, eigvecs)
+        tangent_mean = logm(_symmetrize(inv_half @ mats @ inv_half)).mean(axis=0)
         grad_norm = float(np.linalg.norm(half @ tangent_mean @ half, ord="fro"))
         center = _symmetrize(half @ expm(tangent_mean) @ half)
         if grad_norm < tol:
@@ -240,7 +249,7 @@ def riemannian_mean(mats, tol: float = 1e-9, max_iter: int = 50, return_info: bo
 
 
 def tangent_vectorize(c_ref: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Half-vectorized tangent-space image of C at reference C_ref.
+    """Half-vectorized tangent-space image of C (or a stack (..., R, R)) at reference C_ref.
 
     Computes S = log(C_ref^{-1/2} C C_ref^{-1/2}) and returns its upper
     triangle row-major with off-diagonal entries scaled by sqrt(2), so the
@@ -253,12 +262,11 @@ def tangent_vectorize(c_ref: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def upper_vectorize(sym: np.ndarray) -> np.ndarray:
-    """Row-major upper triangle with sqrt(2)-weighted off-diagonals."""
+    """Row-major upper triangle with sqrt(2)-weighted off-diagonals; (..., R, R) -> (..., d)."""
     sym = np.asarray(sym, dtype=np.float64)
-    r = sym.shape[0]
-    rows, cols = np.triu_indices(r)
+    rows, cols = np.triu_indices(sym.shape[-1])
     coeff = np.where(rows == cols, 1.0, np.sqrt(2.0))
-    return sym[rows, cols] * coeff
+    return sym[..., rows, cols] * coeff
 
 
 def tangent_dimension(rank: int) -> int:

@@ -130,25 +130,14 @@ def _load_split_segments(config: PipelineConfig, split: str):
     return segments
 
 
-def _band_scms(segments, bank, ridge: bool = False) -> np.ndarray:
-    """Per-segment, per-band spatial covariance matrices: (P, H, N, N)."""
-    out = np.empty((len(segments), bank.n_bands, segments[0].n_channels, segments[0].n_channels))
-    for p, segment in enumerate(segments):
-        for b, band_seg in enumerate(filter_bank_decompose(segment, bank)):
-            c = scm(band_seg.samples)
-            out[p, b] = ridge_regularize(c) if ridge else c
-    return out
-
-
 def fit_spatial_reducers(train_scms: np.ndarray, rank: int):
     """Per-band PCA filters and Riemannian-mean references from training SCMs."""
     n_bands = train_scms.shape[1]
     filters, references = [], []
     for b in range(n_bands):
         w = pca_spatial_filter(train_scms[:, b], rank)
-        reduced = np.stack([reduce_covariance(w, c) for c in train_scms[:, b]])
         filters.append(w)
-        references.append(riemannian_mean(reduced))
+        references.append(riemannian_mean(reduce_covariance(w, train_scms[:, b])))
     return filters, references
 
 
@@ -166,34 +155,22 @@ def spatial_features_for(
     re-estimates each reference from the trials of every consecutive
     batch, mirroring test-time batch statistics.
     """
-    n_trials, n_bands = scms.shape[:2]
-    reduced = np.stack(
-        [
-            np.stack([reduce_covariance(filters[b], scms[p, b]) for b in range(n_bands)])
-            for p in range(n_trials)
-        ]
-    )  # (P, H, R, R)
-    rows = []
-    if policy == "train-mean":
-        for p in range(n_trials):
-            rows.append(
-                np.concatenate(
-                    [tangent_vectorize(references[b], reduced[p, b]) for b in range(n_bands)]
-                )
-            )
-    elif policy == "batch-mean":
-        for start in range(0, n_trials, batch_size):
-            chunk = reduced[start:start + batch_size]
-            refs = [riemannian_mean(chunk[:, b]) for b in range(n_bands)]
-            for p in range(chunk.shape[0]):
-                rows.append(
-                    np.concatenate(
-                        [tangent_vectorize(refs[b], chunk[p, b]) for b in range(n_bands)]
-                    )
-                )
-    else:
+    if policy not in ("train-mean", "batch-mean"):
         raise ConfigError(f"unknown reference policy {policy!r}")
-    return np.stack(rows)
+    reduced = [reduce_covariance(w, scms[:, b]) for b, w in enumerate(filters)]  # H x (P, R, R)
+    if policy == "train-mean":
+        return np.concatenate(
+            [tangent_vectorize(ref, band) for ref, band in zip(references, reduced)], axis=1
+        )
+    batches = []
+    for start in range(0, scms.shape[0], batch_size):
+        chunks = [band[start:start + batch_size] for band in reduced]
+        batches.append(
+            np.concatenate(
+                [tangent_vectorize(riemannian_mean(chunk), chunk) for chunk in chunks], axis=1
+            )
+        )
+    return np.concatenate(batches)
 
 
 def run_features(config: PipelineConfig) -> dict:
@@ -205,10 +182,9 @@ def run_features(config: PipelineConfig) -> dict:
 
     splits = {}
     for split in ("train", "test"):
-        segments = _load_split_segments(config, split)
-        temporal = []
-        labels = []
-        for segment in segments:
+        temporal, scms, labels = [], [], []
+        # One filter-bank pass per trial feeds both streams.
+        for segment in _load_split_segments(config, split):
             band_segments = filter_bank_decompose(segment, bank)
             features = build_feature_sequence(band_segments, bank.bands, plan)
             if features.values.shape != (plan.n_windows, config.temporal_feature_dim):
@@ -217,12 +193,15 @@ def run_features(config: PipelineConfig) -> dict:
                     f"expects ({plan.n_windows}, {config.temporal_feature_dim})"
                 )
             temporal.append(features.values)
+            band_scms = [scm(band.samples) for band in band_segments]
+            if config.scm_ridge:
+                band_scms = [ridge_regularize(c) for c in band_scms]
+            scms.append(band_scms)
             labels.append(np.nan if segment.label is None else float(segment.label))
         splits[split] = {
-            "segments": segments,
             "temporal": np.stack(temporal),
             "labels": np.asarray(labels),
-            "scms": _band_scms(segments, bank, ridge=config.scm_ridge),
+            "scms": np.asarray(scms),  # (P, H, N, N)
         }
 
     filters, references = fit_spatial_reducers(splits["train"]["scms"], config.rank)

@@ -6,7 +6,11 @@ channel two features are computed on the periodogram of each frequency
 sub-band: the natural log of the in-band power, and the differential
 entropy 0.5*ln(2*pi*e*var) of a Gaussian signal whose variance is that
 same in-band power. Powers are floored at 1e-10 before the log so silent
-channels stay finite.
+channels stay finite. One kernel computes the in-band power of every
+window of every channel of a band at once: a strided (channels, windows,
+n) view, one Hann multiply, one ``rfft`` along the last axis, and a
+weighted sum over the in-band bins. :func:`periodogram` and
+:func:`band_power` compute the same quantity for a single frame.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .filters import BandSpec, EegSegment
 
@@ -89,15 +94,13 @@ def plan_stft(t_seconds: float, fs: float) -> StftPlan:
 
 
 def frame_signal(x: np.ndarray, plan: StftPlan) -> np.ndarray:
-    """Cut one channel into the planned windows, shape (L, window_length)."""
+    """Read-only view of the planned windows along the last axis, shape (..., L, window_length)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"frame_signal expects one channel (1-D), got shape {x.shape}")
     needed = plan.hop * (plan.n_windows - 1) + plan.window_length
-    if x.shape[0] < needed:
-        raise ValueError(f"signal of {x.shape[0]} samples is shorter than the plan ({needed})")
-    starts = plan.hop * np.arange(plan.n_windows)
-    return np.stack([x[s:s + plan.window_length] for s in starts])
+    if x.ndim == 0 or x.shape[-1] < needed:
+        raise ValueError(f"signal of shape {x.shape} is shorter than the plan ({needed} samples)")
+    frames = sliding_window_view(x, plan.window_length, axis=-1)
+    return frames[..., : needed - plan.window_length + 1 : plan.hop, :]
 
 
 def periodogram(samples: np.ndarray, fs: float, window: np.ndarray | None = None):
@@ -150,15 +153,19 @@ def _band_edges(band) -> tuple[float, float]:
 
 
 def _window_band_powers(segment: EegSegment, plan: StftPlan, band) -> np.ndarray:
-    """In-band periodogram power per window per channel, shape (L, N)."""
+    """In-band periodogram power per window per channel, shape (L, N), as :func:`band_power`."""
     low, high = _band_edges(band)
-    powers = np.empty((plan.n_windows, segment.n_channels))
-    for ch in range(segment.n_channels):
-        frames = frame_signal(segment.samples[ch], plan)
-        for w, frame in enumerate(frames):
-            freqs, psd = periodogram(frame, plan.fs, plan.window)
-            powers[w, ch] = band_power(freqs, psd, low, high)
-    return powers
+    n = plan.window_length
+    freqs = np.fft.rfftfreq(n, d=1.0 / plan.fs)
+    mask = (freqs >= low) & (freqs <= high)
+    if not np.any(mask):
+        raise ValueError(f"no PSD bins inside band ({low}, {high}) Hz")
+    k = np.arange(freqs.size)  # one-sided: double every bin except DC and (even n) Nyquist
+    one_sided = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
+    weights = one_sided[mask] * (freqs[1] - freqs[0]) / (plan.fs * np.sum(plan.window ** 2))
+    spectrum = np.fft.rfft(frame_signal(segment.samples, plan) * plan.window, axis=-1)
+    powers = np.abs(spectrum[..., mask]) ** 2 @ weights  # (N, L)
+    return powers.T
 
 
 def log_psd_feature(segment: EegSegment, plan: StftPlan, band) -> np.ndarray:
@@ -177,10 +184,7 @@ def de_feature(segment: EegSegment, plan: StftPlan, band, estimator: str = "peri
     if estimator == "periodogram":
         variances = _window_band_powers(segment, plan, band)
     elif estimator == "time":
-        variances = np.empty((plan.n_windows, segment.n_channels))
-        for ch in range(segment.n_channels):
-            frames = frame_signal(segment.samples[ch], plan)
-            variances[:, ch] = frames.var(axis=1)
+        variances = frame_signal(segment.samples, plan).var(axis=-1).T
     else:
         raise ValueError(f"unknown variance estimator {estimator!r}")
     return HALF_LN_2PI_E + 0.5 * np.log(np.maximum(variances, POWER_FLOOR))
@@ -210,9 +214,7 @@ def build_feature_sequence(
     for seg, band in zip(band_segments, bands):
         if seg.n_channels != n_channels:
             raise ValueError("band segments disagree on channel count")
-        powers = _window_band_powers(seg, plan, band)
-        floored = np.maximum(powers, POWER_FLOOR)
-        log_power = np.log(floored)
+        log_power = log_psd_feature(seg, plan, band)
         psd_blocks.append(log_power)
         if de_estimator == "periodogram":
             de_blocks.append(HALF_LN_2PI_E + 0.5 * log_power)

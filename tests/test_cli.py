@@ -270,6 +270,17 @@ class TestPipelineRun:
         config = write_config(tmp_path)
         assert main(["preprocess", "--config", str(config)]) == 2
 
+    def test_preprocess_non_finite_sample_exits_2_naming_file(self, tmp_path, capsys):
+        write_synthetic_dataset(tmp_path)
+        bad = tmp_path / "raw" / "train" / "seg_005.eegs"
+        raw = bytearray(bad.read_bytes())
+        raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        bad.write_bytes(bytes(raw))
+        config = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "non-finite sample" in err
+
     def test_grid_mode_with_parallel_jobs_matches_sequential(self, workspace):
         config = write_config(
             workspace,
@@ -383,3 +394,75 @@ class TestRegressionPipeline:
         assert metrics["task"] == "regression"
         assert metrics["rmse"] < 0.25
         assert metrics["pcc"] > 0.5
+
+
+def two_pass_train_features(config):
+    """Reference train.spdt tensors from a two-pass, one-matrix-at-a-time computation.
+
+    Every trial is filtered once for the temporal features and once more
+    for its SCMs, and each covariance is reduced and vectorized on its own.
+    """
+    from spd_bci.data import read_segment
+    from spd_bci.filters import design_filter_bank, filter_bank_decompose
+    from spd_bci.geometry import (
+        pca_spatial_filter,
+        reduce_covariance,
+        riemannian_mean,
+        scm,
+        tangent_vectorize,
+    )
+    from spd_bci.spectral import build_feature_sequence, plan_stft
+
+    bank = design_filter_bank(config.bands, config.fs)
+    plan = plan_stft(config.trial_seconds, config.fs)
+    paths = sorted((config.work_dir / "preprocessed" / "train").glob("*.eegs"))
+    segments = [read_segment(path) for path in paths]
+    temporal = np.stack([
+        build_feature_sequence(filter_bank_decompose(s, bank), bank.bands, plan).values
+        for s in segments
+    ])
+    scms = np.stack([
+        np.stack([scm(band.samples) for band in filter_bank_decompose(s, bank)])
+        for s in segments
+    ])
+    filters, references = [], []
+    for b in range(bank.n_bands):
+        w = pca_spatial_filter(scms[:, b], config.rank)
+        filters.append(w)
+        reduced = np.stack([reduce_covariance(w, c) for c in scms[:, b]])
+        references.append(riemannian_mean(reduced))
+    spatial = np.stack([
+        np.concatenate([
+            tangent_vectorize(references[b], reduce_covariance(filters[b], scms[p, b]))
+            for b in range(bank.n_bands)
+        ])
+        for p in range(len(segments))
+    ])
+    labels = np.array([float(s.label) for s in segments])
+    return {"temporal": temporal, "spatial": spatial, "labels": labels, "scms": scms}
+
+
+class TestSinglePassFeatures:
+    def test_filter_bank_runs_once_per_trial(self, tmp_path, monkeypatch):
+        from spd_bci import pipeline
+        from spd_bci.data import read_tensors
+
+        write_synthetic_dataset(tmp_path)
+        config_path = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config_path)]) == 0
+        calls = []
+        original = pipeline.filter_bank_decompose
+
+        def counting(segment, bank):
+            calls.append(segment)
+            return original(segment, bank)
+
+        monkeypatch.setattr(pipeline, "filter_bank_decompose", counting)
+        assert main(["features", "--config", str(config_path)]) == 0
+        assert len(calls) == 40 + 24  # train + test trials, one pass each
+
+        got = read_tensors(tmp_path / "work" / "features" / "train.spdt")
+        want = two_pass_train_features(load_config(config_path))
+        assert sorted(got) == sorted(want)
+        for key, value in want.items():
+            np.testing.assert_allclose(got[key], value, rtol=1e-10, atol=1e-10, err_msg=key)

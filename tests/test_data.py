@@ -46,6 +46,18 @@ class TestSegmentFile:
         with pytest.raises(DataError, match=r"792 bytes.*expected 800|expected 800"):
             read_segment(path)
 
+    def test_non_finite_sample_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "trial.eegs"
+        write_segment(path, EegSegment(np.zeros((2, 50)), FS))
+        raw = bytearray(path.read_bytes())
+        header = len(raw) - 2 * 50 * 8
+        offset = header + 8 * 57  # channel 1, sample 7
+        raw[offset:offset + 8] = np.array([np.inf], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=rf"trial\.eegs: non-finite sample at offset {offset} "
+                                            r"\(channel 1, sample 7\)"):
+            read_segment(path)
+
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "trial.eegs"
         path.write_bytes(b"XXXX" + b"\x00" * 100)

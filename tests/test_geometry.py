@@ -465,3 +465,45 @@ class TestMdrm:
         clf = MdrmClassifier().fit(train_covs, train_labels)
         accuracy = np.mean(clf.predict(test_covs) == test_labels)
         assert accuracy >= 0.90
+
+
+class TestStackedKernels:
+    """Stacked (..., R, R) inputs give the per-matrix results."""
+
+    def test_stacked_tangent_vectorize_equals_per_matrix(self):
+        rng = np.random.default_rng(50)
+        c_ref = random_spd(rng, 5)
+        stack = np.stack([[random_spd(rng, 5) for _ in range(4)] for _ in range(2)])
+        got = tangent_vectorize(c_ref, stack)
+        assert got.shape == (2, 4, tangent_dimension(5))
+        for i in range(2):
+            for j in range(4):
+                np.testing.assert_allclose(
+                    got[i, j], tangent_vectorize(c_ref, stack[i, j]), rtol=1e-12, atol=1e-14
+                )
+
+    def test_stacked_upper_vectorize(self):
+        rng = np.random.default_rng(51)
+        stack = np.stack([random_symmetric(rng, 4) for _ in range(3)])
+        np.testing.assert_array_equal(
+            upper_vectorize(stack), np.stack([upper_vectorize(s) for s in stack])
+        )
+
+    def test_singular_matrix_mid_stack_is_named(self):
+        rng = np.random.default_rng(52)
+        stack = np.stack([random_spd(rng, 3) for _ in range(5)])
+        stack[2] = np.diag([1.0, 1.0, 0.0])
+        with pytest.raises(NumericalError, match="stack index 2 is not positive definite"):
+            logm(stack)
+        with pytest.raises(NumericalError, match="stack index 2"):
+            tangent_vectorize(np.eye(3), stack)
+
+    def test_stacked_reduce_covariance_checks_shape(self):
+        rng = np.random.default_rng(53)
+        w = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :2]
+        stack = np.stack([random_spd(rng, 4) for _ in range(3)])
+        got = reduce_covariance(w, stack)
+        for k in range(3):
+            np.testing.assert_allclose(got[k], reduce_covariance(w, stack[k]), rtol=1e-12)
+        with pytest.raises(ValueError, match="covariances"):
+            reduce_covariance(w, np.stack([random_spd(rng, 3) for _ in range(3)]))

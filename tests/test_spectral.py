@@ -8,6 +8,7 @@ from spd_bci.spectral import (
     HALF_LN_2PI_E,
     POWER_FLOOR,
     FeatureSequence,
+    _window_band_powers,
     band_power,
     build_feature_sequence,
     de_feature,
@@ -57,6 +58,15 @@ class TestStftPlan:
         frames = frame_signal(x, plan)
         assert frames.shape == (5, 200)
         np.testing.assert_array_equal(frames[1], x[100:300])
+
+    def test_multichannel_frames_are_a_view_of_each_channel(self):
+        plan = plan_stft(3.0, FS)
+        x = np.random.default_rng(0).standard_normal((3, int(3 * FS)))
+        frames = frame_signal(x, plan)
+        assert frames.shape == (3, 5, 200)
+        assert np.shares_memory(frames, x)
+        for ch in range(3):
+            np.testing.assert_array_equal(frames[ch], frame_signal(x[ch], plan))
 
 
 class TestPeriodogram:
@@ -256,3 +266,35 @@ class TestFeatureInvariants:
         bands = [(8.0, 13.0)]
         features = build_feature_sequence([seg], bands, plan)
         assert np.all(np.isfinite(features.values))
+
+
+class TestVectorizedBandPowers:
+    """The one-rfft kernel against a per-frame periodogram + band_power loop."""
+
+    @staticmethod
+    def frame_loop(segment, plan, low, high):
+        powers = np.empty((plan.n_windows, segment.n_channels))
+        for ch in range(segment.n_channels):
+            for w, frame in enumerate(frame_signal(segment.samples[ch], plan)):
+                freqs, psd = periodogram(frame, plan.fs, plan.window)
+                powers[w, ch] = band_power(freqs, psd, low, high)
+        return powers
+
+    @pytest.mark.parametrize("fs", [200.0, 125.0])  # even and odd window lengths
+    @pytest.mark.parametrize(
+        "band",
+        [(8.0, 13.0), (4.5, 7.5), (0.0, 62.0), (0.0, 100.0)],
+        ids=["edges-on-bins", "edges-between-bins", "dc-edge", "up-to-nyquist"],
+    )
+    def test_matches_per_frame_oracle(self, fs, band):
+        rng = np.random.default_rng(40)
+        segment = EegSegment(rng.standard_normal((3, int(3.5 * fs))), fs)
+        plan = plan_stft(3.5, fs)
+        got = _window_band_powers(segment, plan, band)
+        assert got.shape == (plan.n_windows, 3)
+        np.testing.assert_allclose(got, self.frame_loop(segment, plan, *band), rtol=1e-12)
+
+    def test_empty_band_raises(self):
+        segment = EegSegment(np.ones((1, 400)), FS)
+        with pytest.raises(ValueError, match="no PSD bins"):
+            _window_band_powers(segment, plan_stft(2.0, FS), (10.2, 10.8))
