@@ -30,7 +30,6 @@ from .geometry import (
     scm,
     sqrtm,
     tangent_dimension,
-    tangent_features,
     tangent_vectorize,
     upper_vectorize,
 )

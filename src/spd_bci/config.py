@@ -11,11 +11,14 @@ datasets) cannot be contradicted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .errors import ConfigError
 from .filters import BandSpec, seed_rhythm_bands, uniform_bands
+from .geometry import tangent_dimension
+from .model import FUSION_MODES, VARIANTS
 
 
 def _profile_bands(name: str) -> list[BandSpec]:
@@ -104,12 +107,12 @@ class PipelineConfig:
             raise ConfigError(f"unknown reference policy {self.reference_policy!r}")
         if self.rank_mode not in ("fixed", "grid"):
             raise ConfigError(f"unknown rank mode {self.rank_mode!r}")
-        if self.variant not in ("fused", "temporal", "spatial"):
+        if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.fusion_mode not in (
-            "weighted", "soft-attention", "concatenation", "independent-sigmoid"
-        ):
+        if self.fusion_mode not in FUSION_MODES:
             raise ConfigError(f"unknown fusion mode {self.fusion_mode!r}")
+        if self.constant_channel not in ("error", "zero"):
+            raise ConfigError(f"unknown constant_channel mode {self.constant_channel!r}")
         if self.task not in ("classification", "regression"):
             raise ConfigError(f"unknown task {self.task!r}")
         if not 1 <= self.rank <= self.n_channels:
@@ -132,8 +135,7 @@ class PipelineConfig:
         return 2 * self.n_bands * self.n_channels
 
     def spatial_feature_dim(self, rank: int | None = None) -> int:
-        r = self.rank if rank is None else rank
-        return self.n_bands * (r * (r + 1) // 2)
+        return self.n_bands * tangent_dimension(self.rank if rank is None else rank)
 
     @property
     def n_outputs(self) -> int:
@@ -154,17 +156,41 @@ class PipelineConfig:
         self.work_dir = _resolve(self.work_dir)
 
 
-_BOOL_KEYS = {"continue_on_error", "scm_ridge"}
-_INT_KEYS = {
-    "seed", "epochs", "batch_size", "lstm_layers", "lstm_hidden", "rank",
-    "n_channels", "n_classes", "temporal_embedding_dim", "spatial_hidden",
-    "spatial_embedding_dim", "encoder_hidden", "fusion_hidden", "filter_order",
-}
-_FLOAT_KEYS = {
-    "fs", "trial_seconds", "learning_rate", "broadband_low", "broadband_high", "notch_hz",
-}
-_PATH_KEYS = {"raw_train_dir", "raw_test_dir", "work_dir"}
-_LIST_KEYS = {"ablate_variants"}
+_FIELD_TYPES = get_type_hints(PipelineConfig)
+
+
+def parse_key_values(text: str, origin: str) -> dict[str, str]:
+    """Flat ``key = value`` lines to a dict of strings; '#' starts a comment."""
+    raw: dict[str, str] = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
+        key, value = stripped.split("=", 1)
+        raw[key.strip()] = value.strip()
+    return raw
+
+
+def _coerce(key: str, value: str, origin: str):
+    """Convert one value to the type annotated on its :class:`PipelineConfig` field."""
+    kind = _FIELD_TYPES[key]
+    if kind is bool:
+        if value.lower() not in ("true", "false"):
+            raise ConfigError(f"{origin}: key {key!r} must be true or false, got {value!r}")
+        return value.lower() == "true"
+    if kind in (int, float):
+        try:
+            return kind(value)
+        except ValueError as exc:
+            need = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{origin}: key {key!r} needs {need}, got {value!r}") from exc
+    if kind is list:
+        return [v.strip() for v in value.split(",") if v.strip()]
+    if Path in (kind, *get_args(kind)):
+        return Path(value)
+    return value
 
 
 def _parse_bands(text: str) -> list[BandSpec]:
@@ -185,16 +211,7 @@ def _parse_bands(text: str) -> list[BandSpec]:
 
 def parse_config_text(text: str, origin: str = "<config>") -> PipelineConfig:
     """Parse flat ``key = value`` lines into a profile-resolved config."""
-    raw: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{origin}:{lineno}: expected 'key = value', got {line!r}")
-        key, value = stripped.split("=", 1)
-        raw[key.strip()] = value.strip()
-
+    raw = parse_key_values(text, origin)
     profile_name = raw.pop("profile", None)
     if profile_name is None:
         raise ConfigError(f"{origin}: missing required key 'profile'")
@@ -225,30 +242,10 @@ def parse_config_text(text: str, origin: str = "<config>") -> PipelineConfig:
             raise ConfigError(f"{origin}: the band table is fixed by profile {profile_name!r}")
         bands = _profile_bands(profile_name)
 
-    known = {f.name for f in fields(PipelineConfig)}
     for key, value in raw.items():
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{origin}: unknown config key {key!r}")
-        if key in _BOOL_KEYS:
-            if value.lower() not in ("true", "false"):
-                raise ConfigError(f"{origin}: key {key!r} must be true or false, got {value!r}")
-            settings[key] = value.lower() == "true"
-        elif key in _INT_KEYS:
-            try:
-                settings[key] = int(value)
-            except ValueError as exc:
-                raise ConfigError(f"{origin}: key {key!r} needs an integer, got {value!r}") from exc
-        elif key in _FLOAT_KEYS:
-            try:
-                settings[key] = float(value)
-            except ValueError as exc:
-                raise ConfigError(f"{origin}: key {key!r} needs a number, got {value!r}") from exc
-        elif key in _PATH_KEYS:
-            settings[key] = Path(value)
-        elif key in _LIST_KEYS:
-            settings[key] = [v.strip() for v in value.split(",") if v.strip()]
-        else:
-            settings[key] = value
+        settings[key] = _coerce(key, value, origin)
 
     try:
         return PipelineConfig(profile=profile_name, bands=bands, **settings)

@@ -29,7 +29,8 @@ from pathlib import Path
 import numpy as np
 from scipy import signal as sps
 
-from .errors import DataError
+from .config import parse_key_values
+from .errors import ConfigError, DataError
 from .filters import EegSegment
 
 SEGMENT_MAGIC = b"EEGS"
@@ -148,6 +149,11 @@ def read_tensors(path) -> dict[str, np.ndarray]:
             offset += n_bytes
     except struct.error as exc:
         raise DataError(f"{path}: truncated tensor header at offset {offset}") from exc
+    if offset != len(data):
+        raise DataError(
+            f"{path}: {len(data) - offset} bytes of trailing data at offset {offset} "
+            f"after {count} declared tensor(s)"
+        )
     return tensors
 
 
@@ -288,17 +294,11 @@ def synth_mixed_task(
 # ---------------------------------------------------------------------------
 
 def read_manifest(path) -> dict:
-    """Parse a small ``key = value`` manifest; '#' starts a comment."""
-    manifest = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise DataError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        manifest[key.strip()] = value.strip()
-    return manifest
+    """Parse a manifest in the config file's ``key = value`` syntax."""
+    try:
+        return parse_key_values(Path(path).read_text(encoding="utf-8"), origin=str(path))
+    except ConfigError as exc:
+        raise DataError(str(exc)) from exc
 
 
 def decimate_segment(segment: EegSegment, factor: int) -> EegSegment:

@@ -94,15 +94,6 @@ def invsqrtm(mat: np.ndarray) -> np.ndarray:
     return _apply_to_eigvals(mat, lambda w: 1.0 / np.sqrt(w), "invsqrtm input")
 
 
-def is_spd(mat: np.ndarray) -> bool:
-    """True when the matrix is symmetric positive definite within tolerance."""
-    try:
-        _spd_eigh(mat)
-    except (NumericalError, ValueError):
-        return False
-    return True
-
-
 def scm(samples) -> np.ndarray:
     """Spatial covariance matrix C = X X^T / (T - 1) of one trial.
 
@@ -272,24 +263,6 @@ def upper_vectorize(sym: np.ndarray) -> np.ndarray:
 def tangent_dimension(rank: int) -> int:
     """Length of a half-vectorized rank x rank symmetric matrix."""
     return rank * (rank + 1) // 2
-
-
-def tangent_features(scms_per_band, refs_per_band) -> np.ndarray:
-    """Per-band tangent vectors of one trial, concatenated across bands.
-
-    ``scms_per_band`` holds one reduced SCM per frequency sub-band and
-    ``refs_per_band`` the matching reference (normally the per-band
-    Riemannian mean). The result has length sum of R_b(R_b+1)/2.
-    """
-    if len(scms_per_band) != len(refs_per_band):
-        raise ValueError(
-            f"{len(scms_per_band)} band SCMs do not match {len(refs_per_band)} references"
-        )
-    if not len(scms_per_band):
-        raise ValueError("need at least one band")
-    return np.concatenate(
-        [tangent_vectorize(ref, c) for ref, c in zip(refs_per_band, scms_per_band)]
-    )
 
 
 class MdrmClassifier:

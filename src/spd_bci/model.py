@@ -120,21 +120,6 @@ class _SeqBatchNormLeaky:
         return self.bn.backward(dy).reshape(self._shape)
 
 
-class _SeqDropout:
-    """Dropout adapter with the same forward signature as the batch-norm block."""
-
-    def __init__(self, rate: float):
-        self.layer = Dropout(rate)
-        self.params = self.layer.params
-        self.grads = self.layer.grads
-
-    def forward(self, x, train=True, rng=None):
-        return self.layer.forward(x, train=train, rng=rng)
-
-    def backward(self, grad):
-        return self.layer.backward(grad)
-
-
 class TwoStreamModel:
     """Trainable spatio-temporal model; see the module docstring for the layout."""
 
@@ -151,7 +136,7 @@ class TwoStreamModel:
                 if config.temporal_regularizer == "batchnorm":
                     reg = _SeqBatchNormLeaky(config.lstm_hidden)
                 else:
-                    reg = _SeqDropout(config.temporal_dropout[i])
+                    reg = Dropout(config.temporal_dropout[i])
                 self.lstm_stack.append((lstm, reg))
                 self._modules[f"lstm{i}"] = lstm
                 self._modules[f"lstm{i}_reg"] = reg
@@ -293,7 +278,7 @@ class TwoStreamModel:
                     alpha = stable_softmax(np.concatenate([s_t, s_s], axis=1), axis=1)
                     base = 1.0 if cfg.fusion_mode == "weighted" else 0.0
                     scale = base + alpha
-                self._alpha = alpha
+                self._alpha, self._scale = alpha, scale
                 fused = np.concatenate(
                     [scale[:, 0:1] * e_t, scale[:, 1:2] * e_s], axis=1
                 )
@@ -320,12 +305,7 @@ class TwoStreamModel:
             self._temporal_backward(g_t_scaled)
             self._spatial_backward(g_s_scaled)
             return
-        e_t, e_s, alpha = self._e_t, self._e_s, self._alpha
-        if cfg.fusion_mode == "independent-sigmoid":
-            scale = 1.0 + alpha
-        else:
-            base = 1.0 if cfg.fusion_mode == "weighted" else 0.0
-            scale = base + alpha
+        e_t, e_s, alpha, scale = self._e_t, self._e_s, self._alpha, self._scale
         grad_e_t = scale[:, 0:1] * g_t_scaled
         grad_e_s = scale[:, 1:2] * g_s_scaled
         dalpha = np.stack(

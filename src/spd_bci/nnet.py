@@ -269,12 +269,6 @@ class Dropout:
         return grad_y * self._mask
 
 
-def dropout(x: np.ndarray, rate: float, rng: np.random.Generator, train: bool) -> np.ndarray:
-    """Functional form of inverted dropout."""
-    layer = Dropout(rate)
-    return layer.forward(x, train=train, rng=rng)
-
-
 class BatchNorm:
     """Per-feature standardization with learned scale/shift and running stats."""
 
@@ -314,11 +308,6 @@ class BatchNorm:
         return (inv_std / n) * (
             n * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
         )
-
-
-def batch_norm_lite(x: np.ndarray, layer: BatchNorm, train: bool) -> np.ndarray:
-    """Functional wrapper around a :class:`BatchNorm` instance."""
-    return layer.forward(x, train=train)
 
 
 # ---------------------------------------------------------------------------

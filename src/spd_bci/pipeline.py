@@ -43,11 +43,13 @@ logger = logging.getLogger("spd_bci.pipeline")
 SEGMENT_SUFFIX = ".eegs"
 
 # Checkpoint labels: the three stream variants plus fused models with an
-# alternative fusion rule, so ablation can compare both axes.
+# alternative fusion rule, so ablation can compare both axes. "fused" always
+# means the full (1 + weight) rule. The table order is the ``meta.variant``
+# code stored in checkpoints.
 _VARIANT_SPECS = {
-    "fused": ("fused", None),
-    "temporal": ("temporal", None),
-    "spatial": ("spatial", None),
+    "fused": ("fused", "weighted"),
+    "temporal": ("temporal", "weighted"),
+    "spatial": ("spatial", "weighted"),
     "concatenation": ("fused", "concatenation"),
     "soft-attention": ("fused", "soft-attention"),
     "independent-sigmoid": ("fused", "independent-sigmoid"),
@@ -93,9 +95,12 @@ def run_preprocess(config: PipelineConfig) -> dict:
                         f"{path}: sampling rate {segment.fs} Hz does not match "
                         f"profile rate {config.fs} Hz"
                     )
-                segment = apply_filter_zero_phase(broadband, segment)
-                segment = notch_filter(segment, config.notch_hz)
-                segment = minmax_normalize(segment, constant_channel=config.constant_channel)
+                try:
+                    segment = apply_filter_zero_phase(broadband, segment)
+                    segment = notch_filter(segment, config.notch_hz)
+                    segment = minmax_normalize(segment, constant_channel=config.constant_channel)
+                except ValueError as exc:
+                    raise DataError(f"{path}: {exc}") from exc
                 dataio.write_segment(out_dir / path.name, segment)
                 n_ok += 1
             except Exception as exc:
@@ -239,15 +244,9 @@ def run_features(config: PipelineConfig) -> dict:
     return info
 
 
-def _architecture(config: PipelineConfig, temporal_dim: int, spatial_dim: int,
-                  label: str | None = None) -> ArchitectureConfig:
-    if label is None:
-        variant, fusion_mode = config.variant, config.fusion_mode
-    else:
-        # "fused" always means the full (1 + weight) rule; alternative rules
-        # carry their own label so ablation can hold trained copies of each.
-        variant, mode = _VARIANT_SPECS[label]
-        fusion_mode = mode or "weighted"
+def _architecture(config: PipelineConfig, label: str, temporal_dim: int,
+                  spatial_dim: int) -> ArchitectureConfig:
+    variant, fusion_mode = _VARIANT_SPECS[label]
     return ArchitectureConfig(
         temporal_input_dim=temporal_dim,
         spatial_input_dim=spatial_dim,
@@ -293,7 +292,7 @@ def run_train(config: PipelineConfig, jobs: int = 1) -> dict:
         return _run_rank_grid(config, train, jobs=jobs)
 
     label = _variant_label(config)
-    arch = _architecture(config, train["temporal"].shape[2], train["spatial"].shape[1])
+    arch = _architecture(config, label, train["temporal"].shape[2], train["spatial"].shape[1])
     model = TwoStreamModel(arch, seed=config.seed)
     model_dir = config.work_dir / "model"
     model_dir.mkdir(parents=True, exist_ok=True)
@@ -315,7 +314,9 @@ def _grid_point(payload) -> dict:
     filters, references = fit_spatial_reducers(scms[fit_idx], rank)
     spatial_fit = spatial_features_for(scms[fit_idx], filters, references, policy="train-mean")
     spatial_val = spatial_features_for(scms[val_idx], filters, references, policy="train-mean")
-    arch = _architecture(config, temporal.shape[2], spatial_fit.shape[1])
+    arch = _architecture(
+        config, _variant_label(config), temporal.shape[2], spatial_fit.shape[1]
+    )
     model = TwoStreamModel(arch, seed=config.seed)
     train_model(model, temporal[fit_idx], spatial_fit, labels[fit_idx], seed=config.seed)
     metrics = evaluate_model(model, temporal[val_idx], spatial_val, labels[val_idx])
@@ -368,9 +369,7 @@ def _evaluate_variant(config: PipelineConfig, label: str, test: dict) -> dict:
             f"checkpoint {path} was trained for a different variant "
             f"(code {float(stored):.0f})"
         )
-    arch = _architecture(
-        config, test["temporal"].shape[2], test["spatial"].shape[1], label=label
-    )
+    arch = _architecture(config, label, test["temporal"].shape[2], test["spatial"].shape[1])
     model = TwoStreamModel(arch, seed=config.seed)
     try:
         model.load_params(tensors)

@@ -194,7 +194,6 @@ def build_feature_sequence(
     band_segments: list[EegSegment],
     bands,
     plan: StftPlan,
-    de_estimator: str = "periodogram",
 ) -> FeatureSequence:
     """Assemble the L x (2*H*N) feature matrix from band-limited segments.
 
@@ -216,10 +215,7 @@ def build_feature_sequence(
             raise ValueError("band segments disagree on channel count")
         log_power = log_psd_feature(seg, plan, band)
         psd_blocks.append(log_power)
-        if de_estimator == "periodogram":
-            de_blocks.append(HALF_LN_2PI_E + 0.5 * log_power)
-        else:
-            de_blocks.append(de_feature(seg, plan, band, estimator=de_estimator))
+        de_blocks.append(HALF_LN_2PI_E + 0.5 * log_power)
     values = np.concatenate(de_blocks + psd_blocks, axis=1)
     return FeatureSequence(
         values=values, n_bands=len(bands), n_channels=n_channels, label=label

@@ -7,7 +7,7 @@ import pytest
 
 from spd_bci.cli import main
 from spd_bci.config import PROFILES, load_config, parse_config_text
-from spd_bci.data import SynthSpec, synth_spd_classes, write_segment
+from spd_bci.data import SynthSpec, read_segment, synth_spd_classes, write_segment
 from spd_bci.errors import ConfigError
 
 BASE_CONFIG = """
@@ -280,6 +280,31 @@ class TestPipelineRun:
         assert main(["preprocess", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert str(bad) in err and "non-finite sample" in err
+
+    def _write_constant_channel_file(self, root):
+        bad = root / "raw" / "train" / "seg_007.eegs"
+        segment = read_segment(bad)
+        samples = segment.samples.copy()
+        samples[2] = 0.0
+        write_segment(bad, segment.with_samples(samples))
+        return bad
+
+    def test_preprocess_constant_channel_exits_2_naming_file(self, tmp_path, capsys):
+        write_synthetic_dataset(tmp_path)
+        bad = self._write_constant_channel_file(tmp_path)
+        config = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: constant channel(s) [2]" in err
+
+    def test_preprocess_constant_channel_skipped_on_continue(self, tmp_path):
+        write_synthetic_dataset(tmp_path)
+        bad = self._write_constant_channel_file(tmp_path)
+        config = write_config(tmp_path, extra="continue_on_error = true\n")
+        assert main(["preprocess", "--config", str(config)]) == 0
+        out_dir = tmp_path / "work" / "preprocessed" / "train"
+        assert len(list(out_dir.glob("*.eegs"))) == 39
+        assert not (out_dir / bad.name).exists()
 
     def test_grid_mode_with_parallel_jobs_matches_sequential(self, workspace):
         config = write_config(

@@ -90,6 +90,26 @@ class TestTensorFile:
         with pytest.raises(DataError, match="offset"):
             read_tensors(path)
 
+    def test_trailing_bytes_name_path_and_offset(self, tmp_path):
+        path = tmp_path / "bundle.spdt"
+        write_tensors(path, {"a": np.arange(10.0)})
+        end = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"x" * 13)
+        with pytest.raises(DataError, match=f"13 bytes of trailing data at offset {end}") as info:
+            read_tensors(path)
+        assert str(path) in str(info.value)
+
+    def test_count_below_stored_tensors_is_rejected(self, tmp_path):
+        path = tmp_path / "bundle.spdt"
+        write_tensors(path, {"a": np.arange(10.0)})
+        end = path.stat().st_size
+        write_tensors(path, {"a": np.arange(10.0), "b": np.ones(3)})
+        raw = bytearray(path.read_bytes())
+        raw[8:12] = (1).to_bytes(4, "little")  # count field: 1 of the 2 stored tensors
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=f"trailing data at offset {end} after 1 declared"):
+            read_tensors(path)
+
 
 class TestSynthSpdClasses:
     def test_mean_scm_approaches_class_covariance(self):
@@ -288,6 +308,13 @@ class TestCsvIngestion:
         )
         manifest = read_manifest(manifest_path)
         assert manifest == {"fs": "200", "segment_seconds": "1"}
+
+    def test_malformed_manifest_line_is_a_data_error(self, tmp_path):
+        manifest_path = tmp_path / "layout.txt"
+        manifest_path.write_text("fs = 200\nsegment_seconds 1\n", encoding="utf-8")
+        with pytest.raises(DataError, match="expected 'key = value'") as info:
+            read_manifest(manifest_path)
+        assert f"{manifest_path}:2:" in str(info.value)
 
     def test_channel_subset_selection(self, tmp_path):
         rng = np.random.default_rng(16)

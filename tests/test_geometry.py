@@ -25,10 +25,10 @@ from spd_bci.geometry import (
     scm,
     sqrtm,
     tangent_dimension,
-    tangent_features,
     tangent_vectorize,
     upper_vectorize,
 )
+from spd_bci.pipeline import spatial_features_for
 
 
 def diag_distance(a, b):
@@ -403,7 +403,7 @@ class TestTangentFeatures:
         rng = np.random.default_rng(22)
         scms = [np.array([[2.0]])]
         refs = [np.array([[1.0]])]
-        vec = tangent_features(scms, refs)
+        vec = spatial_features_for(np.array([scms]), [np.eye(1)], refs)[0]
         assert vec.shape == (1,)
         assert vec[0] == pytest.approx(np.log(2.0))
 
@@ -411,7 +411,7 @@ class TestTangentFeatures:
         rng = np.random.default_rng(23)
         scms = [random_spd(rng, 3) for _ in range(4)]
         refs = [random_spd(rng, 3) for _ in range(4)]
-        vec = tangent_features(scms, refs)
+        vec = spatial_features_for(np.array([scms]), [np.eye(3)] * 4, refs)[0]
         assert vec.shape == (4 * tangent_dimension(3),)
         np.testing.assert_allclose(vec[:6], tangent_vectorize(refs[0], scms[0]))
 

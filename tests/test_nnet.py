@@ -19,7 +19,6 @@ from spd_bci.nnet import (
     binary_cross_entropy_with_logits,
     clip_global_norm,
     cross_entropy,
-    dropout,
     load_checkpoint,
     mean_squared_error,
     save_checkpoint,
@@ -148,17 +147,17 @@ class TestAttention:
 class TestDropout:
     def test_rate_zero_is_identity(self):
         x = np.random.default_rng(6).standard_normal((4, 5))
-        out = dropout(x, 0.0, np.random.default_rng(0), train=True)
+        out = Dropout(0.0).forward(x, train=True, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(out, x)
 
     def test_eval_mode_is_identity(self):
         x = np.random.default_rng(7).standard_normal((4, 5))
-        out = dropout(x, 0.7, np.random.default_rng(0), train=False)
+        out = Dropout(0.7).forward(x, train=False, rng=np.random.default_rng(0))
         np.testing.assert_array_equal(out, x)
 
     def test_inverted_scaling_preserves_mean(self):
         rng = np.random.default_rng(8)
-        out = dropout(np.ones(1_000_000), 0.5, rng, train=True)
+        out = Dropout(0.5).forward(np.ones(1_000_000), train=True, rng=rng)
         assert out.mean() == pytest.approx(1.0, abs=0.01)
 
     def test_invalid_rate_raises(self):
