@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as sps
 
 from .config import parse_key_values
 from .errors import ConfigError, DataError
@@ -314,9 +313,22 @@ def decimate_segment(segment: EegSegment, factor: int) -> EegSegment:
         return segment
     new_fs = segment.fs / factor
     cutoff = 0.8 * new_fs / 2.0
+    from scipy import signal as sps
+
     sos = sps.butter(8, cutoff, btype="lowpass", fs=segment.fs, output="sos")
     filtered = sps.sosfiltfilt(sos, segment.samples, axis=1)
     return EegSegment(filtered[:, ::factor], new_fs, segment.label)
+
+
+def _manifest_number(manifest: dict, key: str, kind, origin: str):
+    """``manifest[key]`` as an int or float; a malformed value is a ``DataError`` naming both."""
+    value = manifest[key]
+    try:
+        # Through str, so that 2.5 given for an integer key is rejected, not truncated.
+        return kind(str(value))
+    except ValueError as exc:
+        need = "an integer" if kind is int else "a number"
+        raise DataError(f"{origin}: key {key!r} needs {need}, got {value!r}") from exc
 
 
 def ingest_csv(csv_path, manifest) -> list[EegSegment]:
@@ -329,14 +341,16 @@ def ingest_csv(csv_path, manifest) -> list[EegSegment]:
     non-label columns). Trailing samples that do not fill a segment are
     dropped.
     """
+    origin = f"manifest for {csv_path}"
     if not isinstance(manifest, dict):
+        origin = str(manifest)
         manifest = read_manifest(manifest)
     try:
-        fs = float(manifest["fs"])
-        segment_seconds = float(manifest["segment_seconds"])
+        fs = _manifest_number(manifest, "fs", float, origin)
+        segment_seconds = _manifest_number(manifest, "segment_seconds", float, origin)
     except KeyError as exc:
-        raise DataError(f"manifest is missing required key {exc}") from exc
-    factor = int(manifest.get("decimate", 1))
+        raise DataError(f"{origin}: missing required key {exc}") from exc
+    factor = _manifest_number(manifest, "decimate", int, origin) if "decimate" in manifest else 1
     label_column = manifest.get("label_column")
 
     lines = [ln for ln in Path(csv_path).read_text(encoding="utf-8").splitlines() if ln.strip()]

@@ -5,6 +5,9 @@ one, so they are safe to run concurrently across segments. Band-pass
 filters are Butterworth designs (analog prototype + bilinear transform)
 realized as second-order sections and applied forward-backward for zero
 phase, with odd reflection padding of three filter orders at the edges.
+``scipy.signal`` is imported inside the functions that design or apply a
+filter, so importing the package (and a CLI step that does not filter)
+does not pay for it.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal as sps
 
 
 @dataclass
@@ -118,6 +120,8 @@ def design_butterworth_bandpass(low_hz, high_hz, order, fs) -> np.ndarray:
         raise ValueError(
             f"band ({low_hz}, {high_hz}) Hz exceeds Nyquist {nyquist} Hz at fs={fs}"
         )
+    from scipy import signal as sps
+
     sos = sps.butter(order, [low_hz, high_hz], btype="bandpass", fs=fs, output="sos")
     if not _is_stable(sos):
         raise ValueError(
@@ -128,6 +132,8 @@ def design_butterworth_bandpass(low_hz, high_hz, order, fs) -> np.ndarray:
 
 def frequency_response(sos: np.ndarray, freqs_hz, fs) -> np.ndarray:
     """Complex single-pass response of a second-order-section filter."""
+    from scipy import signal as sps
+
     _, h = sps.sosfreqz(sos, worN=np.atleast_1d(np.asarray(freqs_hz, dtype=float)), fs=fs)
     return h
 
@@ -157,6 +163,8 @@ def apply_filter_zero_phase(sos: np.ndarray, segment: EegSegment) -> EegSegment:
             f"segment too short for zero-phase filtering: {segment.n_samples} samples, "
             f"need more than {padlen}"
         )
+    from scipy import signal as sps
+
     filtered = sps.sosfiltfilt(sos, segment.samples, axis=1, padtype="odd", padlen=padlen)
     return segment.with_samples(filtered)
 
@@ -171,6 +179,8 @@ def notch_filter(segment: EegSegment, f0: float = 50.0, quality: float = 30.0) -
         raise ValueError(f"notch frequency {f0} Hz is not below Nyquist {segment.fs / 2.0} Hz")
     if f0 <= 0:
         raise ValueError(f"notch frequency must be positive, got {f0}")
+    from scipy import signal as sps
+
     b, a = sps.iirnotch(f0, quality, fs=segment.fs)
     padlen = 3 * 2
     if segment.n_samples <= padlen:

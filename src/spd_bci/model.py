@@ -10,7 +10,10 @@ the two scalar scores, rescales each embedding by (1 + weight), and
 feeds the concatenation through a dense layer into the task head.
 
 Training is plain mini-batch Adam with global-norm gradient clipping;
-everything is deterministic given the seed.
+everything is deterministic given the seed. The per-step cost sits in
+``nnet``: time-batched LSTM input projections, one sigmoid call on the
+stacked gates, and a cache-blocked in-place Adam update. The training
+set is re-predicted after each epoch only when a log is written.
 """
 
 from __future__ import annotations
@@ -383,7 +386,13 @@ def train_model(
     """Mini-batch Adam training; returns the per-epoch loss log.
 
     Deterministic given the seed: shuffling and dropout masks come from
-    one generator. A non-finite loss aborts with diagnostics.
+    one generator. A non-finite loss aborts with diagnostics. Each
+    ``history`` record holds ``epoch`` and ``loss``; only when
+    ``log_path`` is given is the training set re-predicted after each
+    epoch to add its accuracy or rmse, and the records written there as
+    JSON lines. That eval-mode pass draws nothing from the generator and
+    leaves the batch-norm running statistics alone, so the fitted
+    parameters are the same either way.
     """
     cfg = model.config
     epochs = cfg.epochs if epochs is None else epochs
@@ -420,11 +429,12 @@ def train_model(
             adam_step(optimizer, model.params(), grads)
             epoch_loss += loss * len(batch)
         record = {"epoch": epoch, "loss": epoch_loss / n}
-        predictions = model.predict(xt, xs)
-        if cfg.loss in ("cross-entropy", "bce"):
-            record["accuracy"] = float(np.mean(predictions == labels_array.astype(int)))
-        else:
-            record["rmse"] = root_mean_squared_error(labels_array, predictions)
+        if log_path is not None:
+            predictions = model.predict(xt, xs)
+            if cfg.loss in ("cross-entropy", "bce"):
+                record["accuracy"] = float(np.mean(predictions == labels_array.astype(int)))
+            else:
+                record["rmse"] = root_mean_squared_error(labels_array, predictions)
         history.append(record)
     if log_path is not None:
         with open(log_path, "w", encoding="utf-8") as fh:

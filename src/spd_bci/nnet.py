@@ -9,6 +9,11 @@ composed model against central finite differences.
 Conventions: batch-first arrays; dense weights are (out, in); LSTM gate
 order is input, forget, output, candidate with the four gate blocks
 stacked row-wise in one matrix.
+
+The training step is kept lean: the LSTM projects its inputs for all
+time steps in one matmul and runs one sigmoid per step over the stacked
+input/forget/output gates, ``sigmoid`` is branch-free, and ``adam_step``
+updates in place block by block without full-size temporaries.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ import numpy as np
 
 LEAKY_SLOPE = 0.3
 PROB_FLOOR = 1e-12
+# Elements per Adam block: its five f64 slices (1.25 MiB) stay in cache across the passes.
+ADAM_BLOCK = 1 << 15
 
 
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
@@ -34,11 +41,16 @@ def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """Logistic function without branches: ``exp`` only sees ``-|z|``, so it never overflows.
+
+    With e = exp(-|z|) this is 1/(1+e) for z >= 0 and e/(1+e) below, the
+    same operations, and so the same bits, as the two-branch formula.
+    ``min(z, -z)`` rather than ``-abs(z)`` keeps the sign of a NaN input.
+    """
+    e = np.exp(np.minimum(z, -z))
+    out = np.maximum(e, z >= 0)
+    e += 1.0
+    out /= e
     return out
 
 
@@ -103,6 +115,13 @@ class Lstm:
     Standard gate equations with sigmoid input/forget/output gates and a
     tanh candidate: c_t = f*c + i*g, h_t = o*tanh(c_t), starting from zero
     state. The forget-gate bias is initialized to +1.
+
+    The one (4H, in + H) weight is used as two blocks: the input
+    projection x_t W_x^T + b of every step is one matmul before the time
+    loop, so only h_{t-1} W_h^T recurs, and one sigmoid call covers the
+    stacked input/forget/output gates. Backward likewise keeps only
+    dh_{t-1} = da_t W_h in its loop, then forms the weight, bias and
+    input gradients of all steps with one matmul or sum each.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None):
@@ -121,56 +140,62 @@ class Lstm:
                 f"expected input of shape (batch, length, {self.in_dim}), got {x.shape}"
             )
         batch, length, _ = x.shape
-        h = np.zeros((batch, self.hidden))
-        c = np.zeros((batch, self.hidden))
-        self._cache = []
-        outputs = np.empty((batch, length, self.hidden))
-        nh = self.hidden
+        nh, w = self.hidden, self.params["w"]
+        w_h_t = w[:, self.in_dim:].T
+        # Pre-activations of all steps from the input; activated in place below.
+        gates = x.reshape(-1, self.in_dim) @ w[:, :self.in_dim].T + self.params["b"]
+        gates = gates.reshape(batch, length, 4 * nh)
+        cells = np.zeros((batch, length + 1, nh))  # cells[:, t] is c_{t-1}
+        tanh_c = np.empty((batch, length, nh))
+        outputs = np.empty((batch, length, nh))
         for t in range(length):
-            z = np.concatenate([x[:, t, :], h], axis=1)
-            acts = z @ self.params["w"].T + self.params["b"]
-            i = sigmoid(acts[:, :nh])
-            f = sigmoid(acts[:, nh:2 * nh])
-            o = sigmoid(acts[:, 2 * nh:3 * nh])
-            g = np.tanh(acts[:, 3 * nh:])
-            c_prev = c
-            c = f * c_prev + i * g
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
-            outputs[:, t, :] = h
-            self._cache.append((z, i, f, o, g, c_prev, tanh_c))
+            a = gates[:, t]
+            if t:
+                a += outputs[:, t - 1] @ w_h_t
+            a[:, :3 * nh] = sigmoid(a[:, :3 * nh])
+            np.tanh(a[:, 3 * nh:], out=a[:, 3 * nh:])
+            i, f, o, g = (a[:, k * nh:(k + 1) * nh] for k in range(4))
+            cells[:, t + 1] = f * cells[:, t] + i * g
+            np.tanh(cells[:, t + 1], out=tanh_c[:, t])
+            np.multiply(o, tanh_c[:, t], out=outputs[:, t])
+        self._x, self._gates, self._cells, self._tanh_c, self._h = x, gates, cells, tanh_c, outputs
         return outputs
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         batch, length, _ = grad_out.shape
-        nh = self.hidden
-        dx = np.empty((batch, length, self.in_dim))
+        nh, w = self.hidden, self.params["w"]
+        gates, cells, tanh_c = self._gates, self._cells, self._tanh_c
+        i, f, o, g = (gates[..., k * nh:(k + 1) * nh] for k in range(4))
+        # Local derivatives of every step at once; only dh and dc recur.
+        sig = gates[..., :3 * nh]
+        d_sig = sig * (1.0 - sig)
+        d_g = 1.0 - g ** 2
+        d_c = o * (1.0 - tanh_c ** 2)
+        w_h = w[:, self.in_dim:]
+        da = np.empty_like(gates)
         dh_next = np.zeros((batch, nh))
         dc_next = np.zeros((batch, nh))
         for t in reversed(range(length)):
-            z, i, f, o, g, c_prev, tanh_c = self._cache[t]
-            dh = grad_out[:, t, :] + dh_next
-            do = dh * tanh_c
-            dc = dh * o * (1.0 - tanh_c ** 2) + dc_next
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc_next = dc * f
-            da = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    do * o * (1.0 - o),
-                    dg * (1.0 - g ** 2),
-                ],
-                axis=1,
-            )
-            self.grads["w"] += da.T @ z
-            self.grads["b"] += da.sum(axis=0)
-            dz = da @ self.params["w"]
-            dx[:, t, :] = dz[:, : self.in_dim]
-            dh_next = dz[:, self.in_dim:]
-        return dx
+            dh = grad_out[:, t] + dh_next
+            dc = dh * d_c[:, t] + dc_next
+            da_t = da[:, t]
+            np.multiply(dc, g[:, t], out=da_t[:, :nh])
+            np.multiply(dc, cells[:, t], out=da_t[:, nh:2 * nh])
+            np.multiply(dh, tanh_c[:, t], out=da_t[:, 2 * nh:3 * nh])
+            np.multiply(dc, i[:, t], out=da_t[:, 3 * nh:])
+            da_t[:, :3 * nh] *= d_sig[:, t]
+            da_t[:, 3 * nh:] *= d_g[:, t]
+            dc_next = dc * f[:, t]
+            if t:
+                dh_next = da_t @ w_h
+        flat = da.reshape(-1, 4 * nh)
+        self.grads["w"][:, :self.in_dim] += flat.T @ self._x.reshape(-1, self.in_dim)
+        # h_0 = 0, so step 0 adds nothing to the recurrent weight gradient.
+        self.grads["w"][:, self.in_dim:] += np.tensordot(
+            da[:, 1:], self._h[:, :-1], axes=([0, 1], [0, 1])
+        )
+        self.grads["b"] += flat.sum(axis=0)
+        return (flat @ w[:, :self.in_dim]).reshape(batch, length, self.in_dim)
 
 
 class Attention:
@@ -376,19 +401,50 @@ def adam_init(params: dict[str, np.ndarray], lr: float = 0.001) -> AdamState:
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update, applied in place."""
+    """One bias-corrected Adam update, applied in place.
+
+    Each tensor is updated through its flat view one cache-sized block at
+    a time, with two scratch buffers and no full-size temporaries. The
+    operations and their order are the textbook formula's
+    (m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
+    p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)), so the result is
+    bit-identical to it.
+    """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
     bias1 = 1.0 - b1 ** state.step
     bias2 = 1.0 - b2 ** state.step
+    size = min(ADAM_BLOCK, max((p.size for p in params.values()), default=0))
+    buf1, buf2 = np.empty(size), np.empty(size)
     for key, p in params.items():
-        g = grads[key]
-        state.m[key] = b1 * state.m[key] + (1.0 - b1) * g
-        state.v[key] = b2 * state.v[key] + (1.0 - b2) * g ** 2
-        m_hat = state.m[key] / bias1
-        v_hat = state.v[key] / bias2
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p_flat, m_flat, v_flat = (_flat_view(a, key) for a in (p, state.m[key], state.v[key]))
+        g_flat = grads[key].reshape(-1)
+        for lo in range(0, p_flat.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, p_flat.size)
+            g, m, v = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
+            s1, s2 = buf1[:hi - lo], buf2[:hi - lo]
+            m *= b1
+            np.multiply(1.0 - b1, g, out=s1)
+            m += s1
+            v *= b2
+            np.square(g, out=s1)
+            s1 *= 1.0 - b2
+            v += s1
+            np.divide(m, bias1, out=s1)
+            s1 *= state.lr
+            np.divide(v, bias2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += state.eps
+            s1 /= s2
+            p_flat[lo:hi] -= s1
     return params
+
+
+def _flat_view(array: np.ndarray, key: str) -> np.ndarray:
+    """A 1-d view of ``array`` that writes through to it."""
+    if not array.flags.c_contiguous:
+        raise ValueError(f"Adam updates {key!r} in place and needs C-contiguous arrays")
+    return array.reshape(-1)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 5.0) -> float:

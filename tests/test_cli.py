@@ -1,10 +1,15 @@
 """Config parsing and CLI pipeline tests on a small synthetic dataset."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spd_bci
 from spd_bci.cli import main
 from spd_bci.config import PROFILES, load_config, parse_config_text
 from spd_bci.data import SynthSpec, read_segment, synth_spd_classes, write_segment
@@ -491,3 +496,26 @@ class TestSinglePassFeatures:
         assert sorted(got) == sorted(want)
         for key, value in want.items():
             np.testing.assert_allclose(got[key], value, rtol=1e-10, atol=1e-10, err_msg=key)
+
+
+class TestLazyScipyImport:
+    def test_steps_that_do_not_filter_never_import_scipy_signal(self, workspace):
+        config = write_config(workspace, extra="ablate_variants = fused\n")
+        script = (
+            "import sys\n"
+            "import spd_bci.cli\n"
+            "loaded = ['scipy.signal' in sys.modules]\n"
+            "for step in ('train', 'evaluate', 'ablate'):\n"
+            f"    assert spd_bci.cli.main([step, '--config', {str(config)!r}]) == 0\n"
+            "    loaded.append('scipy.signal' in sys.modules)\n"
+            "print(loaded)\n"
+        )
+        src = str(Path(spd_bci.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[False, False, False, False]"

@@ -327,6 +327,33 @@ class TestCsvIngestion:
         assert segments[0].n_channels == 2
         np.testing.assert_allclose(segments[0].samples[0], samples[2], atol=1e-9)
 
+    @pytest.mark.parametrize("key, value, need", [
+        ("fs", "fast", "a number"),
+        ("segment_seconds", "two", "a number"),
+        ("decimate", "2.5", "an integer"),
+    ])
+    def test_malformed_manifest_number_names_manifest_and_key(self, tmp_path, key, value, need):
+        csv_path = tmp_path / "rec.csv"
+        csv_path.write_text("a,b\n1.0,2.0\n", encoding="utf-8")
+        manifest_path = tmp_path / "layout.txt"
+        entries = {"fs": "200", "segment_seconds": "1", key: value}
+        manifest_path.write_text(
+            "".join(f"{k} = {v}\n" for k, v in entries.items()), encoding="utf-8"
+        )
+        with pytest.raises(DataError, match=f"key '{key}' needs {need}") as info:
+            ingest_csv(csv_path, manifest_path)
+        assert str(manifest_path) in str(info.value)
+        with pytest.raises(DataError, match=f"key '{key}' needs {need}") as info:
+            ingest_csv(csv_path, entries)
+        assert f"manifest for {csv_path}" in str(info.value)
+
+    def test_missing_manifest_key_names_manifest(self, tmp_path):
+        csv_path = tmp_path / "rec.csv"
+        csv_path.write_text("a,b\n1.0,2.0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="missing required key 'segment_seconds'") as info:
+            ingest_csv(csv_path, {"fs": "200"})
+        assert f"manifest for {csv_path}" in str(info.value)
+
     def test_unknown_channel_rejected(self, tmp_path):
         csv_path = tmp_path / "rec.csv"
         csv_path.write_text("a,b\n1.0,2.0\n", encoding="utf-8")

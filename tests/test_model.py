@@ -295,6 +295,25 @@ class TestTraining:
         assert first["epoch"] == 1
         assert set(first) == {"epoch", "loss", "accuracy"}
 
+    def test_without_log_history_has_loss_only_and_same_parameters(self, tmp_path):
+        rng = np.random.default_rng(35)
+        xt, xs, labels = separable_dataset(rng, n=16)
+        runs = []
+        for log_path in (None, tmp_path / "log.jsonl"):
+            model = tiny_model(seed=7, spatial_dropout=0.5)
+            history = train_model(
+                model, xt, xs, labels, epochs=3, batch_size=8, seed=8, log_path=log_path
+            )
+            runs.append((history, model))
+        (bare, bare_model), (logged, logged_model) = runs
+        assert [set(r) for r in bare] == [{"epoch", "loss"}] * 3
+        assert [r["loss"] for r in bare] == [r["loss"] for r in logged]
+        for key, value in logged_model.params().items():
+            assert bare_model.params()[key].tobytes() == value.tobytes(), key
+        for (_, bare_reg), (_, logged_reg) in zip(bare_model.lstm_stack, logged_model.lstm_stack):
+            assert bare_reg.bn.running_mean.tobytes() == logged_reg.bn.running_mean.tobytes()
+            assert bare_reg.bn.running_var.tobytes() == logged_reg.bn.running_var.tobytes()
+
 
 class TestMetrics:
     def test_kappa_formula_example(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from spd_bci.errors import DataError
 from spd_bci.nnet import (
+    ADAM_BLOCK,
     Attention,
     BatchNorm,
     Dense,
@@ -88,6 +89,52 @@ class TestLstm:
         lstm = Lstm(3, 4)
         with pytest.raises(ValueError, match="shape"):
             lstm.forward(np.zeros((2, 5, 7)))
+
+    @staticmethod
+    def per_step_reference(lstm, x, grad_out):
+        """Output, dx, dw, db from one [x_t, h] @ W^T product per step, forward and back."""
+        w, b, nh = lstm.params["w"], lstm.params["b"], lstm.hidden
+        batch, length, _ = x.shape
+        h, c = np.zeros((batch, nh)), np.zeros((batch, nh))
+        out, cache = np.empty((batch, length, nh)), []
+        for t in range(length):
+            z = np.concatenate([x[:, t], h], axis=1)
+            a = z @ w.T + b
+            i, f, o = (1.0 / (1.0 + np.exp(-a[:, k * nh:(k + 1) * nh])) for k in range(3))
+            g = np.tanh(a[:, 3 * nh:])
+            c_prev, c = c, f * c + i * g
+            h = o * np.tanh(c)
+            out[:, t] = h
+            cache.append((z, i, f, o, g, c_prev, np.tanh(c)))
+        dw, db = np.zeros_like(w), np.zeros_like(b)
+        dx = np.empty_like(x)
+        dh_next, dc_next = np.zeros((batch, nh)), np.zeros((batch, nh))
+        for t in reversed(range(length)):
+            z, i, f, o, g, c_prev, tanh_c = cache[t]
+            dh = grad_out[:, t] + dh_next
+            dc = dh * o * (1.0 - tanh_c ** 2) + dc_next
+            da = np.concatenate([dc * g * i * (1.0 - i), dc * c_prev * f * (1.0 - f),
+                                 dh * tanh_c * o * (1.0 - o), dc * i * (1.0 - g ** 2)], axis=1)
+            dw += da.T @ z
+            db += da.sum(axis=0)
+            dz = da @ w
+            dx[:, t], dh_next, dc_next = dz[:, :lstm.in_dim], dz[:, lstm.in_dim:], dc * f
+        return out, dx, dw, db
+
+    @pytest.mark.parametrize("batch", [1, 10, 32])
+    @pytest.mark.parametrize("length", [1, 15])
+    def test_time_batched_matches_per_step_reference(self, batch, length):
+        rng = np.random.default_rng(100 * batch + length)
+        lstm = Lstm(5, 8, rng=rng)
+        x = rng.standard_normal((batch, length, 5))
+        grad_out = rng.standard_normal((batch, length, 8))
+        out = lstm.forward(x)
+        dx = lstm.backward(grad_out)
+        ref_out, ref_dx, ref_dw, ref_db = self.per_step_reference(lstm, x, grad_out)
+        np.testing.assert_allclose(out, ref_out, rtol=1e-12)
+        np.testing.assert_allclose(dx, ref_dx, rtol=1e-12)
+        np.testing.assert_allclose(lstm.grads["w"], ref_dw, rtol=1e-12)
+        np.testing.assert_allclose(lstm.grads["b"], ref_db, rtol=1e-12)
 
 
 class TestAttention:
@@ -287,6 +334,34 @@ class TestAdam:
             trace.append(float(params["x"][0]))
         np.testing.assert_allclose(trace, oracle_trace, atol=1e-12)
 
+    @staticmethod
+    def textbook_step(p, m, v, g, step, lr=0.001, b1=0.9, b2=0.999, eps=1e-8):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g ** 2
+        p = p - lr * (m / (1.0 - b1 ** step)) / (np.sqrt(v / (1.0 - b2 ** step)) + eps)
+        return p, m, v
+
+    @pytest.mark.parametrize("shape", [(3, ADAM_BLOCK + 123), (ADAM_BLOCK,), (), (1,)])
+    def test_blocked_update_is_bit_identical_to_textbook(self, shape):
+        rng = np.random.default_rng(7)
+        start = np.asarray(rng.standard_normal(shape))
+        params = {"w": start.copy(), "b": np.zeros(4)}
+        state = adam_init(params)
+        p, m, v = start.copy(), np.zeros(shape), np.zeros(shape)
+        for step in range(1, 6):
+            g = np.asarray(rng.standard_normal(shape))
+            adam_step(state, params, {"w": g, "b": np.ones(4)})
+            p, m, v = self.textbook_step(p, m, v, g, step)
+            assert params["w"].tobytes() == p.tobytes()
+            assert state.m["w"].tobytes() == m.tobytes()
+            assert state.v["w"].tobytes() == v.tobytes()
+
+    def test_non_contiguous_parameter_rejected(self):
+        params = {"w": np.zeros((4, 6))[:, ::2]}
+        state = adam_init(params)
+        with pytest.raises(ValueError, match="contiguous"):
+            adam_step(state, params, {"w": np.ones((4, 3))})
+
 
 class TestClipGlobalNorm:
     def test_small_gradients_untouched(self):
@@ -345,3 +420,19 @@ class TestSigmoid:
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
         mid = np.abs(z) < 30
         np.testing.assert_allclose(out[mid], 1.0 / (1.0 + np.exp(-z[mid])), rtol=1e-12)
+
+    @staticmethod
+    def two_branch(z):
+        out = np.empty_like(z)
+        pos = z >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        out[~pos] = ez / (1.0 + ez)
+        return out
+
+    def test_bit_identical_to_two_branch_formula(self):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                   1e-310, -1e-310, 36.7, -36.7, 709.8, -709.8, 745.2, -745.2]
+        z = np.concatenate([np.linspace(-800.0, 800.0, 160_001), special])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert sigmoid(z).tobytes() == self.two_branch(z).tobytes()
