@@ -5,8 +5,8 @@ trial length, channel count, retained rank, task type, and the matching
 output activation and loss. The config file selects a profile, points at
 the data directories, and may override the tunable knobs (epochs, batch
 size, hidden sizes, fusion mode, reference policy, rank mode). Keys that
-a profile owns (task, activation, loss, class count for the named
-datasets) cannot be contradicted.
+a named dataset profile owns (task, activation, loss, class count, band
+table) cannot be contradicted; the ``synthetic`` profile locks none.
 """
 
 from __future__ import annotations
@@ -21,40 +21,43 @@ from .geometry import tangent_dimension
 from .model import FUSION_MODES, VARIANTS
 
 
-def _profile_bands(name: str) -> list[BandSpec]:
-    if name == "seed":
-        return seed_rhythm_bands()
-    return uniform_bands(0.5, 50.5, 2.0)
-
+# Keys a named dataset profile owns; a config file cannot contradict them.
+_PROFILE_LOCKED_KEYS = ("task", "n_classes", "output_activation", "loss", "bands")
+_FINE_BANDS = uniform_bands(0.5, 50.5, 2.0)
 
 PROFILES = {
     "seed": dict(
-        fs=200.0, trial_seconds=8.0, n_channels=62, rank=48,
+        fs=200.0, trial_seconds=8.0, n_channels=62, rank=48, bands=seed_rhythm_bands(),
         task="classification", n_classes=3,
         output_activation="softmax", loss="cross-entropy",
-        temporal_regularizer="batchnorm",
+        temporal_regularizer="batchnorm", locked=_PROFILE_LOCKED_KEYS,
     ),
     "seed-vig": dict(
-        fs=200.0, trial_seconds=8.0, n_channels=17, rank=11,
+        fs=200.0, trial_seconds=8.0, n_channels=17, rank=11, bands=_FINE_BANDS,
         task="regression", n_classes=1,
         output_activation="sigmoid", loss="mse",
-        temporal_regularizer="batchnorm",
+        temporal_regularizer="batchnorm", locked=_PROFILE_LOCKED_KEYS,
     ),
     "bci2a": dict(
-        fs=250.0, trial_seconds=4.0, n_channels=22, rank=18,
+        fs=250.0, trial_seconds=4.0, n_channels=22, rank=18, bands=_FINE_BANDS,
         task="classification", n_classes=4,
         output_activation="softmax", loss="cross-entropy",
-        temporal_regularizer="dropout",
+        temporal_regularizer="dropout", locked=_PROFILE_LOCKED_KEYS,
     ),
     "bci2b": dict(
-        fs=250.0, trial_seconds=4.0, n_channels=3, rank=3,
+        fs=250.0, trial_seconds=4.0, n_channels=3, rank=3, bands=_FINE_BANDS,
         task="classification", n_classes=2,
         output_activation="sigmoid", loss="bce",
-        temporal_regularizer="batchnorm",
+        temporal_regularizer="batchnorm", locked=_PROFILE_LOCKED_KEYS,
+    ),
+    # Desk-scale checks: every key, the band table included, may be set.
+    "synthetic": dict(
+        fs=200.0, trial_seconds=2.0, n_channels=4, rank=4, bands=uniform_bands(8.0, 24.0, 8.0),
+        task="classification", n_classes=2,
+        output_activation="softmax", loss="cross-entropy",
+        temporal_regularizer="batchnorm", locked=(),
     ),
 }
-
-_PROFILE_LOCKED_KEYS = ("task", "n_classes", "output_activation", "loss")
 
 
 @dataclass
@@ -215,40 +218,26 @@ def parse_config_text(text: str, origin: str = "<config>") -> PipelineConfig:
     profile_name = raw.pop("profile", None)
     if profile_name is None:
         raise ConfigError(f"{origin}: missing required key 'profile'")
-    if profile_name != "synthetic" and profile_name not in PROFILES:
+    if profile_name not in PROFILES:
         raise ConfigError(
-            f"{origin}: unknown profile {profile_name!r}; "
-            f"choose one of {sorted(PROFILES) + ['synthetic']}"
+            f"{origin}: unknown profile {profile_name!r}; choose one of {sorted(PROFILES)}"
         )
-
-    if profile_name == "synthetic":
-        settings: dict = dict(
-            fs=200.0, trial_seconds=2.0, n_channels=4, rank=4,
-            task="classification", n_classes=2,
-            output_activation="softmax", loss="cross-entropy",
-            temporal_regularizer="batchnorm",
-        )
-        bands = _parse_bands(raw.pop("bands")) if "bands" in raw else uniform_bands(8.0, 24.0, 8.0)
-    else:
-        settings = dict(PROFILES[profile_name])
-        for key in _PROFILE_LOCKED_KEYS:
-            if key in raw and raw[key] != str(settings[key]):
-                raise ConfigError(
-                    f"{origin}: key {key!r} is fixed to {settings[key]!r} by profile "
-                    f"{profile_name!r}, cannot set it to {raw[key]!r}"
-                )
-            raw.pop(key, None)
-        if "bands" in raw:
-            raise ConfigError(f"{origin}: the band table is fixed by profile {profile_name!r}")
-        bands = _profile_bands(profile_name)
-
-    for key, value in raw.items():
+    settings = dict(PROFILES[profile_name])
+    locked = settings.pop("locked")
+    settings["bands"] = list(settings["bands"])  # a config never shares the profile's list
+    for key, text in raw.items():
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{origin}: unknown config key {key!r}")
-        settings[key] = _coerce(key, value, origin)
+        value = _parse_bands(text) if key == "bands" else _coerce(key, text, origin)
+        if key in locked and value != settings[key]:
+            raise ConfigError(
+                f"{origin}: key {key!r} is fixed by profile {profile_name!r}, "
+                f"cannot set it to {text!r}"
+            )
+        settings[key] = value
 
     try:
-        return PipelineConfig(profile=profile_name, bands=bands, **settings)
+        return PipelineConfig(profile=profile_name, **settings)
     except TypeError as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
 

@@ -97,7 +97,10 @@ def read_segment(path) -> EegSegment:
         label = float(value)
     else:
         raise DataError(f"{path}: unknown label kind {kind} at offset {_HEADER.size - 9}")
-    return EegSegment(samples, fs, label)
+    try:
+        return EegSegment(samples, fs, label)
+    except ValueError as exc:  # header shape or rate out of range
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray]):
@@ -131,7 +134,10 @@ def read_tensors(path) -> dict[str, np.ndarray]:
         for _ in range(count):
             (name_len,) = struct.unpack_from("<H", data, offset)
             offset += 2
-            name = data[offset:offset + name_len].decode("utf-8")
+            try:
+                name = data[offset:offset + name_len].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: tensor name at offset {offset} is not UTF-8") from exc
             offset += name_len
             (ndim,) = struct.unpack_from("<B", data, offset)
             offset += 1

@@ -46,7 +46,7 @@ class EegSegment:
             raise ValueError("segment needs at least one channel")
         if n_samples < 2:
             raise ValueError("segment needs at least two samples")
-        if self.fs <= 0:
+        if not self.fs > 0:  # also rejects NaN
             raise ValueError(f"sampling rate must be positive, got {self.fs}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")

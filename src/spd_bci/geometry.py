@@ -94,6 +94,13 @@ def invsqrtm(mat: np.ndarray) -> np.ndarray:
     return _apply_to_eigvals(mat, lambda w: 1.0 / np.sqrt(w), "invsqrtm input")
 
 
+def _sqrtm_pair(mat: np.ndarray, what: str):
+    """C^{1/2} and C^{-1/2} of an SPD matrix from one eigendecomposition."""
+    eigvals, eigvecs = _spd_eigh(mat, what)
+    sqrt_vals = np.sqrt(eigvals)
+    return _from_eigh(sqrt_vals, eigvecs), _from_eigh(1.0 / sqrt_vals, eigvecs)
+
+
 def scm(samples) -> np.ndarray:
     """Spatial covariance matrix C = X X^T / (T - 1) of one trial.
 
@@ -179,15 +186,13 @@ def airm_distance(c1: np.ndarray, c2: np.ndarray) -> float:
 
 def log_map(c_ref: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Project C from the manifold to the tangent space at C_ref."""
-    half = sqrtm(c_ref)
-    inv_half = invsqrtm(c_ref)
+    half, inv_half = _sqrtm_pair(c_ref, "reference")
     return _symmetrize(half @ logm(_symmetrize(inv_half @ c @ inv_half)) @ half)
 
 
 def exp_map(c_ref: np.ndarray, tangent: np.ndarray) -> np.ndarray:
     """Project a tangent matrix at C_ref back onto the manifold."""
-    half = sqrtm(c_ref)
-    inv_half = invsqrtm(c_ref)
+    half, inv_half = _sqrtm_pair(c_ref, "reference")
     return _symmetrize(half @ expm(_symmetrize(inv_half @ tangent @ inv_half)) @ half)
 
 
@@ -217,10 +222,7 @@ def riemannian_mean(mats, tol: float = 1e-9, max_iter: int = 50, return_info: bo
     grad_norm = np.inf
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        eigvals, eigvecs = _spd_eigh(center, "mean iterate")
-        sqrt_vals = np.sqrt(eigvals)
-        half = _from_eigh(sqrt_vals, eigvecs)
-        inv_half = _from_eigh(1.0 / sqrt_vals, eigvecs)
+        half, inv_half = _sqrtm_pair(center, "mean iterate")
         tangent_mean = logm(_symmetrize(inv_half @ mats @ inv_half)).mean(axis=0)
         grad_norm = float(np.linalg.norm(half @ tangent_mean @ half, ord="fro"))
         center = _symmetrize(half @ expm(tangent_mean) @ half)

@@ -9,6 +9,14 @@ dropout. Fusion scores each embedding with a small encoder, normalizes
 the two scalar scores, rescales each embedding by (1 + weight), and
 feeds the concatenation through a dense layer into the task head.
 
+``TwoStreamModel`` is named block chains: ``blocks`` maps checkpoint
+names to blocks in construction order (the order of the init draws and
+of ``params()``), ``streams`` holds one chain per input, temporal first,
+``encoders`` one scoring chain per stream when the fusion mode scores
+the embeddings, and ``top`` is ``[fusion_fc, head]``. Without encoders
+(single-stream variants, ``concatenation``) embeddings are concatenated
+unscaled; the scoring modes differ only in how scores become weights.
+
 Training is plain mini-batch Adam with global-norm gradient clipping;
 everything is deterministic given the seed. The per-step cost sits in
 ``nnet``: time-batched LSTM input projections, one sigmoid call on the
@@ -32,8 +40,10 @@ from .nnet import (
     Lstm,
     adam_init,
     adam_step,
+    backward_chain,
     binary_cross_entropy_with_logits,
     clip_global_norm,
+    forward_chain,
     mean_squared_error,
     sigmoid,
     softmax_cross_entropy_with_logits,
@@ -124,84 +134,75 @@ class _SeqBatchNormLeaky:
 
 
 class TwoStreamModel:
-    """Trainable spatio-temporal model; see the module docstring for the layout."""
+    """Trainable spatio-temporal model: named block chains; see the module docstring."""
 
     def __init__(self, config: ArchitectureConfig, seed: int = 0):
         self.config = config
         rng = np.random.default_rng(seed)
-        self._modules: dict[str, object] = {}
-
+        self.blocks: dict[str, object] = {}
+        self.streams: dict[str, list] = {}
+        self.encoders: dict[str, list] = {}
+        dims = {}
         if config.variant in ("fused", "temporal"):
-            in_dim = config.temporal_input_dim
-            self.lstm_stack = []
+            temporal, in_dim = {}, config.temporal_input_dim
             for i in range(config.lstm_layers):
-                lstm = Lstm(in_dim, config.lstm_hidden, rng=rng)
-                if config.temporal_regularizer == "batchnorm":
-                    reg = _SeqBatchNormLeaky(config.lstm_hidden)
-                else:
-                    reg = Dropout(config.temporal_dropout[i])
-                self.lstm_stack.append((lstm, reg))
-                self._modules[f"lstm{i}"] = lstm
-                self._modules[f"lstm{i}_reg"] = reg
+                temporal[f"lstm{i}"] = Lstm(in_dim, config.lstm_hidden, rng=rng)
+                temporal[f"lstm{i}_reg"] = (
+                    _SeqBatchNormLeaky(config.lstm_hidden)
+                    if config.temporal_regularizer == "batchnorm"
+                    else Dropout(config.temporal_dropout[i])
+                )
                 in_dim = config.lstm_hidden
-            self.attention = Attention(
+            temporal["attention"] = Attention(
                 config.lstm_hidden, mode=config.attention_mode, rng=rng
             )
-            self.temporal_embed = Dense(
+            temporal["temporal_embed"] = Dense(
                 config.lstm_hidden, config.temporal_embedding_dim, "identity", rng=rng
             )
-            self._modules["attention"] = self.attention
-            self._modules["temporal_embed"] = self.temporal_embed
-
+            self.streams["temporal"] = self._chain(temporal)
+            dims["temporal"] = config.temporal_embedding_dim
         if config.variant in ("fused", "spatial"):
-            self.spatial_fc1 = Dense(
-                config.spatial_input_dim, config.spatial_hidden, "leaky-relu", rng=rng
-            )
-            self.spatial_drop1 = Dropout(config.spatial_dropout)
-            self.spatial_fc2 = Dense(
-                config.spatial_hidden, config.spatial_embedding_dim, "identity", rng=rng
-            )
-            self.spatial_drop2 = Dropout(config.spatial_dropout)
-            self._modules["spatial_fc1"] = self.spatial_fc1
-            self._modules["spatial_fc2"] = self.spatial_fc2
+            self.streams["spatial"] = self._chain({
+                "spatial_fc1": Dense(
+                    config.spatial_input_dim, config.spatial_hidden, "leaky-relu", rng=rng
+                ),
+                "spatial_drop1": Dropout(config.spatial_dropout),
+                "spatial_fc2": Dense(
+                    config.spatial_hidden, config.spatial_embedding_dim, "identity", rng=rng
+                ),
+                "spatial_drop2": Dropout(config.spatial_dropout),
+            })
+            dims["spatial"] = config.spatial_embedding_dim
+        if config.variant == "fused" and config.fusion_mode != "concatenation":
+            for name, dim in dims.items():
+                self.encoders[name] = self._chain({
+                    f"encoder_{name[0]}0": Dense(dim, config.encoder_hidden, "tanh", rng=rng),
+                    f"encoder_{name[0]}1": Dense(config.encoder_hidden, 1, "identity", rng=rng),
+                })
+        self.top = self._chain({
+            "fusion_fc": Dense(sum(dims.values()), config.fusion_hidden, "leaky-relu", rng=rng),
+            "head": Dense(config.fusion_hidden, config.n_outputs, "identity", rng=rng),
+        })
 
-        if config.variant == "fused":
-            fusion_in = config.temporal_embedding_dim + config.spatial_embedding_dim
-            if config.fusion_mode != "concatenation":
-                self.encoder_t = [
-                    Dense(config.temporal_embedding_dim, config.encoder_hidden, "tanh", rng=rng),
-                    Dense(config.encoder_hidden, 1, "identity", rng=rng),
-                ]
-                self.encoder_s = [
-                    Dense(config.spatial_embedding_dim, config.encoder_hidden, "tanh", rng=rng),
-                    Dense(config.encoder_hidden, 1, "identity", rng=rng),
-                ]
-                self._modules["encoder_t0"], self._modules["encoder_t1"] = self.encoder_t
-                self._modules["encoder_s0"], self._modules["encoder_s1"] = self.encoder_s
-        elif config.variant == "temporal":
-            fusion_in = config.temporal_embedding_dim
-        else:
-            fusion_in = config.spatial_embedding_dim
-        self.fusion_fc = Dense(fusion_in, config.fusion_hidden, "leaky-relu", rng=rng)
-        self.head = Dense(config.fusion_hidden, config.n_outputs, "identity", rng=rng)
-        self._modules["fusion_fc"] = self.fusion_fc
-        self._modules["head"] = self.head
+    def _chain(self, named: dict) -> list:
+        """Register blocks under their checkpoint names; returns them as a chain."""
+        self.blocks.update(named)
+        return list(named.values())
 
     # -- parameter access ---------------------------------------------------
 
+    def _tensors(self, kind: str) -> dict[str, np.ndarray]:
+        return {
+            f"{name}.{key}": arr
+            for name, block in self.blocks.items()
+            for key, arr in getattr(block, kind).items()
+        }
+
     def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for mod_name, mod in self._modules.items():
-            for key, arr in mod.params.items():
-                out[f"{mod_name}.{key}"] = arr
-        return out
+        return self._tensors("params")
 
     def grads(self) -> dict[str, np.ndarray]:
-        out = {}
-        for mod_name, mod in self._modules.items():
-            for key, arr in mod.grads.items():
-                out[f"{mod_name}.{key}"] = arr
-        return out
+        return self._tensors("grads")
 
     def zero_grads(self):
         for g in self.grads().values():
@@ -220,73 +221,26 @@ class TwoStreamModel:
                 )
             arr[:] = incoming
 
-    # -- streams ------------------------------------------------------------
-
-    def temporal_embedding(self, xt, train=True, rng=None) -> np.ndarray:
-        h = xt
-        for lstm, reg in self.lstm_stack:
-            h = lstm.forward(h, train=train)
-            h = reg.forward(h, train=train, rng=rng)
-        context = self.attention.forward(h, train=train)
-        return self.temporal_embed.forward(context, train=train)
-
-    def _temporal_backward(self, grad_embed):
-        grad = self.temporal_embed.backward(grad_embed)
-        grad = self.attention.backward(grad)
-        for lstm, reg in reversed(self.lstm_stack):
-            grad = reg.backward(grad)
-            grad = lstm.backward(grad)
-        return grad
-
-    def spatial_embedding(self, xs, train=True, rng=None) -> np.ndarray:
-        h = self.spatial_fc1.forward(xs, train=train)
-        h = self.spatial_drop1.forward(h, train=train, rng=rng)
-        h = self.spatial_fc2.forward(h, train=train)
-        return self.spatial_drop2.forward(h, train=train, rng=rng)
-
-    def _spatial_backward(self, grad_embed):
-        grad = self.spatial_drop2.backward(grad_embed)
-        grad = self.spatial_fc2.backward(grad)
-        grad = self.spatial_drop1.backward(grad)
-        return self.spatial_fc1.backward(grad)
-
-    def _encode_score(self, encoder, embed, train):
-        hidden = encoder[0].forward(embed, train=train)
-        return encoder[1].forward(hidden, train=train)
-
-    def _encoder_backward(self, encoder, grad_score):
-        return encoder[0].backward(encoder[1].backward(grad_score))
-
-    # -- full forward/backward ----------------------------------------------
+    # -- forward/backward ---------------------------------------------------
 
     def forward(self, xt, xs, train=True, rng=None) -> np.ndarray:
-        cfg = self.config
-        if cfg.variant == "temporal":
-            fused = self.temporal_embedding(xt, train=train, rng=rng)
-        elif cfg.variant == "spatial":
-            fused = self.spatial_embedding(xs, train=train, rng=rng)
-        else:
-            e_t = self.temporal_embedding(xt, train=train, rng=rng)
-            e_s = self.spatial_embedding(xs, train=train, rng=rng)
-            self._e_t, self._e_s = e_t, e_s
-            if cfg.fusion_mode == "concatenation":
-                fused = np.concatenate([e_t, e_s], axis=1)
+        inputs = {"temporal": xt, "spatial": xs}
+        self._embeds = embeds = [
+            forward_chain(chain, inputs[name], train, rng) for name, chain in self.streams.items()
+        ]
+        if self.encoders:
+            scores = np.concatenate(
+                [forward_chain(enc, e, train) for enc, e in zip(self.encoders.values(), embeds)],
+                axis=1,
+            )
+            mode = self.config.fusion_mode
+            if mode == "independent-sigmoid":
+                self._alpha = sigmoid(scores)
             else:
-                s_t = self._encode_score(self.encoder_t, e_t, train)
-                s_s = self._encode_score(self.encoder_s, e_s, train)
-                if cfg.fusion_mode == "independent-sigmoid":
-                    alpha = np.concatenate([sigmoid(s_t), sigmoid(s_s)], axis=1)
-                    scale = 1.0 + alpha
-                else:
-                    alpha = stable_softmax(np.concatenate([s_t, s_s], axis=1), axis=1)
-                    base = 1.0 if cfg.fusion_mode == "weighted" else 0.0
-                    scale = base + alpha
-                self._alpha, self._scale = alpha, scale
-                fused = np.concatenate(
-                    [scale[:, 0:1] * e_t, scale[:, 1:2] * e_s], axis=1
-                )
-        hidden = self.fusion_fc.forward(fused, train=train)
-        return self.head.forward(hidden, train=train)
+                self._alpha = stable_softmax(scores, axis=1)
+            self._scale = (0.0 if mode == "soft-attention" else 1.0) + self._alpha
+            embeds = [self._scale[:, k:k + 1] * e for k, e in enumerate(embeds)]
+        return forward_chain(self.top, np.concatenate(embeds, axis=1), train)
 
     @property
     def fusion_weights(self) -> np.ndarray:
@@ -294,35 +248,21 @@ class TwoStreamModel:
         return self._alpha
 
     def backward(self, grad_logits):
-        cfg = self.config
-        grad = self.fusion_fc.backward(self.head.backward(grad_logits))
-        if cfg.variant == "temporal":
-            self._temporal_backward(grad)
-            return
-        if cfg.variant == "spatial":
-            self._spatial_backward(grad)
-            return
-        t_dim = cfg.temporal_embedding_dim
-        g_t_scaled, g_s_scaled = grad[:, :t_dim], grad[:, t_dim:]
-        if cfg.fusion_mode == "concatenation":
-            self._temporal_backward(g_t_scaled)
-            self._spatial_backward(g_s_scaled)
-            return
-        e_t, e_s, alpha, scale = self._e_t, self._e_s, self._alpha, self._scale
-        grad_e_t = scale[:, 0:1] * g_t_scaled
-        grad_e_s = scale[:, 1:2] * g_s_scaled
-        dalpha = np.stack(
-            [np.sum(g_t_scaled * e_t, axis=1), np.sum(g_s_scaled * e_s, axis=1)], axis=1
-        )
-        if cfg.fusion_mode == "independent-sigmoid":
-            dscores = dalpha * alpha * (1.0 - alpha)
-        else:
-            inner = np.sum(dalpha * alpha, axis=1, keepdims=True)
-            dscores = alpha * (dalpha - inner)
-        grad_e_t += self._encoder_backward(self.encoder_t, dscores[:, 0:1])
-        grad_e_s += self._encoder_backward(self.encoder_s, dscores[:, 1:2])
-        self._temporal_backward(grad_e_t)
-        self._spatial_backward(grad_e_s)
+        grad = backward_chain(self.top, grad_logits)
+        grads = np.split(grad, np.cumsum([e.shape[1] for e in self._embeds])[:-1], axis=1)
+        if self.encoders:
+            alpha, scale = self._alpha, self._scale
+            dalpha = np.stack([np.sum(g * e, axis=1) for g, e in zip(grads, self._embeds)], axis=1)
+            if self.config.fusion_mode == "independent-sigmoid":
+                dscores = dalpha * alpha * (1.0 - alpha)
+            else:
+                dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=1, keepdims=True))
+            grads = [
+                scale[:, k:k + 1] * g + backward_chain(enc, dscores[:, k:k + 1])
+                for k, (g, enc) in enumerate(zip(grads, self.encoders.values()))
+            ]
+        for chain, g in zip(self.streams.values(), grads):
+            backward_chain(chain, g)
 
     # -- task head ------------------------------------------------------------
 

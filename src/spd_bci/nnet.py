@@ -10,6 +10,11 @@ Conventions: batch-first arrays; dense weights are (out, in); LSTM gate
 order is input, forget, output, candidate with the four gate blocks
 stacked row-wise in one matrix.
 
+Every block has the same signature, ``forward(x, train=True, rng=None)``
+and ``backward(grad)``; only dropout draws from ``rng``. So a list of
+blocks is a chain: :func:`forward_chain` runs it in order and
+:func:`backward_chain` in reverse.
+
 The training step is kept lean: the LSTM projects its inputs for all
 time steps in one matmul and runs one sigmoid per step over the stacked
 input/forget/output gates, ``sigmoid`` is branch-free, and ``adam_step``
@@ -96,7 +101,8 @@ class Dense:
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True,
+                rng: np.random.Generator | None = None) -> np.ndarray:
         self._x = x
         self._z = x @ self.params["w"].T + self.params["b"]
         self._y = _activate(self._z, self.activation)
@@ -134,7 +140,8 @@ class Lstm:
         self.params = {"w": w, "b": b}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True,
+                rng: np.random.Generator | None = None) -> np.ndarray:
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ValueError(
                 f"expected input of shape (batch, length, {self.in_dim}), got {x.shape}"
@@ -226,7 +233,8 @@ class Attention:
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def forward(self, h_seq: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, h_seq: np.ndarray, train: bool = True,
+                rng: np.random.Generator | None = None) -> np.ndarray:
         if h_seq.ndim != 3 or h_seq.shape[2] != self.hidden:
             raise ValueError(
                 f"expected (batch, length, {self.hidden}) hidden sequence, got {h_seq.shape}"
@@ -333,6 +341,21 @@ class BatchNorm:
         return (inv_std / n) * (
             n * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
         )
+
+
+def forward_chain(blocks, x: np.ndarray, train: bool = True,
+                  rng: np.random.Generator | None = None) -> np.ndarray:
+    """Run ``x`` through ``blocks`` in order."""
+    for block in blocks:
+        x = block.forward(x, train=train, rng=rng)
+    return x
+
+
+def backward_chain(blocks, grad: np.ndarray) -> np.ndarray:
+    """Backpropagate ``grad`` through ``blocks`` in reverse; returns the input gradient."""
+    for block in reversed(blocks):
+        grad = block.backward(grad)
+    return grad
 
 
 # ---------------------------------------------------------------------------

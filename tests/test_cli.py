@@ -286,6 +286,17 @@ class TestPipelineRun:
         err = capsys.readouterr().err
         assert str(bad) in err and "non-finite sample" in err
 
+    def test_preprocess_zero_sampling_rate_exits_2_naming_file(self, tmp_path, capsys):
+        write_synthetic_dataset(tmp_path)
+        bad = tmp_path / "raw" / "train" / "seg_003.eegs"
+        raw = bytearray(bad.read_bytes())
+        raw[20:28] = np.array([0.0], dtype="<f8").tobytes()  # fs field of the header
+        bad.write_bytes(bytes(raw))
+        config = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "sampling rate must be positive" in err
+
     def _write_constant_channel_file(self, root):
         bad = root / "raw" / "train" / "seg_007.eegs"
         segment = read_segment(bad)

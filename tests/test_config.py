@@ -94,3 +94,20 @@ def test_line_without_equals_names_line_number():
 def test_unknown_constant_channel_mode_is_a_config_error():
     with pytest.raises(ConfigError, match="constant_channel"):
         parse_config_text("profile = synthetic\nconstant_channel = drop\n")
+
+
+def test_example_config_parses():
+    example = Path(__file__).resolve().parent.parent / "docs" / "example-config.cfg"
+    config = parse_config_text(example.read_text(encoding="utf-8"), origin=str(example))
+    assert config.profile == "synthetic"
+    assert config.bands == [BandSpec(8.0, 16.0), BandSpec(16.0, 24.0)]
+
+
+def test_named_profile_fixes_band_table_synthetic_does_not():
+    with pytest.raises(ConfigError, match="'bands' is fixed by profile 'seed'"):
+        parse_config_text("profile = seed\nbands = 4-8\n")
+    # Restating the profile's own table is not a contradiction.
+    assert parse_config_text("profile = seed\nbands = 1-3,4-7,8-13,14-30,31-50\n").n_bands == 5
+    assert parse_config_text("profile = synthetic\nbands = 4-8\n").n_bands == 1
+    default = parse_config_text("profile = synthetic\n").bands
+    assert default == [BandSpec(8.0, 16.0), BandSpec(16.0, 24.0)]

@@ -1,5 +1,7 @@
 """Data-layer tests: binary round trips, synthetic generators, CSV ingestion."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,24 @@ class TestSegmentFile:
         with pytest.raises(DataError, match="magic"):
             read_segment(path)
 
+    @pytest.mark.parametrize(
+        "n_channels, n_samples, fs, message",
+        [
+            (2, 10, 0.0, "sampling rate must be positive"),
+            (2, 10, float("nan"), "sampling rate must be positive"),
+            (0, 10, FS, "at least one channel"),
+            (2, 1, FS, "at least two samples"),
+        ],
+    )
+    def test_out_of_range_header_is_a_data_error_naming_path(
+        self, tmp_path, n_channels, n_samples, fs, message
+    ):
+        path = tmp_path / "trial.eegs"
+        header = struct.pack("<4sIIQdBd", b"EEGS", 1, n_channels, n_samples, fs, 0, 0.0)
+        path.write_bytes(header + bytes(8 * n_channels * n_samples))
+        with pytest.raises(DataError, match=rf"trial\.eegs: .*{message}"):
+            read_segment(path)
+
     def test_reread_is_byte_identical(self, tmp_path):
         rng = np.random.default_rng(2)
         segment = EegSegment(rng.standard_normal((2, 30)), FS, 1)
@@ -96,6 +116,16 @@ class TestTensorFile:
         end = path.stat().st_size
         path.write_bytes(path.read_bytes() + b"x" * 13)
         with pytest.raises(DataError, match=f"13 bytes of trailing data at offset {end}") as info:
+            read_tensors(path)
+        assert str(path) in str(info.value)
+
+    def test_non_utf8_name_names_path_and_offset(self, tmp_path):
+        path = tmp_path / "bundle.spdt"
+        write_tensors(path, {"a": np.arange(3.0)})
+        raw = bytearray(path.read_bytes())
+        raw[14] = 0xFF  # the name's one byte, after the 12-byte header and u16 length
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match="tensor name at offset 14 is not UTF-8") as info:
             read_tensors(path)
         assert str(path) in str(info.value)
 

@@ -253,6 +253,19 @@ class TestLogExpMaps:
             worst = max(worst, np.linalg.norm(back - c) / np.linalg.norm(c))
         assert worst < 1e-9
 
+    def test_maps_bit_identical_to_separate_square_roots(self):
+        # One eigendecomposition of the reference feeds both square roots.
+        def sym(m):
+            return 0.5 * (m + m.T)
+
+        rng = np.random.default_rng(14)
+        c_ref, c, t = random_spd(rng, 6), random_spd(rng, 6), random_symmetric(rng, 6)
+        half, inv_half = sqrtm(c_ref), invsqrtm(c_ref)
+        log_ref = sym(half @ logm(sym(inv_half @ c @ inv_half)) @ half)
+        exp_ref = sym(half @ expm(sym(inv_half @ t @ inv_half)) @ half)
+        assert log_map(c_ref, c).tobytes() == log_ref.tobytes()
+        assert exp_map(c_ref, t).tobytes() == exp_ref.tobytes()
+
     def test_tangent_norm_equals_distance(self):
         # ||Log_C(C')||_C computed through the whitened log matches the metric.
         rng = np.random.default_rng(13)

@@ -17,6 +17,7 @@ from spd_bci.model import (
     root_mean_squared_error,
     train_model,
 )
+from spd_bci.nnet import forward_chain
 
 TINY = dict(
     temporal_input_dim=5,
@@ -71,19 +72,70 @@ class TestArchitectureConfig:
             )
 
 
+# Checkpoint tensor names in order, from a two-layer LSTM stack; pinned so that
+# a restructuring of the model cannot silently rename or reorder them.
+_TEMPORAL_BN = [
+    "lstm0.w", "lstm0.b", "lstm0_reg.gamma", "lstm0_reg.beta",
+    "lstm1.w", "lstm1.b", "lstm1_reg.gamma", "lstm1_reg.beta",
+    "attention.w", "attention.b", "temporal_embed.w", "temporal_embed.b",
+]
+_TEMPORAL_DROPOUT = [
+    "lstm0.w", "lstm0.b", "lstm1.w", "lstm1.b",
+    "attention.w", "attention.b", "temporal_embed.w", "temporal_embed.b",
+]
+_SPATIAL = ["spatial_fc1.w", "spatial_fc1.b", "spatial_fc2.w", "spatial_fc2.b"]
+_ENCODERS = [
+    "encoder_t0.w", "encoder_t0.b", "encoder_t1.w", "encoder_t1.b",
+    "encoder_s0.w", "encoder_s0.b", "encoder_s1.w", "encoder_s1.b",
+]
+_TOP = ["fusion_fc.w", "fusion_fc.b", "head.w", "head.b"]
+CHECKPOINT_KEYS = {
+    (label, regularizer): keys
+    for regularizer, temporal in (("batchnorm", _TEMPORAL_BN), ("dropout", _TEMPORAL_DROPOUT))
+    for label, keys in (
+        ("fused", temporal + _SPATIAL + _ENCODERS + _TOP),
+        ("temporal", temporal + _TOP),
+        ("spatial", _SPATIAL + _TOP),
+        ("concatenation", temporal + _SPATIAL + _TOP),
+        ("soft-attention", temporal + _SPATIAL + _ENCODERS + _TOP),
+        ("independent-sigmoid", temporal + _SPATIAL + _ENCODERS + _TOP),
+    )
+}
+# Ablation label -> (variant, fusion mode), as the pipeline maps them.
+ABLATION_LABELS = {
+    "fused": ("fused", "weighted"),
+    "temporal": ("temporal", "weighted"),
+    "spatial": ("spatial", "weighted"),
+    "concatenation": ("fused", "concatenation"),
+    "soft-attention": ("fused", "soft-attention"),
+    "independent-sigmoid": ("fused", "independent-sigmoid"),
+}
+
+
+@pytest.mark.parametrize("label, regularizer", sorted(CHECKPOINT_KEYS))
+def test_checkpoint_keys_are_pinned(label, regularizer):
+    variant, fusion_mode = ABLATION_LABELS[label]
+    model = tiny_model(
+        lstm_layers=2, temporal_regularizer=regularizer, temporal_dropout=(0.2, 0.1),
+        variant=variant, fusion_mode=fusion_mode,
+    )
+    assert list(model.params()) == CHECKPOINT_KEYS[label, regularizer]
+    assert list(model.grads()) == CHECKPOINT_KEYS[label, regularizer]
+
+
 class TestTemporalStream:
     def test_zero_network_gives_zero_embedding(self):
         model = tiny_model()
         zero_params(model)
         xt, _ = tiny_batch(np.random.default_rng(0))
-        embed = model.temporal_embedding(xt, train=False)
+        embed = forward_chain(model.streams["temporal"], xt, train=False)
         np.testing.assert_array_equal(embed, 0.0)
 
     @pytest.mark.parametrize("length", [7, 15])
     def test_embedding_dimension_independent_of_window_count(self, length):
         model = tiny_model()
         xt = np.random.default_rng(1).standard_normal((3, length, TINY["temporal_input_dim"]))
-        assert model.temporal_embedding(xt, train=False).shape == (3, 8)
+        assert forward_chain(model.streams["temporal"], xt, train=False).shape == (3, 8)
 
 
 class TestSpatialStream:
@@ -91,7 +143,8 @@ class TestSpatialStream:
         model = tiny_model()
         zero_params(model)
         _, xs = tiny_batch(np.random.default_rng(2))
-        np.testing.assert_array_equal(model.spatial_embedding(xs, train=False), 0.0)
+        embed = forward_chain(model.streams["spatial"], xs, train=False)
+        np.testing.assert_array_equal(embed, 0.0)
 
     def test_dataset_scale_dimensions(self):
         cfg = ArchitectureConfig(
@@ -102,14 +155,14 @@ class TestSpatialStream:
         )
         model = TwoStreamModel(cfg, seed=0)
         xs = np.random.default_rng(3).standard_normal((2, 5880))
-        assert model.spatial_embedding(xs, train=False).shape == (2, 64)
-        assert model.spatial_fc1.params["w"].shape == (512, 5880)
+        assert forward_chain(model.streams["spatial"], xs, train=False).shape == (2, 64)
+        assert model.blocks["spatial_fc1"].params["w"].shape == (512, 5880)
 
 
 class TestFusion:
     def test_equal_scores_give_half_weights_and_three_halves_scale(self):
         model = tiny_model()
-        for dense in (*model.encoder_t, *model.encoder_s):
+        for dense in (*model.encoders["temporal"], *model.encoders["spatial"]):
             dense.params["w"][:] = 0.0
             dense.params["b"][:] = 0.0
         xt, xs = tiny_batch(np.random.default_rng(4))
@@ -118,11 +171,11 @@ class TestFusion:
 
     def test_extreme_score_saturates_scales(self):
         model = tiny_model()
-        for dense in (*model.encoder_t, *model.encoder_s):
+        for dense in (*model.encoders["temporal"], *model.encoders["spatial"]):
             dense.params["w"][:] = 0.0
             dense.params["b"][:] = 0.0
-        model.encoder_t[1].params["b"][:] = 50.0
-        model.encoder_s[1].params["b"][:] = -50.0
+        model.blocks["encoder_t1"].params["b"][:] = 50.0
+        model.blocks["encoder_s1"].params["b"][:] = -50.0
         xt, xs = tiny_batch(np.random.default_rng(5))
         model.forward(xt, xs, train=False)
         alpha = model.fusion_weights
@@ -148,12 +201,9 @@ class TestFusion:
         model = tiny_model(fusion_mode="concatenation")
         xt, xs = tiny_batch(np.random.default_rng(8))
         logits = model.forward(xt, xs, train=False)
-        e_t = model.temporal_embedding(xt, train=False)
-        e_s = model.spatial_embedding(xs, train=False)
-        manual = model.head.forward(
-            model.fusion_fc.forward(np.concatenate([e_t, e_s], axis=1), train=False),
-            train=False,
-        )
+        e_t = forward_chain(model.streams["temporal"], xt, train=False)
+        e_s = forward_chain(model.streams["spatial"], xs, train=False)
+        manual = forward_chain(model.top, np.concatenate([e_t, e_s], axis=1), train=False)
         np.testing.assert_allclose(logits, manual, atol=1e-12)
 
     def test_independent_sigmoid_mode_scales_between_one_and_two(self):
@@ -169,15 +219,16 @@ class TestFusion:
         model.forward(xt, xs, train=False)
         baseline = model.fusion_weights.copy()
         # Same constant added to both scalar scores: softmax unchanged.
-        model.encoder_t[1].params["b"] += 7.5
-        model.encoder_s[1].params["b"] += 7.5
+        score_t, score_s = model.blocks["encoder_t1"], model.blocks["encoder_s1"]
+        score_t.params["b"] += 7.5
+        score_s.params["b"] += 7.5
         model.forward(xt, xs, train=False)
         np.testing.assert_allclose(model.fusion_weights, baseline, atol=1e-12)
         # Scaling both scores changes the weights (softmax is not scale invariant).
-        model.encoder_t[1].params["w"] *= 3.0
-        model.encoder_t[1].params["b"] = (model.encoder_t[1].params["b"] - 7.5) * 3.0
-        model.encoder_s[1].params["w"] *= 3.0
-        model.encoder_s[1].params["b"] = (model.encoder_s[1].params["b"] - 7.5) * 3.0
+        score_t.params["w"] *= 3.0
+        score_t.params["b"] = (score_t.params["b"] - 7.5) * 3.0
+        score_s.params["w"] *= 3.0
+        score_s.params["b"] = (score_s.params["b"] - 7.5) * 3.0
         model.forward(xt, xs, train=False)
         assert not np.allclose(model.fusion_weights, baseline, atol=1e-6)
 
@@ -310,7 +361,8 @@ class TestTraining:
         assert [r["loss"] for r in bare] == [r["loss"] for r in logged]
         for key, value in logged_model.params().items():
             assert bare_model.params()[key].tobytes() == value.tobytes(), key
-        for (_, bare_reg), (_, logged_reg) in zip(bare_model.lstm_stack, logged_model.lstm_stack):
+        for i in range(TINY["lstm_layers"]):
+            bare_reg, logged_reg = (m.blocks[f"lstm{i}_reg"] for m in (bare_model, logged_model))
             assert bare_reg.bn.running_mean.tobytes() == logged_reg.bn.running_mean.tobytes()
             assert bare_reg.bn.running_var.tobytes() == logged_reg.bn.running_var.tobytes()
 
