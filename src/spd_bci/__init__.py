@@ -4,14 +4,17 @@ from .filters import (
     BandSpec,
     EegSegment,
     FilterBank,
+    ZeroPhaseFilter,
     apply_filter_zero_phase,
     design_butterworth_bandpass,
     design_filter_bank,
+    design_notch,
     filter_bank_decompose,
     minmax_normalize,
     notch_filter,
     seed_rhythm_bands,
     uniform_bands,
+    zero_phase_sos,
 )
 from .geometry import (
     MdrmClassifier,

@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import parse_key_values
 from .errors import ConfigError, DataError
-from .filters import EegSegment
+from .filters import EegSegment, apply_filter_zero_phase
 
 SEGMENT_MAGIC = b"EEGS"
 TENSOR_MAGIC = b"SPDT"
@@ -309,8 +309,9 @@ def read_manifest(path) -> dict:
 def decimate_segment(segment: EegSegment, factor: int) -> EegSegment:
     """Integer-factor downsampling with an anti-aliasing low-pass.
 
-    The low-pass is an order-8 zero-phase Butterworth at 0.8 times the
-    new Nyquist; factor 1 is the identity.
+    The low-pass is an order-8 Butterworth at 0.8 times the new Nyquist,
+    applied zero-phase like every filter in the package; factor 1 is the
+    identity.
     """
     if factor < 1 or int(factor) != factor:
         raise ValueError(f"decimation factor must be a positive integer, got {factor}")
@@ -322,7 +323,7 @@ def decimate_segment(segment: EegSegment, factor: int) -> EegSegment:
     from scipy import signal as sps
 
     sos = sps.butter(8, cutoff, btype="lowpass", fs=segment.fs, output="sos")
-    filtered = sps.sosfiltfilt(sos, segment.samples, axis=1)
+    filtered = apply_filter_zero_phase(sos, segment).samples
     return EegSegment(filtered[:, ::factor], new_fs, segment.label)
 
 

@@ -5,6 +5,12 @@ one, so they are safe to run concurrently across segments. Band-pass
 filters are Butterworth designs (analog prototype + bilinear transform)
 realized as second-order sections and applied forward-backward for zero
 phase, with odd reflection padding of three filter orders at the edges.
+
+A filter is designed once per run: a :class:`ZeroPhaseFilter` keeps its
+initial conditions ``zi``, which ``sosfiltfilt``/``filtfilt`` re-solve on
+every call. :func:`apply_filter_zero_phase` repeats their steps exactly,
+so its output is bit-identical to theirs.
+
 ``scipy.signal`` is imported inside the functions that design or apply a
 filter, so importing the package (and a CLI step that does not filter)
 does not pay for it.
@@ -86,16 +92,64 @@ class BandSpec:
             )
 
 
+@dataclass(frozen=True)
+class ZeroPhaseFilter:
+    """A filter designed once, with the state that forward-backward filtering reuses.
+
+    Either ``sos`` (run with ``sosfilt``) or, for the notch, ``ba`` (run
+    with ``lfilter`` as ``filtfilt`` does; ``sosfilt`` would round
+    differently). ``zi`` is the step response's steady state, shaped to
+    broadcast against one edge sample per channel; ``padlen`` is three
+    filter orders.
+    """
+
+    zi: np.ndarray
+    padlen: int
+    sos: np.ndarray | None = None
+    ba: tuple[np.ndarray, np.ndarray] | None = None
+
+    def run(self, x: np.ndarray, zi: np.ndarray) -> np.ndarray:
+        """One causal pass along the sample axis, started from state ``zi``."""
+        from scipy import signal as sps
+
+        if self.sos is not None:
+            return sps.sosfilt(self.sos, x, axis=1, zi=zi)[0]
+        return sps.lfilter(*self.ba, x, axis=1, zi=zi)[0]
+
+
+def zero_phase_sos(sos: np.ndarray) -> ZeroPhaseFilter:
+    """Second-order sections with their initial conditions, ready to apply many times."""
+    from scipy import signal as sps
+
+    sos = np.asarray(sos, dtype=np.float64)
+    zi = sps.sosfilt_zi(sos).reshape(sos.shape[0], 1, 2)
+    # Three filter orders of padding; each section is of order two.
+    return ZeroPhaseFilter(zi=zi, padlen=3 * 2 * sos.shape[0], sos=sos)
+
+
+def design_notch(fs: float, f0: float = 50.0, quality: float = 30.0) -> ZeroPhaseFilter:
+    """Second-order IIR notch at ``f0`` Hz with its initial conditions."""
+    if f0 >= fs / 2.0:
+        raise ValueError(f"notch frequency {f0} Hz is not below Nyquist {fs / 2.0} Hz")
+    if f0 <= 0:
+        raise ValueError(f"notch frequency must be positive, got {f0}")
+    from scipy import signal as sps
+
+    b, a = sps.iirnotch(f0, quality, fs=fs)
+    return ZeroPhaseFilter(zi=sps.lfilter_zi(b, a).reshape(1, -1), padlen=3 * 2, ba=(b, a))
+
+
 @dataclass
 class FilterBank:
     """Ordered band-pass filters sharing one sampling rate.
 
-    ``sos`` holds one second-order-section array per band, in band order.
+    ``filters`` holds one designed :class:`ZeroPhaseFilter` per band, in
+    band order.
     """
 
     bands: list[BandSpec]
     fs: float
-    sos: list[np.ndarray] = field(default_factory=list)
+    filters: list[ZeroPhaseFilter] = field(default_factory=list)
 
     @property
     def n_bands(self) -> int:
@@ -147,48 +201,43 @@ def _is_stable(sos: np.ndarray) -> bool:
     return True
 
 
-def _filter_order(sos: np.ndarray) -> int:
-    return 2 * sos.shape[0]
+def _odd_extend(x: np.ndarray, n: int) -> np.ndarray:
+    """Extend each row by ``n`` samples at both ends, point-reflected about the edge sample."""
+    left = 2 * x[:, :1] - x[:, n:0:-1]
+    right = 2 * x[:, -1:] - x[:, -2:-(n + 2):-1]
+    return np.concatenate((left, x, right), axis=1)
 
 
-def apply_filter_zero_phase(sos: np.ndarray, segment: EegSegment) -> EegSegment:
+def apply_filter_zero_phase(filt, segment: EegSegment) -> EegSegment:
     """Forward-backward filter a segment: zero phase shift, same shape.
 
-    Edges are handled with odd reflection padding of three filter orders;
-    the segment must be longer than that padding.
+    ``filt`` is a :class:`ZeroPhaseFilter` designed once per run, or bare
+    second-order sections for a one-off call. Edges are handled with odd
+    reflection padding of three filter orders; the segment must be longer
+    than that padding.
     """
-    padlen = 3 * _filter_order(sos)
-    if segment.n_samples <= padlen:
+    if not isinstance(filt, ZeroPhaseFilter):
+        filt = zero_phase_sos(filt)
+    n = filt.padlen
+    if segment.n_samples <= n:
         raise ValueError(
             f"segment too short for zero-phase filtering: {segment.n_samples} samples, "
-            f"need more than {padlen}"
+            f"need more than {n}"
         )
-    from scipy import signal as sps
-
-    filtered = sps.sosfiltfilt(sos, segment.samples, axis=1, padtype="odd", padlen=padlen)
-    return segment.with_samples(filtered)
+    ext = _odd_extend(segment.samples, n)
+    y = filt.run(ext, filt.zi * ext[:, :1])
+    y = filt.run(y[:, ::-1], filt.zi * y[:, -1:])
+    return segment.with_samples(y[:, ::-1][:, n:-n])
 
 
 def notch_filter(segment: EegSegment, f0: float = 50.0, quality: float = 30.0) -> EegSegment:
     """Suppress one mains frequency with a zero-phase second-order notch.
 
     The notch is >= 30 dB deep at ``f0`` while neighbors 5 Hz away lose
-    less than 3 dB.
+    less than 3 dB. This designs the notch for one call; a run that
+    filters many segments designs it once with :func:`design_notch`.
     """
-    if f0 >= segment.fs / 2.0:
-        raise ValueError(f"notch frequency {f0} Hz is not below Nyquist {segment.fs / 2.0} Hz")
-    if f0 <= 0:
-        raise ValueError(f"notch frequency must be positive, got {f0}")
-    from scipy import signal as sps
-
-    b, a = sps.iirnotch(f0, quality, fs=segment.fs)
-    padlen = 3 * 2
-    if segment.n_samples <= padlen:
-        raise ValueError(
-            f"segment too short for notch filtering: {segment.n_samples} samples"
-        )
-    filtered = sps.filtfilt(b, a, segment.samples, axis=1, padtype="odd", padlen=padlen)
-    return segment.with_samples(filtered)
+    return apply_filter_zero_phase(design_notch(segment.fs, f0, quality), segment)
 
 
 def minmax_normalize(segment: EegSegment, constant_channel: str = "error") -> EegSegment:
@@ -217,7 +266,7 @@ def minmax_normalize(segment: EegSegment, constant_channel: str = "error") -> Ee
 
 
 def design_filter_bank(bands, fs) -> FilterBank:
-    """Design one band-pass filter per band spec.
+    """Design one band-pass filter, with its initial conditions, per band spec.
 
     Bands must be ordered by increasing ``low_hz`` and non-overlapping.
     """
@@ -231,10 +280,11 @@ def design_filter_bank(bands, fs) -> FilterBank:
             raise ValueError(
                 f"bands ({prev.low_hz}-{prev.high_hz}) and ({cur.low_hz}-{cur.high_hz}) overlap"
             )
-    sos = [
-        design_butterworth_bandpass(b.low_hz, b.high_hz, b.order, fs) for b in specs
+    filters = [
+        zero_phase_sos(design_butterworth_bandpass(b.low_hz, b.high_hz, b.order, fs))
+        for b in specs
     ]
-    return FilterBank(bands=specs, fs=fs, sos=sos)
+    return FilterBank(bands=specs, fs=fs, filters=filters)
 
 
 def filter_bank_decompose(segment: EegSegment, bank: FilterBank) -> list[EegSegment]:
@@ -243,7 +293,7 @@ def filter_bank_decompose(segment: EegSegment, bank: FilterBank) -> list[EegSegm
         raise ValueError(
             f"segment rate {segment.fs} Hz does not match bank rate {bank.fs} Hz"
         )
-    return [apply_filter_zero_phase(sos, segment) for sos in bank.sos]
+    return [apply_filter_zero_phase(filt, segment) for filt in bank.filters]
 
 
 def seed_rhythm_bands(order: int = 5) -> list[BandSpec]:

@@ -213,6 +213,9 @@ class TwoStreamModel:
         missing = set(params) - set(tensors)
         if missing:
             raise ValueError(f"checkpoint is missing tensors: {sorted(missing)}")
+        extra = set(tensors) - set(params)
+        if extra:
+            raise ValueError(f"checkpoint has tensors this model does not: {sorted(extra)}")
         for key, arr in params.items():
             incoming = tensors[key]
             if incoming.shape != arr.shape:
@@ -431,8 +434,20 @@ def pearson_correlation(y_true, y_pred) -> float:
     return float(np.sum(a * b) / denom)
 
 
+def _defined(metric, *args):
+    """``metric(*args)``, or None where the data leave it undefined."""
+    try:
+        return metric(*args)
+    except NumericalError:
+        return None
+
+
 def evaluate_model(model: TwoStreamModel, xt, xs, labels) -> dict:
-    """Task metrics on held-out data: accuracy and kappa, or RMSE and PCC."""
+    """Task metrics on held-out data: accuracy and kappa, or RMSE and PCC.
+
+    Kappa (one class, predicted perfectly) and PCC (constant labels or
+    predictions) can be undefined on a small split; they are then None.
+    """
     predictions = model.predict(xt, xs)
     labels = np.asarray(labels)
     if model.config.loss in ("cross-entropy", "bce"):
@@ -440,10 +455,10 @@ def evaluate_model(model: TwoStreamModel, xt, xs, labels) -> dict:
         confusion = confusion_counts(labels.astype(int), predictions, n_classes)
         return {
             "accuracy": float(np.mean(predictions == labels.astype(int))),
-            "kappa": cohen_kappa(confusion),
+            "kappa": _defined(cohen_kappa, confusion),
             "confusion": confusion.tolist(),
         }
     return {
         "rmse": root_mean_squared_error(labels, predictions),
-        "pcc": pearson_correlation(labels, predictions),
+        "pcc": _defined(pearson_correlation, labels, predictions),
     }

@@ -17,14 +17,15 @@ import numpy as np
 
 from . import data as dataio
 from .config import PipelineConfig
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericalError
 from .filters import (
     apply_filter_zero_phase,
     design_butterworth_bandpass,
     design_filter_bank,
+    design_notch,
     filter_bank_decompose,
     minmax_normalize,
-    notch_filter,
+    zero_phase_sos,
 )
 from .geometry import (
     pca_spatial_filter,
@@ -76,10 +77,15 @@ def _segment_files(directory: Path) -> list[Path]:
 
 
 def run_preprocess(config: PipelineConfig) -> dict:
-    """Broadband filter, notch, and min-max normalize every raw segment."""
-    broadband = design_butterworth_bandpass(
+    """Broadband filter, notch, and min-max normalize every raw segment.
+
+    Both filters are designed once, with their initial conditions, and
+    reused for every segment.
+    """
+    broadband = zero_phase_sos(design_butterworth_bandpass(
         config.broadband_low, config.broadband_high, config.filter_order, config.fs
-    )
+    ))
+    notch = design_notch(config.fs, config.notch_hz)
     counts = {}
     for split, raw_dir in (("train", config.raw_train_dir), ("test", config.raw_test_dir)):
         if raw_dir is None:
@@ -97,7 +103,7 @@ def run_preprocess(config: PipelineConfig) -> dict:
                     )
                 try:
                     segment = apply_filter_zero_phase(broadband, segment)
-                    segment = notch_filter(segment, config.notch_hz)
+                    segment = apply_filter_zero_phase(notch, segment)
                     segment = minmax_normalize(segment, constant_channel=config.constant_channel)
                 except ValueError as exc:
                     raise DataError(f"{path}: {exc}") from exc
@@ -327,14 +333,33 @@ def _grid_point(payload) -> dict:
     return row
 
 
+def _validation_split(labels: np.ndarray, classification: bool, seed: int):
+    """Seeded (validation, fit) indices, 10% for validation and at least one trial.
+
+    For classification the split is stratified: each class gives a tenth
+    of its trials, at least one, so every class is scored.
+    """
+    order = np.random.default_rng(seed).permutation(len(labels))
+    if not classification:
+        n_val = max(1, len(labels) // 10)
+        return order[:n_val], order[n_val:]
+    is_val = np.zeros(len(labels), dtype=bool)
+    for cls in np.unique(labels):
+        members = order[labels[order] == cls]
+        is_val[members[:max(1, len(members) // 10)]] = True
+    return order[is_val[order]], order[~is_val[order]]
+
+
 def _run_rank_grid(config: PipelineConfig, train: dict, jobs: int = 1) -> dict:
-    """Sweep R over [1, N-1] on a 90/10 split of the training data."""
+    """Sweep R over [1, N-1] on a 90/10 split of the training data.
+
+    A kappa or PCC that the validation split leaves undefined is written
+    as null, and ``best_rank`` is chosen among the ranks whose score is
+    defined (null if none is).
+    """
     labels = train["labels"]
-    n = len(labels)
-    rng = np.random.default_rng(config.seed)
-    order = rng.permutation(n)
-    n_val = max(1, n // 10)
-    val_idx, fit_idx = order[:n_val], order[n_val:]
+    classification = config.task == "classification"
+    val_idx, fit_idx = _validation_split(labels, classification, config.seed)
     ranks = list(range(1, config.n_channels))
     if not ranks:
         raise ConfigError("grid mode needs at least two channels")
@@ -348,9 +373,10 @@ def _run_rank_grid(config: PipelineConfig, train: dict, jobs: int = 1) -> dict:
     else:
         rows = [_grid_point(p) for p in payloads]
     rows.sort(key=lambda r: r["rank"])
-    score_key = "accuracy" if config.task == "classification" else "pcc"
-    best = max(rows, key=lambda r: r[score_key])
-    result = {"rows": rows, "best_rank": best["rank"]}
+    score_key = "accuracy" if classification else "pcc"
+    scored = [r for r in rows if r[score_key] is not None]
+    best = max(scored, key=lambda r: r[score_key])["rank"] if scored else None
+    result = {"rows": rows, "best_rank": best}
     out_path = config.work_dir / "grid_metrics.json"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(json.dumps(result, sort_keys=True, indent=2) + "\n", encoding="utf-8")
@@ -363,11 +389,16 @@ def _evaluate_variant(config: PipelineConfig, label: str, test: dict) -> dict:
         raise DataError(f"missing checkpoint for variant {label!r}: {path}")
     tensors = load_checkpoint(path)
     stored = tensors.pop("meta.variant", None)
-    tensors.pop("meta.n_outputs", None)
     if stored is not None and float(stored) != _VARIANT_CODES[label]:
         raise ConfigError(
             f"checkpoint {path} was trained for a different variant "
             f"(code {float(stored):.0f})"
+        )
+    n_outputs = tensors.pop("meta.n_outputs", None)
+    if n_outputs is not None and float(n_outputs) != config.n_outputs:
+        raise ConfigError(
+            f"checkpoint {path} key 'meta.n_outputs' is {float(n_outputs):.0f}, "
+            f"this profile has {config.n_outputs} outputs"
         )
     arch = _architecture(config, label, test["temporal"].shape[2], test["spatial"].shape[1])
     model = TwoStreamModel(arch, seed=config.seed)
@@ -378,7 +409,11 @@ def _evaluate_variant(config: PipelineConfig, label: str, test: dict) -> dict:
     labels = test["labels"]
     if np.any(np.isnan(labels)):
         raise DataError("test segments are missing labels")
-    return evaluate_model(model, test["temporal"], test["spatial"], labels)
+    metrics = evaluate_model(model, test["temporal"], test["spatial"], labels)
+    undefined = [key for key, value in metrics.items() if value is None]
+    if undefined:
+        raise NumericalError(f"{', '.join(undefined)} undefined on the test split ({path})")
+    return metrics
 
 
 def run_evaluate(config: PipelineConfig) -> dict:

@@ -50,9 +50,9 @@ def correlation_covariance(rho):
     return cov
 
 
-def write_synthetic_dataset(root, seed=0):
+def write_synthetic_dataset(root, seed=0, train_per_class=20):
     covariances = [correlation_covariance(0.7), correlation_covariance(-0.7)]
-    for split, per_class, split_seed in (("train", 20, seed), ("test", 12, seed + 1)):
+    for split, per_class, split_seed in (("train", train_per_class, seed), ("test", 12, seed + 1)):
         out = root / "raw" / split
         out.mkdir(parents=True, exist_ok=True)
         spec = SynthSpec(
@@ -509,6 +509,28 @@ class TestSinglePassFeatures:
             np.testing.assert_allclose(got[key], value, rtol=1e-10, atol=1e-10, err_msg=key)
 
 
+class TestFiltersDesignedOncePerRun:
+    def test_initial_conditions_and_notch_are_designed_once_per_step(self, tmp_path, monkeypatch):
+        import scipy.signal
+
+        calls = {}
+        for name in ("sosfilt_zi", "lfilter_zi", "iirnotch"):
+            original = getattr(scipy.signal, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.signal, name, counting)
+        write_synthetic_dataset(tmp_path)  # 40 train + 24 test trials, 2 bands
+        config = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config)]) == 0
+        assert calls == {"sosfilt_zi": 1, "lfilter_zi": 1, "iirnotch": 1}  # broadband, notch
+        calls.clear()
+        assert main(["features", "--config", str(config)]) == 0
+        assert calls == {"sosfilt_zi": 2}  # one per band
+
+
 class TestLazyScipyImport:
     def test_steps_that_do_not_filter_never_import_scipy_signal(self, workspace):
         config = write_config(workspace, extra="ablate_variants = fused\n")
@@ -530,3 +552,71 @@ class TestLazyScipyImport:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[False, False, False, False]"
+
+
+class TestRankGridSplits:
+    def test_small_parallel_grid_writes_metrics(self, tmp_path):
+        # 16 trials: a 10% split of the whole set would be one trial, of one class.
+        write_synthetic_dataset(tmp_path, train_per_class=8)
+        config = write_config(tmp_path, extra="rank_mode = grid\nepochs = 3\n")
+        assert main(["preprocess", "--config", str(config)]) == 0
+        assert main(["features", "--config", str(config)]) == 0
+        assert main(["train", "--config", str(config), "--jobs", "2"]) == 0
+        grid = json.loads((tmp_path / "work" / "grid_metrics.json").read_text())
+        assert [row["rank"] for row in grid["rows"]] == [1, 2, 3]
+        assert all(row["kappa"] is not None for row in grid["rows"])
+        assert grid["best_rank"] in (1, 2, 3)
+
+    def test_validation_split_is_stratified(self):
+        from spd_bci.pipeline import _validation_split
+
+        labels = np.repeat([0.0, 1.0, 2.0], [8, 12, 30])
+        val, fit = _validation_split(labels, classification=True, seed=4)
+        assert sorted(np.concatenate([val, fit]).tolist()) == list(range(50))
+        assert np.bincount(labels[val].astype(int)).tolist() == [1, 1, 3]
+        again, _ = _validation_split(labels, classification=True, seed=4)
+        np.testing.assert_array_equal(val, again)
+        val, fit = _validation_split(np.linspace(0, 1, 50), classification=False, seed=4)
+        assert len(val) == 5 and len(fit) == 45
+
+    def test_undefined_scores_are_null_and_skipped_for_best_rank(self, tmp_path, monkeypatch):
+        from spd_bci import pipeline
+
+        pccs = {1: 0.4, 2: None, 3: 0.2}
+        monkeypatch.setattr(
+            pipeline, "_grid_point",
+            lambda payload: {"rank": payload[1], "rmse": 0.1, "pcc": pccs[payload[1]]},
+        )
+        config = parse_config_text(
+            "profile = synthetic\ntask = regression\nn_classes = 1\n"
+            "output_activation = sigmoid\nloss = mse\nrank_mode = grid\n"
+            f"work_dir = {tmp_path}\n"
+        )
+        train = {"labels": np.linspace(0, 1, 20), "temporal": None, "scms": None}
+        assert pipeline._run_rank_grid(config, train)["best_rank"] == 1
+        pccs[1] = pccs[3] = None
+        assert pipeline._run_rank_grid(config, train)["best_rank"] is None
+        grid = json.loads((tmp_path / "grid_metrics.json").read_text())
+        assert grid["best_rank"] is None and grid["rows"][1]["pcc"] is None
+
+
+class TestCheckpointMismatch:
+    def test_batchnorm_checkpoint_under_dropout_config_exits_1(self, workspace, capsys):
+        config = write_config(workspace, extra="variant = temporal\nepochs = 1\n")
+        assert main(["train", "--config", str(config)]) == 0
+        dropout = write_config(
+            workspace, extra="variant = temporal\nepochs = 1\ntemporal_regularizer = dropout\n"
+        )
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(dropout)]) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint has tensors this model does not" in err and "lstm0_reg." in err
+
+    def test_output_count_mismatch_exits_1_naming_key(self, workspace, capsys):
+        config = write_config(workspace, extra="variant = spatial\nepochs = 1\n")
+        assert main(["train", "--config", str(config)]) == 0
+        three = write_config(workspace, extra="variant = spatial\nepochs = 1\nn_classes = 3\n")
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(three)]) == 1
+        err = capsys.readouterr().err
+        assert "'meta.n_outputs' is 2" in err and "3 outputs" in err

@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 from spd_bci.filters import (
     BandSpec,
     EegSegment,
+    ZeroPhaseFilter,
     apply_filter_zero_phase,
     design_butterworth_bandpass,
     design_filter_bank,
+    design_notch,
     filter_bank_decompose,
     frequency_response,
     minmax_normalize,
     notch_filter,
     seed_rhythm_bands,
     uniform_bands,
+    zero_phase_sos,
 )
 
 FS = 200.0
@@ -123,6 +126,49 @@ class TestZeroPhaseFiltering:
         separate = a * apply_filter_zero_phase(sos, x).samples + b * apply_filter_zero_phase(sos, y).samples
         err = np.linalg.norm(combined.samples - separate) / np.linalg.norm(separate)
         assert err < 1e-10
+
+
+def _bank_cases():
+    """(band, fs) for every seed and bci2a band, plus the broadband filter at both rates."""
+    cases = [(b, 200.0) for b in seed_rhythm_bands()] + [(b, 250.0) for b in uniform_bands(0.5, 50.5, 2.0)]
+    return cases + [(BandSpec(0.5, 70.0, 5), 200.0), (BandSpec(0.5, 70.0, 5), 250.0)]
+
+
+class TestDesignedOnce:
+    @pytest.mark.parametrize("band,fs", _bank_cases(), ids=lambda v: str(v))
+    def test_matches_sosfiltfilt_bit_for_bit(self, band, fs):
+        from scipy.signal import sosfiltfilt
+
+        sos = design_butterworth_bandpass(band.low_hz, band.high_hz, band.order, fs)
+        designed = zero_phase_sos(sos)
+        assert isinstance(designed, ZeroPhaseFilter) and designed.padlen == 3 * 2 * len(sos)
+        rng = np.random.default_rng(int(band.low_hz * 10))
+        for n in (designed.padlen + 1, designed.padlen + 2, 1000):
+            x = 40.0 * rng.standard_normal((3, n))
+            want = sosfiltfilt(sos, x, axis=1, padtype="odd", padlen=designed.padlen)
+            assert np.array_equal(apply_filter_zero_phase(designed, make_segment(x, fs)).samples, want)
+            assert np.array_equal(apply_filter_zero_phase(sos, make_segment(x, fs)).samples, want)
+
+    @pytest.mark.parametrize("fs", [200.0, 250.0])
+    def test_notch_matches_filtfilt_bit_for_bit(self, fs):
+        from scipy.signal import filtfilt, iirnotch
+
+        b, a = iirnotch(50.0, 30.0, fs=fs)
+        notch = design_notch(fs, 50.0)
+        rng = np.random.default_rng(int(fs))
+        for n in (7, 8, 1000):
+            x = rng.standard_normal((4, n))
+            want = filtfilt(b, a, x, axis=1, padtype="odd", padlen=6)
+            assert np.array_equal(apply_filter_zero_phase(notch, make_segment(x, fs)).samples, want)
+            assert np.array_equal(notch_filter(make_segment(x, fs), 50.0).samples, want)
+
+    def test_bank_holds_one_designed_filter_per_band(self):
+        bank = design_filter_bank(seed_rhythm_bands(), FS)
+        assert len(bank.filters) == bank.n_bands == 5
+        for band, designed in zip(bank.bands, bank.filters):
+            sos = design_butterworth_bandpass(band.low_hz, band.high_hz, band.order, FS)
+            np.testing.assert_array_equal(designed.sos, sos)
+            assert designed.zi.shape == (len(sos), 1, 2)
 
 
 class TestNotchFilter:

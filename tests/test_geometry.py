@@ -341,6 +341,75 @@ class TestRiemannianMean:
         expected = np.sqrt(np.linalg.det(c1) * np.linalg.det(c2))
         assert np.linalg.det(mean) == pytest.approx(expected, rel=1e-6)
 
+    @staticmethod
+    def karcher_cost(mean, mats):
+        return sum(generalized_distance(mean, c) ** 2 for c in mats)
+
+    @staticmethod
+    def spectral(mat, fn):
+        w, v = np.linalg.eigh(0.5 * (mat + mat.T))
+        return (v * fn(w)) @ v.T
+
+    def whitened_gradient_norm(self, mean, mats):
+        """||mean_i log(M^{-1/2} C_i M^{-1/2})||_F."""
+        inv_half = self.spectral(mean, lambda w: w**-0.5)
+        logs = [self.spectral(inv_half @ c @ inv_half, np.log) for c in mats]
+        return np.linalg.norm(np.mean(logs, axis=0))
+
+    def undamped_mean(self, mats, tol=1e-9, max_iter=50):
+        """Full steps, stopping on the unwhitened norm ||M^{1/2} T M^{1/2}||_F."""
+        center = np.mean(mats, axis=0)
+        for _ in range(max_iter):
+            half = self.spectral(center, np.sqrt)
+            inv_half = self.spectral(center, lambda w: w**-0.5)
+            tangent = np.mean([self.spectral(inv_half @ c @ inv_half, np.log) for c in mats], axis=0)
+            center = half @ self.spectral(tangent, np.exp) @ half
+            if np.linalg.norm(half @ tangent @ half) < tol:
+                return center, True
+        return center, False
+
+    @staticmethod
+    def dispersed_stack(rng, n=6, count=8):
+        """Random eigenbases; eigenvalues 1e-3, 1e3 and log-uniform draws between (cond 1e6)."""
+        mats = []
+        for _ in range(count):
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            w = np.exp(np.r_[np.log([1e-3, 1e3]), rng.uniform(np.log(1e-3), np.log(1e3), n - 2)])
+            mats.append((q * w) @ q.T)
+        return np.stack(mats)
+
+    @pytest.mark.parametrize("scale", [1e-6, 3.7, 1e6])
+    def test_scaling_inputs_scales_mean_in_same_iterations(self, scale):
+        rng = np.random.default_rng(14)
+        mats = np.stack([random_spd(rng, 6, 0.3, 3.0) for _ in range(12)])
+        mean, info = riemannian_mean(mats, return_info=True)
+        scaled, scaled_info = riemannian_mean(scale * mats, return_info=True)
+        assert info.converged and scaled_info.converged
+        assert scaled_info.iterations == info.iterations
+        np.testing.assert_allclose(scaled / scale, mean, rtol=1e-10, atol=1e-12)
+
+    def test_dispersed_stacks_converge_where_full_steps_do_not(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(5):
+            mats = self.dispersed_stack(rng)
+            assert max(np.linalg.cond(c) for c in mats) >= 1e5
+            undamped, undamped_converged = self.undamped_mean(mats)
+            assert not undamped_converged
+            mean, info = riemannian_mean(mats, return_info=True)
+            assert info.converged and info.iterations <= 50
+            assert self.karcher_cost(mean, mats) <= self.karcher_cost(undamped, mats)
+
+    def test_whitened_gradient_at_returned_mean_is_below_tol(self):
+        rng = np.random.default_rng(21)
+        stacks = [
+            np.stack([random_spd(rng, 5, 0.2, 5.0) for _ in range(10)]),
+            self.dispersed_stack(rng, n=5, count=6),
+        ]
+        for mats in stacks:
+            mean, info = riemannian_mean(mats, tol=1e-9, return_info=True)
+            assert info.converged and info.grad_norm < 1e-9
+            assert self.whitened_gradient_norm(mean, mats) < 1e-9
+
     def test_non_convergence_warns(self):
         rng = np.random.default_rng(17)
         mats = np.stack([random_spd(rng, 4, 0.1, 8.0) for _ in range(6)])
