@@ -4,7 +4,7 @@ A profile fixes the quantities that belong to a dataset: band table,
 trial length, channel count, retained rank, task type, and the matching
 output activation and loss. The config file selects a profile, points at
 the data directories, and may override the tunable knobs (epochs, batch
-size, hidden sizes, fusion mode, reference policy, rank mode). Keys that
+size, hidden sizes, model variant, reference policy, rank mode). Keys that
 a named dataset profile owns (task, activation, loss, class count, band
 table) cannot be contradicted; the ``synthetic`` profile locks none.
 """
@@ -18,7 +18,7 @@ from typing import get_args, get_type_hints
 from .errors import ConfigError
 from .filters import BandSpec, seed_rhythm_bands, uniform_bands
 from .geometry import tangent_dimension
-from .model import FUSION_MODES, VARIANTS
+from .model import VARIANTS
 
 
 # Keys a named dataset profile owns; a config file cannot contradict them.
@@ -91,9 +91,7 @@ class PipelineConfig:
     spatial_embedding_dim: int = 64
     encoder_hidden: int = 32
     fusion_hidden: int = 128
-    fusion_mode: str = "weighted"
-    attention_mode: str = "summed-score"
-    variant: str = "fused"
+    variant: str = "fused"  # a label from model.VARIANTS
     reference_policy: str = "batch-mean"  # or "train-mean"
     rank_mode: str = "fixed"  # or "grid"
     broadband_low: float = 0.5
@@ -112,8 +110,6 @@ class PipelineConfig:
             raise ConfigError(f"unknown rank mode {self.rank_mode!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ConfigError(f"unknown fusion mode {self.fusion_mode!r}")
         if self.constant_channel not in ("error", "zero"):
             raise ConfigError(f"unknown constant_channel mode {self.constant_channel!r}")
         if self.task not in ("classification", "regression"):

@@ -1,21 +1,28 @@
 """Two-stream architecture: LSTM-attention temporal stream, dense spatial stream, learned fusion.
 
 The temporal stream runs stacked LSTM layers (each followed by a
-per-dataset regularizer: dropout, or batch norm plus leaky ReLU) over the
-spectral feature sequence, pools the final layer's hidden states with
-soft attention, and projects to an embedding. The spatial stream maps
-the concatenated tangent-space vector through two dense layers with
-dropout. Fusion scores each embedding with a small encoder, normalizes
-the two scalar scores, rescales each embedding by (1 + weight), and
-feeds the concatenation through a dense layer into the task head.
+per-dataset regularizer: dropout at rate 0.2 after the first layer and
+0.1 after the others, or batch norm plus leaky ReLU) over the spectral
+feature sequence, pools the final layer's hidden states with soft
+attention, and projects to an embedding. The spatial stream maps the
+concatenated tangent-space vector through two dense layers with dropout.
+Fusion scores each embedding with a small encoder, normalizes the two
+scalar scores, rescales each embedding by (1 + weight), and feeds the
+concatenation through a dense layer into the task head.
+
+One label from :data:`VARIANTS` names the model. ``fused`` is the model
+above; ``temporal`` and ``spatial`` keep one stream; ``concatenation``
+drops the encoders and concatenates the embeddings unscaled;
+``soft-attention`` rescales by the weight alone and
+``independent-sigmoid`` takes each weight from a sigmoid of its own
+score instead of a softmax over both. The label's index in
+:data:`VARIANTS` is the ``meta.variant`` code stored in checkpoints.
 
 ``TwoStreamModel`` is named block chains: ``blocks`` maps checkpoint
 names to blocks in construction order (the order of the init draws and
 of ``params()``), ``streams`` holds one chain per input, temporal first,
-``encoders`` one scoring chain per stream when the fusion mode scores
-the embeddings, and ``top`` is ``[fusion_fc, head]``. Without encoders
-(single-stream variants, ``concatenation``) embeddings are concatenated
-unscaled; the scoring modes differ only in how scores become weights.
+``encoders`` one scoring chain per stream for the labels that score the
+embeddings, and ``top`` is ``[fusion_fc, head]``.
 
 Training is plain mini-batch Adam with global-norm gradient clipping;
 everything is deterministic given the seed. The per-step cost sits in
@@ -50,14 +57,21 @@ from .nnet import (
     stable_softmax,
 )
 
-FUSION_MODES = ("weighted", "soft-attention", "concatenation", "independent-sigmoid")
-VARIANTS = ("fused", "temporal", "spatial")
+# Model labels; the order is the ``meta.variant`` code stored in checkpoints.
+VARIANTS = (
+    "fused", "temporal", "spatial", "concatenation", "soft-attention", "independent-sigmoid"
+)
+# Labels whose fusion scores the embeddings with encoders.
+_SCORED = ("fused", "soft-attention", "independent-sigmoid")
 
 _LOSS_FOR_ACTIVATION = {
     "softmax": ("cross-entropy",),
     "sigmoid": ("bce", "mse"),
     "linear": ("mse",),
 }
+# Task-head vocabularies; the order is the ``meta.output_activation``/``meta.loss`` code.
+OUTPUT_ACTIVATIONS = tuple(_LOSS_FOR_ACTIVATION)
+LOSSES = ("cross-entropy", "bce", "mse")
 
 
 @dataclass
@@ -70,28 +84,23 @@ class ArchitectureConfig:
     lstm_layers: int = 3
     lstm_hidden: int = 256
     temporal_regularizer: str = "batchnorm"  # "batchnorm" or "dropout"
-    temporal_dropout: tuple = (0.2, 0.1, 0.1)
     temporal_embedding_dim: int = 64
     spatial_hidden: int = 512
     spatial_embedding_dim: int = 64
     spatial_dropout: float = 0.5
     encoder_hidden: int = 32
     fusion_hidden: int = 128
-    fusion_mode: str = "weighted"
-    attention_mode: str = "summed-score"
     output_activation: str = "softmax"
     loss: str = "cross-entropy"
     epochs: int = 200
     batch_size: int = 32
     learning_rate: float = 0.001
     grad_clip: float = 5.0
-    variant: str = "fused"
+    variant: str = "fused"  # a label from VARIANTS
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.fusion_mode not in FUSION_MODES:
-            raise ValueError(f"unknown fusion mode {self.fusion_mode!r}")
         if self.temporal_regularizer not in ("batchnorm", "dropout"):
             raise ValueError(f"unknown temporal regularizer {self.temporal_regularizer!r}")
         allowed = _LOSS_FOR_ACTIVATION.get(self.output_activation)
@@ -105,10 +114,6 @@ class ArchitectureConfig:
             raise ValueError("categorical cross-entropy needs at least two outputs")
         if self.loss in ("bce", "mse") and self.n_outputs != 1:
             raise ValueError(f"{self.loss} pairs with a single output unit")
-        if self.temporal_regularizer == "dropout" and len(self.temporal_dropout) != self.lstm_layers:
-            raise ValueError(
-                f"{len(self.temporal_dropout)} dropout rates for {self.lstm_layers} LSTM layers"
-            )
 
 
 class _SeqBatchNormLeaky:
@@ -143,25 +148,23 @@ class TwoStreamModel:
         self.streams: dict[str, list] = {}
         self.encoders: dict[str, list] = {}
         dims = {}
-        if config.variant in ("fused", "temporal"):
+        if config.variant != "spatial":
             temporal, in_dim = {}, config.temporal_input_dim
             for i in range(config.lstm_layers):
                 temporal[f"lstm{i}"] = Lstm(in_dim, config.lstm_hidden, rng=rng)
                 temporal[f"lstm{i}_reg"] = (
                     _SeqBatchNormLeaky(config.lstm_hidden)
                     if config.temporal_regularizer == "batchnorm"
-                    else Dropout(config.temporal_dropout[i])
+                    else Dropout(0.2 if i == 0 else 0.1)
                 )
                 in_dim = config.lstm_hidden
-            temporal["attention"] = Attention(
-                config.lstm_hidden, mode=config.attention_mode, rng=rng
-            )
+            temporal["attention"] = Attention(config.lstm_hidden, rng=rng)
             temporal["temporal_embed"] = Dense(
                 config.lstm_hidden, config.temporal_embedding_dim, "identity", rng=rng
             )
             self.streams["temporal"] = self._chain(temporal)
             dims["temporal"] = config.temporal_embedding_dim
-        if config.variant in ("fused", "spatial"):
+        if config.variant != "temporal":
             self.streams["spatial"] = self._chain({
                 "spatial_fc1": Dense(
                     config.spatial_input_dim, config.spatial_hidden, "leaky-relu", rng=rng
@@ -173,7 +176,7 @@ class TwoStreamModel:
                 "spatial_drop2": Dropout(config.spatial_dropout),
             })
             dims["spatial"] = config.spatial_embedding_dim
-        if config.variant == "fused" and config.fusion_mode != "concatenation":
+        if config.variant in _SCORED:
             for name, dim in dims.items():
                 self.encoders[name] = self._chain({
                     f"encoder_{name[0]}0": Dense(dim, config.encoder_hidden, "tanh", rng=rng),
@@ -236,12 +239,12 @@ class TwoStreamModel:
                 [forward_chain(enc, e, train) for enc, e in zip(self.encoders.values(), embeds)],
                 axis=1,
             )
-            mode = self.config.fusion_mode
-            if mode == "independent-sigmoid":
+            variant = self.config.variant
+            if variant == "independent-sigmoid":
                 self._alpha = sigmoid(scores)
             else:
                 self._alpha = stable_softmax(scores, axis=1)
-            self._scale = (0.0 if mode == "soft-attention" else 1.0) + self._alpha
+            self._scale = (0.0 if variant == "soft-attention" else 1.0) + self._alpha
             embeds = [self._scale[:, k:k + 1] * e for k, e in enumerate(embeds)]
         return forward_chain(self.top, np.concatenate(embeds, axis=1), train)
 
@@ -256,7 +259,7 @@ class TwoStreamModel:
         if self.encoders:
             alpha, scale = self._alpha, self._scale
             dalpha = np.stack([np.sum(g * e, axis=1) for g, e in zip(grads, self._embeds)], axis=1)
-            if self.config.fusion_mode == "independent-sigmoid":
+            if self.config.variant == "independent-sigmoid":
                 dscores = dalpha * alpha * (1.0 - alpha)
             else:
                 dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=1, keepdims=True))

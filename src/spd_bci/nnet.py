@@ -8,7 +8,9 @@ composed model against central finite differences.
 
 Conventions: batch-first arrays; dense weights are (out, in); LSTM gate
 order is input, forget, output, candidate with the four gate blocks
-stacked row-wise in one matrix.
+stacked row-wise in one matrix. Attention has one fixed form: a step's
+score is the sum of the components of tanh(W h_t + b), softmax-normalized
+over time.
 
 Every block has the same signature, ``forward(x, train=True, rng=None)``
 and ``backward(grad)``; only dropout draws from ``rng``. So a list of
@@ -208,28 +210,17 @@ class Lstm:
 class Attention:
     """Soft attention over a hidden-state sequence.
 
-    Scores each step through u_t = tanh(W h_t + b). In the default
-    ``summed-score`` mode the scalar score is the sum of u_t's components,
-    softmax-normalized over time, and the context is the weighted sum of
-    hidden states. ``per-component`` instead softmaxes each component of
-    u over time and weights h elementwise (requires the projection to be
-    square).
+    Scores each step through u_t = tanh(W h_t + b) with a square W; the
+    scalar score of a step is the sum of u_t's components, softmax-normalized
+    over time, and the context is the weighted sum of hidden states.
     """
 
-    def __init__(self, hidden: int, att_dim: int | None = None, mode: str = "summed-score",
-                 rng: np.random.Generator | None = None):
+    def __init__(self, hidden: int, rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
-        if mode not in ("summed-score", "per-component"):
-            raise ValueError(f"unknown attention mode {mode!r}")
-        att_dim = hidden if att_dim is None else att_dim
-        if mode == "per-component" and att_dim != hidden:
-            raise ValueError("per-component attention needs att_dim == hidden")
-        self.mode = mode
         self.hidden = hidden
-        self.att_dim = att_dim
         self.params = {
-            "w": glorot_uniform(rng, (att_dim, hidden), hidden, att_dim),
-            "b": np.zeros(att_dim),
+            "w": glorot_uniform(rng, (hidden, hidden), hidden, hidden),
+            "b": np.zeros(hidden),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
@@ -241,14 +232,8 @@ class Attention:
             )
         self._h = h_seq
         self._u = np.tanh(h_seq @ self.params["w"].T + self.params["b"])
-        if self.mode == "summed-score":
-            scores = self._u.sum(axis=2)  # (batch, length)
-            self._alpha = stable_softmax(scores, axis=1)
-            context = np.einsum("bl,blh->bh", self._alpha, h_seq)
-        else:
-            self._alpha = stable_softmax(self._u, axis=1)  # per component over time
-            context = np.einsum("blh,blh->bh", self._alpha, h_seq)
-        return context
+        self._alpha = stable_softmax(self._u.sum(axis=2), axis=1)  # (batch, length)
+        return np.einsum("bl,blh->bh", self._alpha, h_seq)
 
     @property
     def weights(self) -> np.ndarray:
@@ -257,18 +242,11 @@ class Attention:
 
     def backward(self, grad_context: np.ndarray) -> np.ndarray:
         h, u, alpha = self._h, self._u, self._alpha
-        if self.mode == "summed-score":
-            dalpha = np.einsum("bh,blh->bl", grad_context, h)
-            dh = alpha[:, :, None] * grad_context[:, None, :]
-            inner = np.sum(dalpha * alpha, axis=1, keepdims=True)
-            dscores = alpha * (dalpha - inner)
-            du = dscores[:, :, None] * np.ones((1, 1, self.att_dim))
-        else:
-            dalpha = grad_context[:, None, :] * h
-            dh = alpha * grad_context[:, None, :]
-            inner = np.sum(dalpha * alpha, axis=1, keepdims=True)
-            du = alpha * (dalpha - inner)
-        da = du * (1.0 - u ** 2)
+        dalpha = np.einsum("bh,blh->bl", grad_context, h)
+        dh = alpha[:, :, None] * grad_context[:, None, :]
+        dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=1, keepdims=True))
+        # Each component of u_t adds to the score, so all share its gradient.
+        da = dscores[:, :, None] * (1.0 - u ** 2)
         self.grads["w"] += np.einsum("bla,blh->ah", da, h)
         self.grads["b"] += da.sum(axis=(0, 1))
         dh += da @ self.params["w"]
@@ -313,7 +291,8 @@ class BatchNorm:
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
+    def forward(self, x: np.ndarray, train: bool = True,
+                rng: np.random.Generator | None = None) -> np.ndarray:
         if train:
             mean = x.mean(axis=0)
             var = x.var(axis=0)

@@ -11,6 +11,7 @@ import csv
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,15 @@ from .geometry import (
     scm,
     tangent_vectorize,
 )
-from .model import ArchitectureConfig, TwoStreamModel, evaluate_model, train_model
+from .model import (
+    LOSSES,
+    OUTPUT_ACTIVATIONS,
+    VARIANTS,
+    ArchitectureConfig,
+    TwoStreamModel,
+    evaluate_model,
+    train_model,
+)
 from .nnet import load_checkpoint, save_checkpoint
 from .spectral import build_feature_sequence, plan_stft
 
@@ -43,25 +52,18 @@ logger = logging.getLogger("spd_bci.pipeline")
 
 SEGMENT_SUFFIX = ".eegs"
 
-# Checkpoint labels: the three stream variants plus fused models with an
-# alternative fusion rule, so ablation can compare both axes. "fused" always
-# means the full (1 + weight) rule. The table order is the ``meta.variant``
-# code stored in checkpoints.
-_VARIANT_SPECS = {
-    "fused": ("fused", "weighted"),
-    "temporal": ("temporal", "weighted"),
-    "spatial": ("spatial", "weighted"),
-    "concatenation": ("fused", "concatenation"),
-    "soft-attention": ("fused", "soft-attention"),
-    "independent-sigmoid": ("fused", "independent-sigmoid"),
+# ArchitectureConfig fields that a pipeline config sets under the same name.
+_SHARED_FIELDS = {f.name for f in fields(PipelineConfig)} & {
+    f.name for f in fields(ArchitectureConfig)
 }
-_VARIANT_CODES = {label: float(i) for i, label in enumerate(_VARIANT_SPECS)}
-
-
-def _variant_label(config: PipelineConfig) -> str:
-    if config.variant != "fused" or config.fusion_mode == "weighted":
-        return config.variant
-    return config.fusion_mode
+# The choices that a checkpoint's tensor names and shapes leave open, stored as
+# ``meta.<field>``: a label as its index into this vocabulary, a count (None) as itself.
+_META_VOCABULARIES = {
+    "variant": VARIANTS,
+    "n_outputs": None,
+    "output_activation": OUTPUT_ACTIVATIONS,
+    "loss": LOSSES,
+}
 
 
 def _segment_files(directory: Path) -> list[Path]:
@@ -252,29 +254,34 @@ def run_features(config: PipelineConfig) -> dict:
 
 def _architecture(config: PipelineConfig, label: str, temporal_dim: int,
                   spatial_dim: int) -> ArchitectureConfig:
-    variant, fusion_mode = _VARIANT_SPECS[label]
-    return ArchitectureConfig(
-        temporal_input_dim=temporal_dim,
-        spatial_input_dim=spatial_dim,
-        n_outputs=config.n_outputs,
-        lstm_layers=config.lstm_layers,
-        lstm_hidden=config.lstm_hidden,
-        temporal_regularizer=config.temporal_regularizer,
-        temporal_dropout=tuple([0.2] + [0.1] * (config.lstm_layers - 1)),
-        temporal_embedding_dim=config.temporal_embedding_dim,
-        spatial_hidden=config.spatial_hidden,
-        spatial_embedding_dim=config.spatial_embedding_dim,
-        encoder_hidden=config.encoder_hidden,
-        fusion_hidden=config.fusion_hidden,
-        fusion_mode=fusion_mode,
-        attention_mode=config.attention_mode,
-        output_activation=config.output_activation,
-        loss=config.loss,
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        learning_rate=config.learning_rate,
-        variant=variant,
-    )
+    """The model that ``config`` describes under the variant ``label``."""
+    shared = {name: getattr(config, name) for name in _SHARED_FIELDS}
+    return ArchitectureConfig(**{
+        **shared,
+        "variant": label,
+        "temporal_input_dim": temporal_dim,
+        "spatial_input_dim": spatial_dim,
+        "n_outputs": config.n_outputs,
+    })
+
+
+def _meta_codes(arch: ArchitectureConfig) -> dict[str, float]:
+    """The checkpoint ``meta.*`` tensors that pin ``arch``'s open choices."""
+    codes = {}
+    for name, vocabulary in _META_VOCABULARIES.items():
+        value = getattr(arch, name)
+        codes[f"meta.{name}"] = float(value if vocabulary is None else vocabulary.index(value))
+    return codes
+
+
+def _meta_text(name: str, code: float) -> str:
+    """A stored ``meta.<name>`` code as the choice it stands for."""
+    vocabulary = _META_VOCABULARIES[name]
+    if vocabulary is None:
+        return f"{code:.0f} outputs"
+    if code.is_integer() and 0 <= code < len(vocabulary):
+        return repr(vocabulary[int(code)])
+    return f"code {code:g}"
 
 
 def _load_features(config: PipelineConfig, split: str) -> dict:
@@ -297,7 +304,7 @@ def run_train(config: PipelineConfig, jobs: int = 1) -> dict:
     if config.rank_mode == "grid":
         return _run_rank_grid(config, train, jobs=jobs)
 
-    label = _variant_label(config)
+    label = config.variant
     arch = _architecture(config, label, train["temporal"].shape[2], train["spatial"].shape[1])
     model = TwoStreamModel(arch, seed=config.seed)
     model_dir = config.work_dir / "model"
@@ -308,8 +315,7 @@ def run_train(config: PipelineConfig, jobs: int = 1) -> dict:
         log_path=model_dir / f"train_log_{label}.jsonl",
     )
     tensors = dict(model.params())
-    tensors["meta.variant"] = np.array(_VARIANT_CODES[label])
-    tensors["meta.n_outputs"] = np.array(float(arch.n_outputs))
+    tensors.update({key: np.array(code) for key, code in _meta_codes(arch).items()})
     save_checkpoint(_checkpoint_path(config, label), tensors)
     return {"variant": label, "epochs": len(history), "final_loss": history[-1]["loss"]}
 
@@ -320,9 +326,7 @@ def _grid_point(payload) -> dict:
     filters, references = fit_spatial_reducers(scms[fit_idx], rank)
     spatial_fit = spatial_features_for(scms[fit_idx], filters, references, policy="train-mean")
     spatial_val = spatial_features_for(scms[val_idx], filters, references, policy="train-mean")
-    arch = _architecture(
-        config, _variant_label(config), temporal.shape[2], spatial_fit.shape[1]
-    )
+    arch = _architecture(config, config.variant, temporal.shape[2], spatial_fit.shape[1])
     model = TwoStreamModel(arch, seed=config.seed)
     train_model(model, temporal[fit_idx], spatial_fit, labels[fit_idx], seed=config.seed)
     metrics = evaluate_model(model, temporal[val_idx], spatial_val, labels[val_idx])
@@ -388,19 +392,16 @@ def _evaluate_variant(config: PipelineConfig, label: str, test: dict) -> dict:
     if not path.is_file():
         raise DataError(f"missing checkpoint for variant {label!r}: {path}")
     tensors = load_checkpoint(path)
-    stored = tensors.pop("meta.variant", None)
-    if stored is not None and float(stored) != _VARIANT_CODES[label]:
-        raise ConfigError(
-            f"checkpoint {path} was trained for a different variant "
-            f"(code {float(stored):.0f})"
-        )
-    n_outputs = tensors.pop("meta.n_outputs", None)
-    if n_outputs is not None and float(n_outputs) != config.n_outputs:
-        raise ConfigError(
-            f"checkpoint {path} key 'meta.n_outputs' is {float(n_outputs):.0f}, "
-            f"this profile has {config.n_outputs} outputs"
-        )
     arch = _architecture(config, label, test["temporal"].shape[2], test["spatial"].shape[1])
+    # A checkpoint written before a meta key existed loads without that check.
+    for key, code in _meta_codes(arch).items():
+        stored = tensors.pop(key, None)
+        if stored is not None and float(stored) != code:
+            name = key.removeprefix("meta.")
+            raise ConfigError(
+                f"checkpoint {path} key {key!r} is {_meta_text(name, float(stored))}, "
+                f"this config has {_meta_text(name, code)}"
+            )
     model = TwoStreamModel(arch, seed=config.seed)
     try:
         model.load_params(tensors)
@@ -419,11 +420,10 @@ def _evaluate_variant(config: PipelineConfig, label: str, test: dict) -> dict:
 def run_evaluate(config: PipelineConfig) -> dict:
     """Score the trained model on the test split and write metrics JSON."""
     test = _load_features(config, "test")
-    label = _variant_label(config)
-    metrics = _evaluate_variant(config, label, test)
+    metrics = _evaluate_variant(config, config.variant, test)
     metrics = {
         "profile": config.profile,
-        "variant": label,
+        "variant": config.variant,
         "task": config.task,
         "n_test": int(test["labels"].shape[0]),
         **metrics,
@@ -438,9 +438,9 @@ def run_ablate(config: PipelineConfig) -> list[dict]:
     if not config.ablate_variants:
         raise ConfigError("ablate needs a non-empty ablate_variants list")
     for label in config.ablate_variants:
-        if label not in _VARIANT_SPECS:
+        if label not in VARIANTS:
             raise ConfigError(
-                f"unknown ablate variant {label!r}; choose from {sorted(_VARIANT_SPECS)}"
+                f"unknown ablate variant {label!r}; choose from {sorted(VARIANTS)}"
             )
     test = _load_features(config, "test")
     rows = []

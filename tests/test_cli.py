@@ -111,8 +111,9 @@ class TestConfigParsing:
     def test_unknown_variant_and_fusion_mode_rejected(self):
         with pytest.raises(ConfigError, match="unknown variant"):
             parse_config_text("profile = synthetic\nvariant = hybrid\n")
-        with pytest.raises(ConfigError, match="unknown fusion mode"):
-            parse_config_text("profile = synthetic\nfusion_mode = max-pool\n")
+        # The variant label names the fusion rule; there is no separate key.
+        with pytest.raises(ConfigError, match="unknown config key 'fusion_mode'"):
+            parse_config_text("profile = synthetic\nfusion_mode = soft-attention\n")
 
     def test_profile_task_pairings(self):
         assert PROFILES["bci2a"]["n_classes"] == 4
@@ -231,8 +232,8 @@ class TestPipelineRun:
     def test_ablate_compares_fusion_rules(self, workspace):
         # Fused checkpoints with alternative fusion rules coexist with the
         # full-rule "fused" checkpoint under their own labels.
-        for mode in ("concatenation", "soft-attention"):
-            config = write_config(workspace, extra=f"fusion_mode = {mode}\n")
+        for label in ("concatenation", "soft-attention"):
+            config = write_config(workspace, extra=f"variant = {label}\n")
             assert main(["train", "--config", str(config)]) == 0
         config = write_config(
             workspace, extra="ablate_variants = concatenation,soft-attention,fused\n"
@@ -611,6 +612,18 @@ class TestCheckpointMismatch:
         assert main(["evaluate", "--config", str(dropout)]) == 1
         err = capsys.readouterr().err
         assert "checkpoint has tensors this model does not" in err and "lstm0_reg." in err
+
+    def test_task_head_mismatch_exits_1_naming_key(self, workspace, capsys):
+        head = "variant = spatial\nepochs = 1\noutput_activation = sigmoid\n"
+        config = write_config(workspace, extra=head + "loss = bce\n")
+        assert main(["train", "--config", str(config)]) == 0
+        regression = write_config(
+            workspace, extra=head + "loss = mse\ntask = regression\nn_classes = 1\n"
+        )
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(regression)]) == 1
+        err = capsys.readouterr().err
+        assert "'meta.loss' is 'bce'" in err and "'mse'" in err
 
     def test_output_count_mismatch_exits_1_naming_key(self, workspace, capsys):
         config = write_config(workspace, extra="variant = spatial\nepochs = 1\n")

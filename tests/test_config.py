@@ -37,8 +37,6 @@ SAMPLES = {
     "spatial_embedding_dim": ("10", 10),
     "encoder_hidden": ("4", 4),
     "fusion_hidden": ("16", 16),
-    "fusion_mode": ("soft-attention", "soft-attention"),
-    "attention_mode": ("per-component", "per-component"),
     "variant": ("spatial", "spatial"),
     "reference_policy": ("train-mean", "train-mean"),
     "rank_mode": ("grid", "grid"),
@@ -96,11 +94,23 @@ def test_unknown_constant_channel_mode_is_a_config_error():
         parse_config_text("profile = synthetic\nconstant_channel = drop\n")
 
 
+EXAMPLE = Path(__file__).resolve().parent.parent / "docs" / "example-config.cfg"
+
+
 def test_example_config_parses():
-    example = Path(__file__).resolve().parent.parent / "docs" / "example-config.cfg"
-    config = parse_config_text(example.read_text(encoding="utf-8"), origin=str(example))
+    config = parse_config_text(EXAMPLE.read_text(encoding="utf-8"), origin=str(EXAMPLE))
     assert config.profile == "synthetic"
     assert config.bands == [BandSpec(8.0, 16.0), BandSpec(16.0, 24.0)]
+
+
+def test_example_config_names_every_key():
+    # A key may be commented out, as those that the named profiles set are.
+    named = {
+        line.lstrip("# ").split("=", 1)[0].strip()
+        for line in EXAMPLE.read_text(encoding="utf-8").splitlines()
+        if "=" in line
+    }
+    assert {f.name for f in fields(PipelineConfig)} <= named
 
 
 def test_named_profile_fixes_band_table_synthetic_does_not():

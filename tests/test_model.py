@@ -62,14 +62,13 @@ class TestArchitectureConfig:
             )
 
     def test_rejects_unknown_fusion_mode(self):
-        with pytest.raises(ValueError, match="fusion"):
-            ArchitectureConfig(**{**TINY, "fusion_mode": "mystery"})
+        # A fusion rule is named by its variant label; "weighted" is the rule of "fused".
+        with pytest.raises(ValueError, match="unknown variant"):
+            ArchitectureConfig(**{**TINY, "variant": "weighted"})
 
-    def test_dropout_rates_must_cover_layers(self):
-        with pytest.raises(ValueError, match="dropout"):
-            ArchitectureConfig(
-                **{**TINY, "temporal_regularizer": "dropout", "temporal_dropout": (0.2,)}
-            )
+    def test_temporal_dropout_is_two_tenths_then_one_tenth(self):
+        model = tiny_model(temporal_regularizer="dropout")
+        assert [model.blocks[f"lstm{i}_reg"].rate for i in range(3)] == [0.2, 0.1, 0.1]
 
 
 # Checkpoint tensor names in order, from a two-layer LSTM stack; pinned so that
@@ -101,24 +100,11 @@ CHECKPOINT_KEYS = {
         ("independent-sigmoid", temporal + _SPATIAL + _ENCODERS + _TOP),
     )
 }
-# Ablation label -> (variant, fusion mode), as the pipeline maps them.
-ABLATION_LABELS = {
-    "fused": ("fused", "weighted"),
-    "temporal": ("temporal", "weighted"),
-    "spatial": ("spatial", "weighted"),
-    "concatenation": ("fused", "concatenation"),
-    "soft-attention": ("fused", "soft-attention"),
-    "independent-sigmoid": ("fused", "independent-sigmoid"),
-}
 
 
 @pytest.mark.parametrize("label, regularizer", sorted(CHECKPOINT_KEYS))
 def test_checkpoint_keys_are_pinned(label, regularizer):
-    variant, fusion_mode = ABLATION_LABELS[label]
-    model = tiny_model(
-        lstm_layers=2, temporal_regularizer=regularizer, temporal_dropout=(0.2, 0.1),
-        variant=variant, fusion_mode=fusion_mode,
-    )
+    model = tiny_model(lstm_layers=2, temporal_regularizer=regularizer, variant=label)
     assert list(model.params()) == CHECKPOINT_KEYS[label, regularizer]
     assert list(model.grads()) == CHECKPOINT_KEYS[label, regularizer]
 
@@ -198,7 +184,7 @@ class TestFusion:
         assert np.all(scale > 1.0) and np.all(scale < 2.0)
 
     def test_concatenation_mode_reduces_to_plain_head(self):
-        model = tiny_model(fusion_mode="concatenation")
+        model = tiny_model(variant="concatenation")
         xt, xs = tiny_batch(np.random.default_rng(8))
         logits = model.forward(xt, xs, train=False)
         e_t = forward_chain(model.streams["temporal"], xt, train=False)
@@ -207,7 +193,7 @@ class TestFusion:
         np.testing.assert_allclose(logits, manual, atol=1e-12)
 
     def test_independent_sigmoid_mode_scales_between_one_and_two(self):
-        model = tiny_model(fusion_mode="independent-sigmoid", seed=9)
+        model = tiny_model(variant="independent-sigmoid", seed=9)
         xt, xs = tiny_batch(np.random.default_rng(9))
         model.forward(xt, xs, train=False)
         alpha = model.fusion_weights
@@ -234,10 +220,15 @@ class TestFusion:
 
 
 class TestEndToEndGradients:
-    @pytest.mark.parametrize("fusion_mode", ["weighted", "soft-attention", "concatenation", "independent-sigmoid"])
-    def test_fused_model_matches_finite_differences(self, fusion_mode):
+    # The ids name the fusion rule; "fused" is the weighted (1 + weight) rule.
+    @pytest.mark.parametrize(
+        "variant",
+        ["fused", "soft-attention", "concatenation", "independent-sigmoid"],
+        ids=["weighted", "soft-attention", "concatenation", "independent-sigmoid"],
+    )
+    def test_fused_model_matches_finite_differences(self, variant):
         rng = np.random.default_rng(20)
-        model = tiny_model(seed=5, fusion_mode=fusion_mode)
+        model = tiny_model(seed=5, variant=variant)
         xt, xs = tiny_batch(rng)
         targets = encode_targets(np.array([0, 1, 1, 0]), model.config)
 
@@ -253,7 +244,7 @@ class TestEndToEndGradients:
         numeric = finite_difference_grads(loss, model.params())
         for key, grad in analytic.items():
             err = max_relative_error(grad, numeric[key])
-            assert err < 1e-4, f"{fusion_mode}: tensor {key} rel err {err:.2e}"
+            assert err < 1e-4, f"{variant}: tensor {key} rel err {err:.2e}"
 
     @pytest.mark.parametrize("variant", ["temporal", "spatial"])
     def test_single_stream_variants_match_finite_differences(self, variant):

@@ -16,10 +16,12 @@ from spd_bci.nnet import (
     Lstm,
     adam_init,
     adam_step,
+    backward_chain,
     binary_cross_entropy,
     binary_cross_entropy_with_logits,
     clip_global_norm,
     cross_entropy,
+    forward_chain,
     load_checkpoint,
     mean_squared_error,
     save_checkpoint,
@@ -183,10 +185,9 @@ class TestAttention:
             atol=1e-12,
         )
 
-    @pytest.mark.parametrize("mode", ["summed-score", "per-component"])
-    def test_gradients_match_finite_differences(self, mode):
+    def test_gradients_match_finite_differences(self):
         check_block_gradients(
-            lambda rng: Attention(3, mode=mode, rng=rng),
+            lambda rng: Attention(3, rng=rng),
             lambda rng: rng.standard_normal((2, 4, 3)),
         )
 
@@ -241,6 +242,18 @@ class TestBatchNorm:
             lambda rng: BatchNorm(3),
             lambda rng: rng.standard_normal((6, 3)),
         )
+
+
+def test_every_block_class_runs_in_a_chain():
+    """Each block has ``forward(x, train=True, rng=None)``, so any list of them is a chain."""
+    rng = np.random.default_rng(12)
+    chain = [Lstm(3, 4, rng=rng), Attention(4, rng=rng), Dense(4, 3, rng=rng), BatchNorm(3),
+             Dropout(0.5)]
+    x = rng.standard_normal((5, 6, 3))
+    for train in (True, False):
+        y = forward_chain(chain, x, train=train, rng=np.random.default_rng(13))
+        assert y.shape == (5, 3) and np.all(np.isfinite(y))
+        assert backward_chain(chain, np.ones_like(y)).shape == x.shape
 
 
 class TestLosses:
