@@ -18,7 +18,7 @@ from typing import get_args, get_type_hints
 from .errors import ConfigError
 from .filters import BandSpec, seed_rhythm_bands, uniform_bands
 from .geometry import tangent_dimension
-from .model import VARIANTS
+from .model import LOSS_FOR_ACTIVATION, VARIANTS
 
 
 # Keys a named dataset profile owns; a config file cannot contradict them.
@@ -114,6 +114,17 @@ class PipelineConfig:
             raise ConfigError(f"unknown constant_channel mode {self.constant_channel!r}")
         if self.task not in ("classification", "regression"):
             raise ConfigError(f"unknown task {self.task!r}")
+        allowed = LOSS_FOR_ACTIVATION.get(self.output_activation)
+        if allowed is None:
+            raise ConfigError(
+                f"unknown output_activation {self.output_activation!r}; "
+                f"choose one of {sorted(LOSS_FOR_ACTIVATION)}"
+            )
+        if self.loss not in allowed:
+            raise ConfigError(
+                f"loss {self.loss!r} cannot pair with output_activation "
+                f"{self.output_activation!r}, which takes {' or '.join(allowed)}"
+            )
         if not 1 <= self.rank <= self.n_channels:
             raise ConfigError(
                 f"rank {self.rank} is outside [1, {self.n_channels}] for profile {self.profile}"
@@ -234,7 +245,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> PipelineConfig:
 
     try:
         return PipelineConfig(profile=profile_name, **settings)
-    except TypeError as exc:
+    except (TypeError, ConfigError) as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
 
 

@@ -27,8 +27,10 @@ embeddings, and ``top`` is ``[fusion_fc, head]``.
 Training is plain mini-batch Adam with global-norm gradient clipping;
 everything is deterministic given the seed. The per-step cost sits in
 ``nnet``: time-batched LSTM input projections, one sigmoid call on the
-stacked gates, and a cache-blocked in-place Adam update. The training
-set is re-predicted after each epoch only when a log is written.
+stacked gates, weight gradients as matmuls over the flattened
+batch·time axis, and a cache-blocked in-place Adam update. An epoch
+makes one forward pass over the training set: the log's metric comes
+from the same training-mode predictions as its loss.
 """
 
 from __future__ import annotations
@@ -64,13 +66,14 @@ VARIANTS = (
 # Labels whose fusion scores the embeddings with encoders.
 _SCORED = ("fused", "soft-attention", "independent-sigmoid")
 
-_LOSS_FOR_ACTIVATION = {
+# Losses each output activation pairs with; ``config`` checks a config file against it too.
+LOSS_FOR_ACTIVATION = {
     "softmax": ("cross-entropy",),
     "sigmoid": ("bce", "mse"),
     "linear": ("mse",),
 }
 # Task-head vocabularies; the order is the ``meta.output_activation``/``meta.loss`` code.
-OUTPUT_ACTIVATIONS = tuple(_LOSS_FOR_ACTIVATION)
+OUTPUT_ACTIVATIONS = tuple(LOSS_FOR_ACTIVATION)
 LOSSES = ("cross-entropy", "bce", "mse")
 
 
@@ -103,7 +106,7 @@ class ArchitectureConfig:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.temporal_regularizer not in ("batchnorm", "dropout"):
             raise ValueError(f"unknown temporal regularizer {self.temporal_regularizer!r}")
-        allowed = _LOSS_FOR_ACTIVATION.get(self.output_activation)
+        allowed = LOSS_FOR_ACTIVATION.get(self.output_activation)
         if allowed is None:
             raise ValueError(f"unknown output activation {self.output_activation!r}")
         if self.loss not in allowed:
@@ -285,21 +288,27 @@ class TwoStreamModel:
             return loss, dp * p * (1.0 - p)
         return mean_squared_error(logits, targets)
 
-    def predict_scores(self, xt, xs) -> np.ndarray:
-        logits = self.forward(xt, xs, train=False)
+    def activate(self, logits) -> np.ndarray:
+        """Head scores from logits: class probabilities, a probability, or the value."""
         if self.config.output_activation == "softmax":
             return stable_softmax(logits, axis=1)
         if self.config.output_activation == "sigmoid":
             return sigmoid(logits)
         return logits
 
-    def predict(self, xt, xs) -> np.ndarray:
-        scores = self.predict_scores(xt, xs)
+    def decide(self, scores) -> np.ndarray:
+        """Predictions from head scores: the class, 0/1 at 0.5, or the regression value."""
         if self.config.loss == "cross-entropy":
             return np.argmax(scores, axis=1)
         if self.config.loss == "bce":
             return (scores[:, 0] >= 0.5).astype(int)
         return scores[:, 0]
+
+    def predict_scores(self, xt, xs) -> np.ndarray:
+        return self.activate(self.forward(xt, xs, train=False))
+
+    def predict(self, xt, xs) -> np.ndarray:
+        return self.decide(self.predict_scores(xt, xs))
 
 
 def encode_targets(labels, config: ArchitectureConfig) -> np.ndarray:
@@ -333,12 +342,13 @@ def train_model(
 
     Deterministic given the seed: shuffling and dropout masks come from
     one generator. A non-finite loss aborts with diagnostics. Each
-    ``history`` record holds ``epoch`` and ``loss``; only when
-    ``log_path`` is given is the training set re-predicted after each
-    epoch to add its accuracy or rmse, and the records written there as
-    JSON lines. That eval-mode pass draws nothing from the generator and
-    leaves the batch-norm running statistics alone, so the fitted
-    parameters are the same either way.
+    ``history`` record holds ``epoch`` and ``loss``, the mean over the
+    epoch's batches of the training-mode loss, each taken before that
+    batch's update. When ``log_path`` is given the record also holds the
+    accuracy or rmse of those same training-mode predictions (the rule of
+    :meth:`TwoStreamModel.predict`), and the records are written there as
+    JSON lines. Either way an epoch makes one forward pass over the data,
+    so the fitted parameters do not depend on the log.
     """
     cfg = model.config
     epochs = cfg.epochs if epochs is None else epochs
@@ -357,6 +367,7 @@ def train_model(
     for epoch in range(1, epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
+        predictions = []  # the epoch's training-mode predictions, in ``order``
         for start in range(0, n, batch_size):
             batch = order[start:start + batch_size]
             bt = xt[batch] if xt is not None else None
@@ -369,6 +380,8 @@ def train_model(
                     f"training diverged: non-finite loss at epoch {epoch}, "
                     f"batch starting at sample {start}"
                 )
+            if log_path is not None:
+                predictions.append(model.decide(model.activate(logits)))
             model.backward(dlogits)
             grads = model.grads()
             clip_global_norm(grads, cfg.grad_clip)
@@ -376,11 +389,11 @@ def train_model(
             epoch_loss += loss * len(batch)
         record = {"epoch": epoch, "loss": epoch_loss / n}
         if log_path is not None:
-            predictions = model.predict(xt, xs)
+            predicted, seen = np.concatenate(predictions), labels_array[order]
             if cfg.loss in ("cross-entropy", "bce"):
-                record["accuracy"] = float(np.mean(predictions == labels_array.astype(int)))
+                record["accuracy"] = float(np.mean(predicted == seen.astype(int)))
             else:
-                record["rmse"] = root_mean_squared_error(labels_array, predictions)
+                record["rmse"] = root_mean_squared_error(seen, predicted)
         history.append(record)
     if log_path is not None:
         with open(log_path, "w", encoding="utf-8") as fh:

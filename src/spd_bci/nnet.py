@@ -19,8 +19,10 @@ blocks is a chain: :func:`forward_chain` runs it in order and
 
 The training step is kept lean: the LSTM projects its inputs for all
 time steps in one matmul and runs one sigmoid per step over the stacked
-input/forget/output gates, ``sigmoid`` is branch-free, and ``adam_step``
-updates in place block by block without full-size temporaries.
+input/forget/output gates, the LSTM and attention weight gradients are
+matmuls over the flattened batch·time axis with no transposed copies,
+``sigmoid`` is branch-free, and ``adam_step`` updates in place block by
+block without full-size temporaries.
 """
 
 from __future__ import annotations
@@ -128,8 +130,9 @@ class Lstm:
     projection x_t W_x^T + b of every step is one matmul before the time
     loop, so only h_{t-1} W_h^T recurs, and one sigmoid call covers the
     stacked input/forget/output gates. Backward likewise keeps only
-    dh_{t-1} = da_t W_h in its loop, then forms the weight, bias and
-    input gradients of all steps with one matmul or sum each.
+    dh_{t-1} = da_t W_h in its loop, then forms the input-weight,
+    recurrent-weight, bias and input gradients of all steps with one
+    matmul or sum each over the flattened batch·time axis.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None):
@@ -198,11 +201,11 @@ class Lstm:
             if t:
                 dh_next = da_t @ w_h
         flat = da.reshape(-1, 4 * nh)
+        # Step t's gates read h_{t-1}, zero at step 0: h shifted one step makes this one matmul.
+        h_prev = np.zeros_like(self._h)
+        h_prev[:, 1:] = self._h[:, :-1]
         self.grads["w"][:, :self.in_dim] += flat.T @ self._x.reshape(-1, self.in_dim)
-        # h_0 = 0, so step 0 adds nothing to the recurrent weight gradient.
-        self.grads["w"][:, self.in_dim:] += np.tensordot(
-            da[:, 1:], self._h[:, :-1], axes=([0, 1], [0, 1])
-        )
+        self.grads["w"][:, self.in_dim:] += flat.T @ h_prev.reshape(-1, nh)
         self.grads["b"] += flat.sum(axis=0)
         return (flat @ w[:, :self.in_dim]).reshape(batch, length, self.in_dim)
 
@@ -247,7 +250,7 @@ class Attention:
         dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=1, keepdims=True))
         # Each component of u_t adds to the score, so all share its gradient.
         da = dscores[:, :, None] * (1.0 - u ** 2)
-        self.grads["w"] += np.einsum("bla,blh->ah", da, h)
+        self.grads["w"] += da.reshape(-1, self.hidden).T @ h.reshape(-1, self.hidden)
         self.grads["b"] += da.sum(axis=(0, 1))
         dh += da @ self.params["w"]
         return dh

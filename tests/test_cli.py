@@ -115,6 +115,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="unknown config key 'fusion_mode'"):
             parse_config_text("profile = synthetic\nfusion_mode = soft-attention\n")
 
+    def test_unknown_output_activation_rejected_at_load(self):
+        with pytest.raises(ConfigError, match="<config>: unknown output_activation 'relu'"):
+            parse_config_text("profile = synthetic\noutput_activation = relu\n")
+
     def test_profile_task_pairings(self):
         assert PROFILES["bci2a"]["n_classes"] == 4
         assert PROFILES["bci2a"]["loss"] == "cross-entropy"
@@ -147,6 +151,16 @@ class TestCliErrors:
         config = tmp_path / "bad.cfg"
         config.write_text("profile = synthetic\nmystery = 1\n", encoding="utf-8")
         assert main(["preprocess", "--config", str(config)]) == 1
+
+    def test_unpaired_head_exits_1_at_preprocess_naming_file_and_keys(self, tmp_path, capsys):
+        # The synthetic profile's softmax head cannot take mse; found at load, not at train.
+        write_synthetic_dataset(tmp_path)
+        config = write_config(tmp_path, extra="loss = mse\n")
+        assert main(["preprocess", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err
+        assert "loss 'mse'" in err and "output_activation 'softmax'" in err
+        assert not (tmp_path / "work").exists()
 
     def test_missing_data_dir_exits_2(self, tmp_path):
         config = write_config(tmp_path)

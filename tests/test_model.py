@@ -337,6 +337,40 @@ class TestTraining:
         assert first["epoch"] == 1
         assert set(first) == {"epoch", "loss", "accuracy"}
 
+    @pytest.mark.parametrize("activation", ["sigmoid", "linear"])
+    def test_logged_rmse_comes_from_the_pass_that_gave_the_loss(self, tmp_path, activation):
+        # Under mse the epoch loss is the mean squared error of the training-mode
+        # predictions, so the logged rmse of those same predictions squares to it.
+        rng = np.random.default_rng(37)
+        xt, xs, _ = separable_dataset(rng, n=20)
+        targets = 1.0 / (1.0 + np.exp(-xs[:, 0]))
+        model = tiny_model(
+            seed=9, output_activation=activation, loss="mse", n_outputs=1, spatial_dropout=0.5
+        )
+        history = train_model(
+            model, xt, xs, targets, epochs=4, batch_size=8, seed=10, log_path=tmp_path / "log"
+        )
+        for record in history:
+            assert record["rmse"] ** 2 == pytest.approx(record["loss"], rel=1e-12, abs=0.0)
+
+    def test_an_epoch_makes_one_forward_pass_over_the_data(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(38)
+        xt, xs, labels = separable_dataset(rng, n=20)
+        model = tiny_model(seed=10)
+        calls = []
+        forward = model.forward
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs.get("train"))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counting)
+        epochs, batch_size = 3, 8
+        train_model(model, xt, xs, labels, epochs=epochs, batch_size=batch_size, seed=11,
+                    log_path=tmp_path / "log")
+        assert len(calls) == epochs * -(-20 // batch_size)  # ceil(n / batch_size) per epoch
+        assert all(calls)  # every pass is a training step
+
     def test_without_log_history_has_loss_only_and_same_parameters(self, tmp_path):
         rng = np.random.default_rng(35)
         xt, xs, labels = separable_dataset(rng, n=16)

@@ -94,7 +94,7 @@ class TestLstm:
 
     @staticmethod
     def per_step_reference(lstm, x, grad_out):
-        """Output, dx, dw, db from one [x_t, h] @ W^T product per step, forward and back."""
+        """Output, dx, dw, db and the gate gradients da from one [x_t, h] @ W^T product per step."""
         w, b, nh = lstm.params["w"], lstm.params["b"], lstm.hidden
         batch, length, _ = x.shape
         h, c = np.zeros((batch, nh)), np.zeros((batch, nh))
@@ -109,7 +109,7 @@ class TestLstm:
             out[:, t] = h
             cache.append((z, i, f, o, g, c_prev, np.tanh(c)))
         dw, db = np.zeros_like(w), np.zeros_like(b)
-        dx = np.empty_like(x)
+        dx, das = np.empty_like(x), np.empty((batch, length, 4 * nh))
         dh_next, dc_next = np.zeros((batch, nh)), np.zeros((batch, nh))
         for t in reversed(range(length)):
             z, i, f, o, g, c_prev, tanh_c = cache[t]
@@ -121,7 +121,8 @@ class TestLstm:
             db += da.sum(axis=0)
             dz = da @ w
             dx[:, t], dh_next, dc_next = dz[:, :lstm.in_dim], dz[:, lstm.in_dim:], dc * f
-        return out, dx, dw, db
+            das[:, t] = da
+        return out, dx, dw, db, das
 
     @pytest.mark.parametrize("batch", [1, 10, 32])
     @pytest.mark.parametrize("length", [1, 15])
@@ -132,11 +133,28 @@ class TestLstm:
         grad_out = rng.standard_normal((batch, length, 8))
         out = lstm.forward(x)
         dx = lstm.backward(grad_out)
-        ref_out, ref_dx, ref_dw, ref_db = self.per_step_reference(lstm, x, grad_out)
+        ref_out, ref_dx, ref_dw, ref_db, _ = self.per_step_reference(lstm, x, grad_out)
         np.testing.assert_allclose(out, ref_out, rtol=1e-12)
         np.testing.assert_allclose(dx, ref_dx, rtol=1e-12)
         np.testing.assert_allclose(lstm.grads["w"], ref_dw, rtol=1e-12)
         np.testing.assert_allclose(lstm.grads["b"], ref_db, rtol=1e-12)
+
+    @pytest.mark.parametrize("batch,length,in_dim", [(1, 1, 5), (7, 15, 5), (32, 15, 24)])
+    def test_weight_gradient_matches_tensordot_form(self, batch, length, in_dim):
+        # Oracle: the contraction over batch and time as tensordots of the gate
+        # gradients with the inputs and with h_{t-1} (sliced, so step 0 drops out).
+        rng = np.random.default_rng(7 * batch + length)
+        lstm = Lstm(in_dim, 6, rng=rng)
+        x = rng.standard_normal((batch, length, in_dim))
+        grad_out = rng.standard_normal((batch, length, 6))
+        h = lstm.forward(x)
+        lstm.backward(grad_out)
+        da = self.per_step_reference(lstm, x, grad_out)[4]
+        expected = np.concatenate([
+            np.tensordot(da, x, axes=([0, 1], [0, 1])),
+            np.tensordot(da[:, 1:], h[:, :-1], axes=([0, 1], [0, 1])),
+        ], axis=1)
+        assert max_relative_error(lstm.grads["w"], expected) <= 1e-12
 
 
 class TestAttention:
@@ -190,6 +208,24 @@ class TestAttention:
             lambda rng: Attention(3, rng=rng),
             lambda rng: rng.standard_normal((2, 4, 3)),
         )
+
+    @pytest.mark.parametrize("batch,length,hidden", [(1, 1, 3), (5, 7, 4), (32, 15, 16)])
+    def test_weight_gradient_matches_einsum_form(self, batch, length, hidden):
+        # Oracle: the score-path gradient da rebuilt from the cached activations,
+        # contracted over batch and time with einsum.
+        rng = np.random.default_rng(11 * batch + length)
+        att = Attention(hidden, rng=rng)
+        h = rng.standard_normal((batch, length, hidden))
+        grad_context = rng.standard_normal((batch, hidden))
+        att.forward(h)
+        att.backward(grad_context)
+        alpha = att.weights
+        dalpha = np.einsum("bh,blh->bl", grad_context, h)
+        dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=1, keepdims=True))
+        da = dscores[:, :, None] * (1.0 - att._u ** 2)
+        np.testing.assert_array_equal(att.grads["b"], da.sum(axis=(0, 1)))  # same da
+        expected = np.einsum("bla,blh->ah", da, h)
+        assert max_relative_error(att.grads["w"], expected) <= 1e-12
 
 
 class TestDropout:
