@@ -18,7 +18,7 @@ from typing import get_args, get_type_hints
 from .errors import ConfigError
 from .filters import BandSpec, seed_rhythm_bands, uniform_bands
 from .geometry import tangent_dimension
-from .model import LOSS_FOR_ACTIVATION, VARIANTS
+from .model import LOSS_FOR_ACTIVATION, VARIANTS, check_head_outputs
 
 
 # Keys a named dataset profile owns; a config file cannot contradict them.
@@ -125,6 +125,16 @@ class PipelineConfig:
                 f"loss {self.loss!r} cannot pair with output_activation "
                 f"{self.output_activation!r}, which takes {' or '.join(allowed)}"
             )
+        try:
+            check_head_outputs(
+                self.loss, self.n_outputs,
+                self.n_classes if self.task == "classification" else None,
+            )
+        except ValueError as exc:
+            raise ConfigError(
+                f"keys task = {self.task}, n_classes = {self.n_classes}, "
+                f"loss = {self.loss}: {exc}"
+            ) from exc
         if not 1 <= self.rank <= self.n_channels:
             raise ConfigError(
                 f"rank {self.rank} is outside [1, {self.n_channels}] for profile {self.profile}"

@@ -77,6 +77,22 @@ OUTPUT_ACTIVATIONS = tuple(LOSS_FOR_ACTIVATION)
 LOSSES = ("cross-entropy", "bce", "mse")
 
 
+def check_head_outputs(loss: str, n_outputs: int, n_classes: int | None = None) -> None:
+    """Raise ValueError unless a head of ``n_outputs`` units can train with ``loss``.
+
+    Cross-entropy scores one class per output and needs two or more; bce and
+    mse train one unit, and bce scores two classes. ``n_classes``, when
+    given, is the class count of a classification task, which the head must
+    score. ``config`` checks a config file against this too.
+    """
+    if loss == "cross-entropy" and n_outputs < 2:
+        raise ValueError("categorical cross-entropy needs at least two outputs")
+    if loss in ("bce", "mse") and n_outputs != 1:
+        raise ValueError(f"{loss} pairs with a single output unit")
+    if loss == "bce" and n_classes not in (None, 2):
+        raise ValueError(f"bce scores two classes, not {n_classes}")
+
+
 @dataclass
 class ArchitectureConfig:
     """Sizes, regularizers, and task pairing for one model instance."""
@@ -113,10 +129,7 @@ class ArchitectureConfig:
             raise ValueError(
                 f"loss {self.loss!r} cannot pair with activation {self.output_activation!r}"
             )
-        if self.loss == "cross-entropy" and self.n_outputs < 2:
-            raise ValueError("categorical cross-entropy needs at least two outputs")
-        if self.loss in ("bce", "mse") and self.n_outputs != 1:
-            raise ValueError(f"{self.loss} pairs with a single output unit")
+        check_head_outputs(self.loss, self.n_outputs)
 
 
 class _SeqBatchNormLeaky:

@@ -234,7 +234,10 @@ class Attention:
                 f"expected (batch, length, {self.hidden}) hidden sequence, got {h_seq.shape}"
             )
         self._h = h_seq
-        self._u = np.tanh(h_seq @ self.params["w"].T + self.params["b"])
+        # One gemm on the (batch * length, H) view, not one per batch row.
+        u = h_seq.reshape(-1, self.hidden) @ self.params["w"].T
+        u += self.params["b"]
+        self._u = np.tanh(u, out=u).reshape(h_seq.shape)
         self._alpha = stable_softmax(self._u.sum(axis=2), axis=1)  # (batch, length)
         return np.einsum("bl,blh->bh", self._alpha, h_seq)
 
@@ -250,9 +253,10 @@ class Attention:
         dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=1, keepdims=True))
         # Each component of u_t adds to the score, so all share its gradient.
         da = dscores[:, :, None] * (1.0 - u ** 2)
-        self.grads["w"] += da.reshape(-1, self.hidden).T @ h.reshape(-1, self.hidden)
+        da_flat = da.reshape(-1, self.hidden)
+        self.grads["w"] += da_flat.T @ h.reshape(-1, self.hidden)
         self.grads["b"] += da.sum(axis=(0, 1))
-        dh += da @ self.params["w"]
+        dh += (da_flat @ self.params["w"]).reshape(dh.shape)
         return dh
 
 

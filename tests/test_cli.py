@@ -162,6 +162,22 @@ class TestCliErrors:
         assert "loss 'mse'" in err and "output_activation 'softmax'" in err
         assert not (tmp_path / "work").exists()
 
+    @pytest.mark.parametrize("extra,reason", [
+        ("task = regression\n", "cross-entropy needs at least two outputs"),
+        ("n_classes = 1\n", "cross-entropy needs at least two outputs"),
+        ("output_activation = sigmoid\nloss = bce\nn_classes = 3\n", "bce scores two classes"),
+    ])
+    def test_head_output_count_exits_1_at_preprocess(self, tmp_path, capsys, extra, reason):
+        # Found at load: these heads would fail at train (one cross-entropy output)
+        # or at evaluate (a bce head trained on a third class).
+        write_synthetic_dataset(tmp_path)
+        config = write_config(tmp_path, extra=extra)
+        assert main(["preprocess", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and reason in err
+        assert "task = " in err and "n_classes = " in err and "loss = " in err
+        assert not (tmp_path / "work").exists()
+
     def test_missing_data_dir_exits_2(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["preprocess", "--config", str(config)]) == 2

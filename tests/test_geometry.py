@@ -1,11 +1,14 @@
 """SPD geometry tests: covariances, metric ops, Karcher mean, tangent vectors, MDRM."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.optimize
 from conftest import random_invertible, random_spd, random_symmetric
 
+from spd_bci import geometry
 from spd_bci.data import SynthSpec, synth_spd_classes
 from spd_bci.errors import NumericalError
 from spd_bci.geometry import (
@@ -409,6 +412,76 @@ class TestRiemannianMean:
             mean, info = riemannian_mean(mats, tol=1e-9, return_info=True)
             assert info.converged and info.grad_norm < 1e-9
             assert self.whitened_gradient_norm(mean, mats) < 1e-9
+
+    @pytest.mark.parametrize("seed", [31, 32, 33])
+    def test_hessian_matches_second_difference_of_cost(self, seed):
+        # Oracle: the cost (1/2P) sum_i delta^2(C_i, M_t) along the geodesic
+        # M_t = M^{1/2} exp(t xi) M^{1/2}, with distances from scipy's generalized
+        # eigenvalues; its second derivative at t = 0 is <xi, H[xi]>.
+        rng = np.random.default_rng(seed)
+        mats = np.stack([random_spd(rng, 5, 0.1, 10.0) for _ in range(7)])
+        center = random_spd(rng, 5, 0.2, 5.0)
+        xi = random_symmetric(rng, 5)
+        half = self.spectral(center, np.sqrt)
+
+        def cost(t):
+            m_t = half @ scipy.linalg.expm(t * xi) @ half
+            logs = [np.log(scipy.linalg.eigvalsh(c, m_t)) for c in mats]
+            return sum(np.sum(v**2) for v in logs) / (2 * len(mats))
+
+        step = 1e-3
+        second = (cost(step) - 2.0 * cost(0.0) + cost(-step)) / step**2
+        _, log_vals, eigvecs, _ = geometry._karcher_state(center, mats)
+        quadratic = np.vdot(xi, geometry._karcher_hessian(log_vals, eigvecs)(xi))
+        assert quadratic == pytest.approx(second, rel=1e-6)
+        assert quadratic >= np.vdot(xi, xi)  # eigenvalues of H are at least 1
+
+    def test_small_dispersed_stacks_converge_without_warning(self):
+        # 3-8 channels, 3-11 matrices of cond 1e6 each: first-order steps crept
+        # along here and warned at max_iter on 3 of these 40 stacks.
+        rng = np.random.default_rng(99)
+        for _ in range(40):
+            mats = self.dispersed_stack(
+                rng, n=int(rng.integers(3, 9)), count=int(rng.integers(3, 12))
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                mean, info = riemannian_mean(mats, max_iter=50, return_info=True)
+            assert info.converged and info.iterations <= 20
+            assert self.whitened_gradient_norm(mean, mats) < 1e-9
+
+    def test_step_that_raises_the_gradient_is_halved(self, monkeypatch):
+        # Three five-channel matrices with eigenvalues e^-9..e^9: from the
+        # Euclidean mean, a full Newton step raises ||T||, so it is halved.
+        rng = np.random.default_rng(46)
+        mats = []
+        for _ in range(3):
+            q, _ = np.linalg.qr(rng.standard_normal((5, 5)))
+            mats.append((q * np.exp(rng.uniform(-9.0, 9.0, 5))) @ q.T)
+        mats = np.stack(mats)
+        norms, steps = [], []
+        state, expm_ = geometry._karcher_state, geometry.expm
+
+        def recording_state(center, stack):
+            result = state(center, stack)
+            norms.append(np.linalg.norm(result[3]))
+            return result
+
+        def recording_expm(mat):
+            steps.append(mat)
+            return expm_(mat)
+
+        monkeypatch.setattr(geometry, "_karcher_state", recording_state)
+        monkeypatch.setattr(geometry, "expm", recording_expm)
+        mean, info = riemannian_mean(mats, return_info=True)
+        # norms[k] is the candidate made from steps[k - 1]; a rejected one does not fall.
+        rejected = [k for k in range(1, len(norms)) if norms[k] >= min(norms[:k])]
+        assert rejected
+        for k in rejected:
+            np.testing.assert_array_equal(steps[k], 0.5 * steps[k - 1])
+        assert norms[rejected[0] + 1] < min(norms[:rejected[0]])
+        assert info.converged and info.iterations == len(norms)
+        assert self.whitened_gradient_norm(mean, mats) < 1e-9
 
     def test_non_convergence_warns(self):
         rng = np.random.default_rng(17)

@@ -227,6 +227,25 @@ class TestAttention:
         expected = np.einsum("bla,blh->ah", da, h)
         assert max_relative_error(att.grads["w"], expected) <= 1e-12
 
+    @pytest.mark.parametrize("batch,length,hidden", [(1, 1, 3), (5, 7, 4), (32, 15, 16)])
+    def test_flat_products_match_batched_form(self, batch, length, hidden):
+        # Oracle: h_seq @ W.T and da @ W on the 3-D (batch, length, H) arrays.
+        rng = np.random.default_rng(7 * batch + length)
+        att = Attention(hidden, rng=rng)
+        att.params["b"] = rng.standard_normal(hidden)
+        h = rng.standard_normal((batch, length, hidden))
+        grad_context = rng.standard_normal((batch, hidden))
+        att.forward(h)
+        dh = att.backward(grad_context)
+        w, alpha = att.params["w"], att.weights
+        u = np.tanh(h @ w.T + att.params["b"])
+        assert max_relative_error(att._u, u) <= 1e-12
+        dalpha = np.einsum("bh,blh->bl", grad_context, h)
+        dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=1, keepdims=True))
+        da = dscores[:, :, None] * (1.0 - u ** 2)
+        expected = alpha[:, :, None] * grad_context[:, None, :] + da @ w
+        assert max_relative_error(dh, expected) <= 1e-12
+
 
 class TestDropout:
     def test_rate_zero_is_identity(self):
