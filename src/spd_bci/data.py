@@ -12,16 +12,25 @@ Segment file (one trial per file):
     label      f64      class labels stored as integral floats
     payload    channels * samples f64, row-major
 
-Tensor bundle (named arrays, also used for feature files):
+Tensor bundle (named arrays, also used for feature files and checkpoints):
     magic      4 bytes  b"SPDT"
     version    u32
     count      u32
     per tensor: u16 name length, utf-8 name, u8 ndim, ndim * u64 shape,
                 f64 payload in C order
+
+Bundles move no payload through an intermediate buffer: ``write_tensors``
+writes each array's own memory, and ``read_tensors`` reads each payload
+straight into a new aligned, C-contiguous, writable float64 array (payload
+offsets follow the name lengths, so views into one file buffer would be
+misaligned). A declared payload is checked against the bytes left in the
+file before its array is allocated.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -104,61 +113,83 @@ def read_segment(path) -> EegSegment:
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray]):
+    """Write named arrays as a tensor bundle, each payload straight from the array's buffer.
+
+    A C-contiguous little-endian float64 array is written as it is; anything
+    else is converted once.
+    """
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(tensors)))
         for name, arr in tensors.items():
-            arr = np.asarray(arr, dtype=np.float64)
+            arr = np.require(arr, dtype="<f8", requirements="C")
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<H", len(encoded)))
             fh.write(encoded)
             fh.write(struct.pack("<B", arr.ndim))
             if arr.ndim:
                 fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes(order="C"))
+            fh.write(arr)
 
 
 def read_tensors(path) -> dict[str, np.ndarray]:
+    """Read a tensor bundle; each payload is read straight into its own new array.
+
+    Every array is a fresh aligned, C-contiguous, writable float64 array, so
+    callers may use it in place. A declared payload larger than the rest of
+    the file is a truncation error before anything is allocated.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != TENSOR_MAGIC:
-        raise DataError(f"{path}: bad magic {data[:4]!r} at offset 0")
-    if len(data) < 12:
-        raise DataError(f"{path}: truncated header, {len(data)} bytes")
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported version {version} at offset 4")
-    offset = 12
-    tensors: dict[str, np.ndarray] = {}
-    try:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:4] != TENSOR_MAGIC:
+            raise DataError(f"{path}: bad magic {head[:4]!r} at offset 0")
+        if len(head) < 12:
+            raise DataError(f"{path}: truncated header, {size} bytes")
+        version, count = struct.unpack_from("<II", head, 4)
+        if version != FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported version {version} at offset 4")
+        offset = 12
+
+        def field(n_bytes: int) -> bytes:
+            raw = fh.read(n_bytes)
+            if len(raw) != n_bytes:
+                raise DataError(f"{path}: truncated tensor header at offset {offset}")
+            return raw
+
+        tensors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", data, offset)
+            (name_len,) = struct.unpack("<H", field(2))
             offset += 2
             try:
-                name = data[offset:offset + name_len].decode("utf-8")
+                name = field(name_len).decode("utf-8")
             except UnicodeDecodeError as exc:
                 raise DataError(f"{path}: tensor name at offset {offset} is not UTF-8") from exc
             offset += name_len
-            (ndim,) = struct.unpack_from("<B", data, offset)
+            (ndim,) = struct.unpack("<B", field(1))
             offset += 1
-            shape = struct.unpack_from(f"<{ndim}Q", data, offset) if ndim else ()
+            shape = struct.unpack(f"<{ndim}Q", field(8 * ndim))
             offset += 8 * ndim
-            n_bytes = 8 * int(np.prod(shape)) if ndim else 8
-            payload = data[offset:offset + n_bytes]
-            if len(payload) != n_bytes:
+            n_bytes = 8 * math.prod(shape)
+            if n_bytes > size - offset:
                 raise DataError(
                     f"{path}: tensor {name!r} truncated at offset {offset}: "
-                    f"expected {n_bytes} bytes, found {len(payload)}"
+                    f"expected {n_bytes} bytes, found {size - offset}"
                 )
-            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+            arr = np.empty(shape, dtype="<f8")
+            found = fh.readinto(arr)
+            if found != n_bytes:  # the file shrank while it was read
+                raise DataError(
+                    f"{path}: tensor {name!r} truncated at offset {offset}: "
+                    f"expected {n_bytes} bytes, found {found}"
+                )
+            tensors[name] = arr
             offset += n_bytes
-    except struct.error as exc:
-        raise DataError(f"{path}: truncated tensor header at offset {offset}") from exc
-    if offset != len(data):
-        raise DataError(
-            f"{path}: {len(data) - offset} bytes of trailing data at offset {offset} "
-            f"after {count} declared tensor(s)"
-        )
+        if offset != size:
+            raise DataError(
+                f"{path}: {size - offset} bytes of trailing data at offset {offset} "
+                f"after {count} declared tensor(s)"
+            )
     return tensors
 
 

@@ -214,7 +214,9 @@ class MeanInfo:
     """Convergence report for the iterative Riemannian mean.
 
     ``grad_norm`` is the whitened tangent norm ``||T||_F`` (see
-    :func:`riemannian_mean`) at the returned mean, converged or not.
+    :func:`riemannian_mean`) at the returned mean, converged or not. A mean
+    that stopped at the rounding floor is converged with a ``grad_norm``
+    that may exceed ``tol``.
     """
 
     converged: bool
@@ -232,6 +234,12 @@ def _karcher_state(center: np.ndarray, mats: np.ndarray):
     eigvals, eigvecs = _spd_eigh(_symmetrize(inv_half @ mats @ inv_half), "whitened input")
     log_vals = np.log(eigvals)
     return half, log_vals, eigvecs, _from_eigh(log_vals, eigvecs).mean(axis=0)
+
+
+def _rounding_floor(log_vals: np.ndarray) -> float:
+    """n eps kappa: how far rounding alone moves ``||T||_F`` (see :func:`riemannian_mean`)."""
+    spread = float(np.max(log_vals[..., -1] - log_vals[..., 0]))  # eigh sorts ascending
+    return log_vals.shape[-1] * np.finfo(np.float64).eps * np.exp(spread)
 
 
 def _karcher_hessian(log_vals: np.ndarray, eigvecs: np.ndarray):
@@ -295,9 +303,17 @@ def riemannian_mean(mats, tol: float = 1e-9, max_iter: int = 50, return_info: bo
     gives quadratic convergence near the mean and <T, H xi> >= ||T||^2 / 2
     away from it. The candidate M^{1/2} exp(xi) M^{1/2} is accepted when its
     ``||T||_F`` is smaller, and its eigendecompositions are reused for the
-    next step; otherwise xi is halved, and a short enough step always lowers
-    ``||T||_F``. Jeuris, Vandebril and Vandereycken (2012) compare this and
-    other Karcher-mean solvers.
+    next step; otherwise xi is halved, and in exact arithmetic a short enough
+    step always lowers ``||T||_F``. In float64 it may not: for n x n inputs a
+    log eigenvalue of W_i is only known to about n eps kappa, where eps is
+    the float64 epsilon and kappa the largest condition number of the W_i,
+    read off the log eigenvalues the step already has. So when a candidate
+    is rejected while ``||T||_F < tol + n eps kappa``, the mean has converged
+    as far as rounding allows and is returned. That floor is far below
+    ``tol`` for well-conditioned stacks; it keeps a stack of whitened
+    condition 1e8 from halving at its noise floor until ``max_iter``.
+    Jeuris, Vandebril and Vandereycken (2012) compare this and other
+    Karcher-mean solvers.
 
     ``iterations`` counts evaluations of T, one batched eigendecomposition of
     the whitened stack each, rejected candidates included; ``max_iter`` caps
@@ -310,7 +326,8 @@ def riemannian_mean(mats, tol: float = 1e-9, max_iter: int = 50, return_info: bo
     half, log_vals, eigvecs, tangent = _karcher_state(center, mats)
     grad_norm = float(np.linalg.norm(tangent, ord="fro"))
     iterations = 1
-    while grad_norm >= tol and iterations < max_iter:
+    converged = grad_norm < tol
+    while not converged and iterations < max_iter:
         direction = _newton_direction(_karcher_hessian(log_vals, eigvecs), tangent)
         while iterations < max_iter:
             candidate = _symmetrize(half @ expm(direction) @ half)
@@ -320,9 +337,12 @@ def riemannian_mean(mats, tol: float = 1e-9, max_iter: int = 50, return_info: bo
             if candidate_norm < grad_norm:
                 center, grad_norm = candidate, candidate_norm
                 half, log_vals, eigvecs, tangent = state
+                converged = grad_norm < tol
+                break
+            if grad_norm < tol + _rounding_floor(log_vals):
+                converged = True  # no step can lower ||T|| below rounding
                 break
             direction = 0.5 * direction
-    converged = grad_norm < tol
     if not converged:
         warnings.warn(
             f"Riemannian mean did not converge in {max_iter} iterations "

@@ -22,7 +22,10 @@ score instead of a softmax over both. The label's index in
 names to blocks in construction order (the order of the init draws and
 of ``params()``), ``streams`` holds one chain per input, temporal first,
 ``encoders`` one scoring chain per stream for the labels that score the
-embeddings, and ``top`` is ``[fusion_fc, head]``.
+embeddings, and ``top`` is ``[fusion_fc, head]``. ``seed=None`` builds
+the same chains without an initialisation, for a fitted model:
+``load_params`` then installs the checkpoint's arrays as the parameters,
+with no draw and no copy, which is how ``evaluate`` and ``ablate`` load.
 
 Training is plain mini-batch Adam with global-norm gradient clipping;
 everything is deterministic given the seed. The per-step cost sits in
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -157,9 +161,12 @@ class _SeqBatchNormLeaky:
 class TwoStreamModel:
     """Trainable spatio-temporal model: named block chains; see the module docstring."""
 
-    def __init__(self, config: ArchitectureConfig, seed: int = 0):
+    def __init__(self, config: ArchitectureConfig, seed: int | None = 0):
         self.config = config
-        rng = np.random.default_rng(seed)
+        # seed=None builds the shapes only, for load_params to fill; nothing is drawn.
+        init = seed is not None
+        rng = np.random.default_rng(seed) if init else None
+        dense = partial(Dense, rng=rng, init=init)
         self.blocks: dict[str, object] = {}
         self.streams: dict[str, list] = {}
         self.encoders: dict[str, list] = {}
@@ -167,27 +174,27 @@ class TwoStreamModel:
         if config.variant != "spatial":
             temporal, in_dim = {}, config.temporal_input_dim
             for i in range(config.lstm_layers):
-                temporal[f"lstm{i}"] = Lstm(in_dim, config.lstm_hidden, rng=rng)
+                temporal[f"lstm{i}"] = Lstm(in_dim, config.lstm_hidden, rng=rng, init=init)
                 temporal[f"lstm{i}_reg"] = (
                     _SeqBatchNormLeaky(config.lstm_hidden)
                     if config.temporal_regularizer == "batchnorm"
                     else Dropout(0.2 if i == 0 else 0.1)
                 )
                 in_dim = config.lstm_hidden
-            temporal["attention"] = Attention(config.lstm_hidden, rng=rng)
-            temporal["temporal_embed"] = Dense(
-                config.lstm_hidden, config.temporal_embedding_dim, "identity", rng=rng
+            temporal["attention"] = Attention(config.lstm_hidden, rng=rng, init=init)
+            temporal["temporal_embed"] = dense(
+                config.lstm_hidden, config.temporal_embedding_dim, "identity"
             )
             self.streams["temporal"] = self._chain(temporal)
             dims["temporal"] = config.temporal_embedding_dim
         if config.variant != "temporal":
             self.streams["spatial"] = self._chain({
-                "spatial_fc1": Dense(
-                    config.spatial_input_dim, config.spatial_hidden, "leaky-relu", rng=rng
+                "spatial_fc1": dense(
+                    config.spatial_input_dim, config.spatial_hidden, "leaky-relu"
                 ),
                 "spatial_drop1": Dropout(config.spatial_dropout),
-                "spatial_fc2": Dense(
-                    config.spatial_hidden, config.spatial_embedding_dim, "identity", rng=rng
+                "spatial_fc2": dense(
+                    config.spatial_hidden, config.spatial_embedding_dim, "identity"
                 ),
                 "spatial_drop2": Dropout(config.spatial_dropout),
             })
@@ -195,12 +202,12 @@ class TwoStreamModel:
         if config.variant in _SCORED:
             for name, dim in dims.items():
                 self.encoders[name] = self._chain({
-                    f"encoder_{name[0]}0": Dense(dim, config.encoder_hidden, "tanh", rng=rng),
-                    f"encoder_{name[0]}1": Dense(config.encoder_hidden, 1, "identity", rng=rng),
+                    f"encoder_{name[0]}0": dense(dim, config.encoder_hidden, "tanh"),
+                    f"encoder_{name[0]}1": dense(config.encoder_hidden, 1, "identity"),
                 })
         self.top = self._chain({
-            "fusion_fc": Dense(sum(dims.values()), config.fusion_hidden, "leaky-relu", rng=rng),
-            "head": Dense(config.fusion_hidden, config.n_outputs, "identity", rng=rng),
+            "fusion_fc": dense(sum(dims.values()), config.fusion_hidden, "leaky-relu"),
+            "head": dense(config.fusion_hidden, config.n_outputs, "identity"),
         })
 
     def _chain(self, named: dict) -> list:
@@ -228,6 +235,15 @@ class TwoStreamModel:
             g[:] = 0.0
 
     def load_params(self, tensors: dict[str, np.ndarray]):
+        """Install ``tensors`` (checkpoint name -> array) as the model's parameters.
+
+        The names must be exactly the model's and each shape must match;
+        otherwise ValueError. Each array then becomes the parameter itself,
+        not a copy, when it is float64, C-contiguous, aligned and writable,
+        as :func:`spd_bci.data.read_tensors` returns them; the model owns it
+        from then on, and training updates it in place. Any other array is
+        converted once.
+        """
         params = self.params()
         missing = set(params) - set(tensors)
         if missing:
@@ -241,7 +257,9 @@ class TwoStreamModel:
                 raise ValueError(
                     f"tensor {key!r} has shape {incoming.shape}, model expects {arr.shape}"
                 )
-            arr[:] = incoming
+        for name, block in self.blocks.items():
+            for key in block.params:
+                block.params[key] = np.require(tensors[f"{name}.{key}"], np.float64, "CAW")
 
     # -- forward/backward ---------------------------------------------------
 

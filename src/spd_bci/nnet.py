@@ -15,7 +15,10 @@ over time.
 Every block has the same signature, ``forward(x, train=True, rng=None)``
 and ``backward(grad)``; only dropout draws from ``rng``. So a list of
 blocks is a chain: :func:`forward_chain` runs it in order and
-:func:`backward_chain` in reverse.
+:func:`backward_chain` in reverse. A block built with ``init=False`` draws
+nothing: its parameters are read-only NaN placeholders of the right
+shapes, for a caller that installs fitted arrays in their place (see
+``TwoStreamModel.load_params``).
 
 The training step is kept lean: the LSTM projects its inputs for all
 time steps in one matmul and runs one sigmoid per step over the stacked
@@ -40,6 +43,23 @@ ADAM_BLOCK = 1 << 15
 def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def _unset(**shapes) -> dict[str, np.ndarray]:
+    """Parameters of a block built to be loaded: read-only NaN views that allocate nothing."""
+    return {key: np.broadcast_to(np.nan, shape) for key, shape in shapes.items()}
+
+
+def _zero_grads(params: dict[str, np.ndarray], init: bool) -> dict[str, np.ndarray]:
+    """Gradient buffers shaped like ``params``.
+
+    ``zeros_like`` writes every page now, so the first training step does
+    not fault them in; a block built to be loaded (``init=False``) takes
+    ``np.zeros``, which the allocator hands out untouched until first use.
+    """
+    if init:
+        return {key: np.zeros_like(arr) for key, arr in params.items()}
+    return {key: np.zeros(arr.shape) for key, arr in params.items()}
 
 
 def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -96,14 +116,17 @@ class Dense:
     """Fully connected layer y = act(x W^T + b)."""
 
     def __init__(self, in_dim: int, out_dim: int, activation: str = "identity",
-                 rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+                 rng: np.random.Generator | None = None, *, init: bool = True):
         self.activation = activation
-        self.params = {
-            "w": glorot_uniform(rng, (out_dim, in_dim), in_dim, out_dim),
-            "b": np.zeros(out_dim),
-        }
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        if init:
+            rng = rng or np.random.default_rng(0)
+            self.params = {
+                "w": glorot_uniform(rng, (out_dim, in_dim), in_dim, out_dim),
+                "b": np.zeros(out_dim),
+            }
+        else:
+            self.params = _unset(w=(out_dim, in_dim), b=(out_dim,))
+        self.grads = _zero_grads(self.params, init)
 
     def forward(self, x: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -135,15 +158,19 @@ class Lstm:
     matmul or sum each over the flattened batch·time axis.
     """
 
-    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None,
+                 *, init: bool = True):
         self.in_dim = in_dim
         self.hidden = hidden
-        w = glorot_uniform(rng, (4 * hidden, in_dim + hidden), in_dim + hidden, hidden)
-        b = np.zeros(4 * hidden)
-        b[hidden:2 * hidden] = 1.0
-        self.params = {"w": w, "b": b}
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        if init:
+            rng = rng or np.random.default_rng(0)
+            w = glorot_uniform(rng, (4 * hidden, in_dim + hidden), in_dim + hidden, hidden)
+            b = np.zeros(4 * hidden)
+            b[hidden:2 * hidden] = 1.0
+            self.params = {"w": w, "b": b}
+        else:
+            self.params = _unset(w=(4 * hidden, in_dim + hidden), b=(4 * hidden,))
+        self.grads = _zero_grads(self.params, init)
 
     def forward(self, x: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -218,14 +245,18 @@ class Attention:
     over time, and the context is the weighted sum of hidden states.
     """
 
-    def __init__(self, hidden: int, rng: np.random.Generator | None = None):
-        rng = rng or np.random.default_rng(0)
+    def __init__(self, hidden: int, rng: np.random.Generator | None = None,
+                 *, init: bool = True):
         self.hidden = hidden
-        self.params = {
-            "w": glorot_uniform(rng, (hidden, hidden), hidden, hidden),
-            "b": np.zeros(hidden),
-        }
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        if init:
+            rng = rng or np.random.default_rng(0)
+            self.params = {
+                "w": glorot_uniform(rng, (hidden, hidden), hidden, hidden),
+                "b": np.zeros(hidden),
+            }
+        else:
+            self.params = _unset(w=(hidden, hidden), b=(hidden,))
+        self.grads = _zero_grads(self.params, init)
 
     def forward(self, h_seq: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:

@@ -402,7 +402,7 @@ def _evaluate_variant(config: PipelineConfig, label: str, test: dict) -> dict:
                 f"checkpoint {path} key {key!r} is {_meta_text(name, float(stored))}, "
                 f"this config has {_meta_text(name, code)}"
             )
-    model = TwoStreamModel(arch, seed=config.seed)
+    model = TwoStreamModel(arch, seed=None)
     try:
         model.load_params(tensors)
     except ValueError as exc:

@@ -14,6 +14,7 @@ from spd_bci.cli import main
 from spd_bci.config import PROFILES, load_config, parse_config_text
 from spd_bci.data import SynthSpec, read_segment, synth_spd_classes, write_segment
 from spd_bci.errors import ConfigError
+from spd_bci.model import VARIANTS
 
 BASE_CONFIG = """
 profile = synthetic
@@ -663,3 +664,89 @@ class TestCheckpointMismatch:
         assert main(["evaluate", "--config", str(three)]) == 1
         err = capsys.readouterr().err
         assert "'meta.n_outputs' is 2" in err and "3 outputs" in err
+
+
+@pytest.fixture(scope="module")
+def roundtrip_workspace(tmp_path_factory):
+    """Its own features, so the checkpoints trained here replace no other test's."""
+    root = tmp_path_factory.mktemp("roundtrip")
+    write_synthetic_dataset(root)
+    config = write_config(root)
+    assert main(["preprocess", "--config", str(config)]) == 0
+    assert main(["features", "--config", str(config)]) == 0
+    return root
+
+
+# Running statistics are not saved (ROADMAP item 1), so a loaded batch-norm model
+# normalises with 0 and 1 and scores differently from the fitted one. The spatial
+# model has no batch norm.
+_BATCHNORM_STATS_NOT_SAVED = pytest.mark.xfail(
+    raises=AssertionError,
+    strict=True,
+    reason="batch-norm running statistics are not in the checkpoint (ROADMAP item 1)",
+)
+
+
+class TestCheckpointRoundTrip:
+    @pytest.mark.parametrize(
+        "variant, regularizer",
+        [
+            pytest.param(
+                variant, regularizer,
+                marks=_BATCHNORM_STATS_NOT_SAVED
+                if regularizer == "batchnorm" and variant != "spatial" else (),
+            )
+            for variant in VARIANTS
+            for regularizer in ("batchnorm", "dropout")
+        ],
+    )
+    def test_evaluate_scores_exactly_the_trained_model(
+        self, roundtrip_workspace, monkeypatch, variant, regularizer
+    ):
+        from spd_bci import pipeline
+        from spd_bci.data import read_tensors
+
+        path = write_config(
+            roundtrip_workspace,
+            extra=f"variant = {variant}\ntemporal_regularizer = {regularizer}\nepochs = 2\n",
+        )
+        config = load_config(path)
+        models = []
+
+        def recording(model, *args, **kwargs):
+            models.append(model)
+            return train_fn(model, *args, **kwargs)
+
+        def scoring(model, *args):
+            models.append(model)
+            return evaluate_fn(model, *args)
+
+        train_fn, evaluate_fn = pipeline.train_model, pipeline.evaluate_model
+        monkeypatch.setattr(pipeline, "train_model", recording)
+        monkeypatch.setattr(pipeline, "evaluate_model", scoring)
+        pipeline.run_train(config)
+        pipeline.run_evaluate(config)
+        trained, loaded = models
+        assert loaded is not trained
+        test = read_tensors(roundtrip_workspace / "work" / "features" / "test.spdt")
+        np.testing.assert_array_equal(
+            loaded.predict_scores(test["temporal"], test["spatial"]),
+            trained.predict_scores(test["temporal"], test["spatial"]),
+        )
+
+    def test_evaluate_draws_no_initialisation(self, roundtrip_workspace, monkeypatch):
+        from spd_bci import nnet
+
+        config = write_config(roundtrip_workspace, extra="epochs = 2\n")
+        metrics = roundtrip_workspace / "work" / "metrics.json"
+        assert main(["train", "--config", str(config)]) == 0
+        assert main(["evaluate", "--config", str(config)]) == 0
+        expected = metrics.read_bytes()
+        metrics.unlink()
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("evaluate drew an initialisation")
+
+        monkeypatch.setattr(nnet, "glorot_uniform", no_draw)
+        assert main(["evaluate", "--config", str(config)]) == 0
+        assert metrics.read_bytes() == expected

@@ -129,6 +129,53 @@ class TestTensorFile:
             read_tensors(path)
         assert str(path) in str(info.value)
 
+    def test_bytes_match_the_documented_layout(self, tmp_path):
+        # Oracle: the layout packed field by field, each payload converted to
+        # little-endian C order. Inputs that need that conversion are included.
+        tensors = {
+            "ab": np.arange(6.0).reshape(2, 3),
+            "s": np.float64(2.5),
+            "fortran": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+            "big-endian": np.arange(4.0).astype(">f8"),
+            "ints": np.arange(3),
+        }
+        expected = b"SPDT" + struct.pack("<II", 1, len(tensors))
+        for name, arr in tensors.items():
+            arr = np.asarray(arr)
+            expected += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", arr.ndim)
+            expected += struct.pack(f"<{arr.ndim}Q", *arr.shape)
+            expected += arr.astype("<f8").tobytes(order="C")
+        path = tmp_path / "bundle.spdt"
+        write_tensors(path, tensors)
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("name_len", range(1, 9))
+    def test_payloads_load_as_aligned_writable_arrays(self, tmp_path, name_len):
+        # A payload starts 12 + 2 + name_len + 1 + 8 * ndim bytes in, so names of
+        # 1-8 bytes put it at every offset mod 8.
+        path = tmp_path / "bundle.spdt"
+        original = np.random.default_rng(name_len).standard_normal((3, 5))
+        write_tensors(path, {"n" * name_len: original})
+        (arr,) = read_tensors(path).values()
+        assert arr.dtype == np.float64 and arr.ctypes.data % 8 == 0
+        assert arr.flags.aligned and arr.flags.c_contiguous
+        assert arr.flags.writeable and arr.flags.owndata
+        np.testing.assert_array_equal(arr, original)
+
+    def test_declared_size_beyond_the_file_is_a_data_error(self, tmp_path):
+        # 2^40 elements (8 TiB): refused from the file size, before any allocation.
+        path = tmp_path / "bundle.spdt"
+        header = b"SPDT" + struct.pack("<II", 1, 1)
+        header += struct.pack("<H", 3) + b"big" + struct.pack("<B2Q", 2, 2**20, 2**20)
+        path.write_bytes(header + b"\0" * 64)
+        message = (
+            f"{path}: tensor 'big' truncated at offset {len(header)}: "
+            f"expected {8 * 2**40} bytes, found 64"
+        )
+        with pytest.raises(DataError) as info:
+            read_tensors(path)
+        assert str(info.value) == message
+
     def test_count_below_stored_tensors_is_rejected(self, tmp_path):
         path = tmp_path / "bundle.spdt"
         write_tensors(path, {"a": np.arange(10.0)})

@@ -450,6 +450,36 @@ class TestRiemannianMean:
             assert info.converged and info.iterations <= 20
             assert self.whitened_gradient_norm(mean, mats) < 1e-9
 
+    @staticmethod
+    def ill_conditioned_pair(rng, log_eigenvalues=None):
+        """Two 3 x 3 SPD matrices on random bases, eigenvalues e^-10..e^10 (drawn if not given)."""
+        mats = []
+        for _ in range(2):
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+            logs = rng.uniform(-10.0, 10.0, 3) if log_eigenvalues is None else log_eigenvalues
+            mats.append((q * np.exp(logs)) @ q.T)
+        return np.stack(mats)
+
+    def test_ill_conditioned_pairs_converge_at_the_rounding_floor(self):
+        # Whitened conditions of up to 4e8: ||T|| at the mean itself scatters
+        # around 1e-9, and a stop at tol alone halved steps until max_iter and
+        # warned on the drawn pair from seed 79 and on 54 of the 100 fixed ones.
+        pairs = [self.ill_conditioned_pair(np.random.default_rng(79))]
+        pairs += [
+            self.ill_conditioned_pair(np.random.default_rng(seed), [10.0, 0.0, -10.0])
+            for seed in range(100)
+        ]
+        for mats in pairs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                mean, info = riemannian_mean(mats, return_info=True)
+            assert info.converged and info.iterations < 50
+            # The mean of two matrices is their geodesic midpoint, so it is as far
+            # from each; distances from scipy's generalized eigenvalues. (The pair's
+            # own distance is not an oracle: their whitened condition reaches e^40.)
+            to_a, to_b = (np.linalg.norm(np.log(scipy.linalg.eigvalsh(c, mean))) for c in mats)
+            assert to_a == pytest.approx(to_b, rel=1e-7)
+
     def test_step_that_raises_the_gradient_is_halved(self, monkeypatch):
         # Three five-channel matrices with eigenvalues e^-9..e^9: from the
         # Euclidean mean, a full Newton step raises ||T||, so it is halved.
