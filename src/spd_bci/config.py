@@ -6,7 +6,9 @@ output activation and loss. The config file selects a profile, points at
 the data directories, and may override the tunable knobs (epochs, batch
 size, hidden sizes, model variant, reference policy, rank mode). Keys that
 a named dataset profile owns (task, activation, loss, class count, band
-table) cannot be contradicted; the ``synthetic`` profile locks none.
+table) cannot be contradicted; the ``synthetic`` profile locks none. The
+model's keys are the fields of :class:`spd_bci.model.ModelSettings`, which
+``PipelineConfig`` extends; they are declared and checked there, once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import get_args, get_type_hints
 from .errors import ConfigError
 from .filters import BandSpec, seed_rhythm_bands, uniform_bands
 from .geometry import tangent_dimension
-from .model import LOSS_FOR_ACTIVATION, VARIANTS, check_head_outputs
+from .model import ModelSettings, check_head_outputs
 
 
 # Keys a named dataset profile owns; a config file cannot contradict them.
@@ -60,8 +62,8 @@ PROFILES = {
 }
 
 
-@dataclass
-class PipelineConfig:
+@dataclass(kw_only=True)
+class PipelineConfig(ModelSettings):
     """Everything a pipeline run needs, resolved from profile + config file."""
 
     profile: str
@@ -72,26 +74,12 @@ class PipelineConfig:
     bands: list
     task: str
     n_classes: int
-    output_activation: str
-    loss: str
-    temporal_regularizer: str = "batchnorm"
 
     raw_train_dir: Path | None = None
     raw_test_dir: Path | None = None
     work_dir: Path = Path("work")
 
     seed: int = 0
-    epochs: int = 200
-    batch_size: int = 32
-    learning_rate: float = 0.001
-    lstm_layers: int = 3
-    lstm_hidden: int = 256
-    temporal_embedding_dim: int = 64
-    spatial_hidden: int = 512
-    spatial_embedding_dim: int = 64
-    encoder_hidden: int = 32
-    fusion_hidden: int = 128
-    variant: str = "fused"  # a label from model.VARIANTS
     reference_policy: str = "batch-mean"  # or "train-mean"
     rank_mode: str = "fixed"  # or "grid"
     broadband_low: float = 0.5
@@ -104,27 +92,15 @@ class PipelineConfig:
     ablate_variants: list = field(default_factory=lambda: ["temporal", "spatial", "fused"])
 
     def __post_init__(self):
+        super().__post_init__()
         if self.reference_policy not in ("batch-mean", "train-mean"):
             raise ConfigError(f"unknown reference policy {self.reference_policy!r}")
         if self.rank_mode not in ("fixed", "grid"):
             raise ConfigError(f"unknown rank mode {self.rank_mode!r}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}")
         if self.constant_channel not in ("error", "zero"):
             raise ConfigError(f"unknown constant_channel mode {self.constant_channel!r}")
         if self.task not in ("classification", "regression"):
             raise ConfigError(f"unknown task {self.task!r}")
-        allowed = LOSS_FOR_ACTIVATION.get(self.output_activation)
-        if allowed is None:
-            raise ConfigError(
-                f"unknown output_activation {self.output_activation!r}; "
-                f"choose one of {sorted(LOSS_FOR_ACTIVATION)}"
-            )
-        if self.loss not in allowed:
-            raise ConfigError(
-                f"loss {self.loss!r} cannot pair with output_activation "
-                f"{self.output_activation!r}, which takes {' or '.join(allowed)}"
-            )
         try:
             check_head_outputs(
                 self.loss, self.n_outputs,
@@ -255,7 +231,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> PipelineConfig:
 
     try:
         return PipelineConfig(profile=profile_name, **settings)
-    except (TypeError, ConfigError) as exc:
+    except (TypeError, ValueError, ConfigError) as exc:
         raise ConfigError(f"{origin}: {exc}") from exc
 
 

@@ -24,12 +24,14 @@ of ``params()``), ``streams`` holds one chain per input, temporal first,
 ``encoders`` one scoring chain per stream for the labels that score the
 embeddings, and ``top`` is ``[fusion_fc, head]``. ``seed=None`` builds
 the same chains without an initialisation, for a fitted model:
-``load_params`` then installs the checkpoint's arrays as the parameters,
-with no draw and no copy, which is how ``evaluate`` and ``ablate`` load.
+``load_params`` then installs a checkpoint's arrays as its ``state()``
+(parameters and batch-norm running statistics), with no draw and no copy,
+which is how ``evaluate`` and ``ablate`` load. :class:`ModelSettings`
+declares the sizes, regularizer, head and schedule once, with their checks.
 
-Training is plain mini-batch Adam with global-norm gradient clipping;
-everything is deterministic given the seed. The per-step cost sits in
-``nnet``: time-batched LSTM input projections, one sigmoid call on the
+Training is plain mini-batch Adam with global-norm gradient clipping, on
+the model config's schedule; everything is deterministic given the seed.
+The per-step cost sits in ``nnet``: time-batched LSTM input projections, one sigmoid call on the
 stacked gates, weight gradients as matmuls over the flattened
 batch·time axis, and a cache-blocked in-place Adam update. An epoch
 makes one forward pass over the training set: the log's metric comes
@@ -39,13 +41,15 @@ from the same training-mode predictions as its loss.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
 
 from .errors import NumericalError
 from .nnet import (
+    LEAKY_SLOPE,
     Attention,
     BatchNorm,
     Dense,
@@ -97,64 +101,89 @@ def check_head_outputs(loss: str, n_outputs: int, n_classes: int | None = None) 
         raise ValueError(f"bce scores two classes, not {n_classes}")
 
 
-@dataclass
-class ArchitectureConfig:
-    """Sizes, regularizers, and task pairing for one model instance."""
+@dataclass(kw_only=True)
+class ModelSettings:
+    """The settings a config file and a model share: sizes, regularizer, head, schedule.
+
+    ``config.PipelineConfig`` and :class:`ArchitectureConfig` extend this
+    class. A bad value raises ValueError naming the key and the value.
+    """
+
+    output_activation: str = "softmax"
+    loss: str = "cross-entropy"
+    temporal_regularizer: str = "batchnorm"  # "batchnorm" or "dropout"
+    variant: str = "fused"  # a label from VARIANTS
+    lstm_layers: int = 3
+    lstm_hidden: int = 256
+    temporal_embedding_dim: int = 64
+    spatial_hidden: int = 512
+    spatial_embedding_dim: int = 64
+    encoder_hidden: int = 32
+    fusion_hidden: int = 128
+    epochs: int = 200
+    batch_size: int = 32
+    learning_rate: float = 0.001
+
+    def __post_init__(self):
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}; choose one of {list(VARIANTS)}")
+        if self.temporal_regularizer not in ("batchnorm", "dropout"):
+            raise ValueError(f"unknown temporal_regularizer {self.temporal_regularizer!r}")
+        allowed = LOSS_FOR_ACTIVATION.get(self.output_activation)
+        if allowed is None:
+            raise ValueError(
+                f"unknown output_activation {self.output_activation!r}; "
+                f"choose one of {sorted(LOSS_FOR_ACTIVATION)}"
+            )
+        if self.loss not in allowed:
+            raise ValueError(
+                f"loss {self.loss!r} cannot pair with output_activation "
+                f"{self.output_activation!r}, which takes {' or '.join(allowed)}"
+            )
+        for f in fields(ModelSettings):  # every integer setting is a size or a count
+            if type(f.default) is int and getattr(self, f.name) < 1:
+                raise ValueError(f"key {f.name!r} must be at least 1, got {getattr(self, f.name)}")
+        if not 0.0 < self.learning_rate < math.inf:  # false for NaN too
+            raise ValueError(f"key 'learning_rate' must be in (0, inf), got {self.learning_rate}")
+
+
+@dataclass(kw_only=True)
+class ArchitectureConfig(ModelSettings):
+    """One model instance: the shared settings plus its input and output sizes."""
 
     temporal_input_dim: int
     spatial_input_dim: int
     n_outputs: int
-    lstm_layers: int = 3
-    lstm_hidden: int = 256
-    temporal_regularizer: str = "batchnorm"  # "batchnorm" or "dropout"
-    temporal_embedding_dim: int = 64
-    spatial_hidden: int = 512
-    spatial_embedding_dim: int = 64
     spatial_dropout: float = 0.5
-    encoder_hidden: int = 32
-    fusion_hidden: int = 128
-    output_activation: str = "softmax"
-    loss: str = "cross-entropy"
-    epochs: int = 200
-    batch_size: int = 32
-    learning_rate: float = 0.001
     grad_clip: float = 5.0
-    variant: str = "fused"  # a label from VARIANTS
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.temporal_regularizer not in ("batchnorm", "dropout"):
-            raise ValueError(f"unknown temporal regularizer {self.temporal_regularizer!r}")
-        allowed = LOSS_FOR_ACTIVATION.get(self.output_activation)
-        if allowed is None:
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
-        if self.loss not in allowed:
-            raise ValueError(
-                f"loss {self.loss!r} cannot pair with activation {self.output_activation!r}"
-            )
+        super().__post_init__()
         check_head_outputs(self.loss, self.n_outputs)
 
 
 class _SeqBatchNormLeaky:
-    """Batch norm over (batch*length, hidden) followed by leaky ReLU."""
+    """Batch norm over (batch*length, hidden), then leaky ReLU.
 
-    def __init__(self, dim: int, slope: float = 0.3):
-        self.bn = BatchNorm(dim)
-        self.slope = slope
+    The running stats move at Keras's rate: its momentum 0.99 is a new-batch weight of 0.01.
+    """
+
+    def __init__(self, dim: int):
+        self.bn = BatchNorm(dim, momentum=0.01)
         self.params = self.bn.params
         self.grads = self.bn.grads
+        self.buffers = self.bn.buffers
 
     def forward(self, x, train=True, rng=None):
         self._shape = x.shape
         flat = x.reshape(-1, x.shape[-1])
         y = self.bn.forward(flat, train=train)
         self._y = y
-        return np.where(y > 0.0, y, self.slope * y).reshape(self._shape)
+        return np.where(y > 0.0, y, LEAKY_SLOPE * y).reshape(self._shape)
 
     def backward(self, grad):
         flat = grad.reshape(-1, grad.shape[-1])
-        dy = flat * np.where(self._y > 0.0, 1.0, self.slope)
+        dy = flat * np.where(self._y > 0.0, 1.0, LEAKY_SLOPE)
         return self.bn.backward(dy).reshape(self._shape)
 
 
@@ -217,11 +246,12 @@ class TwoStreamModel:
 
     # -- parameter access ---------------------------------------------------
 
-    def _tensors(self, kind: str) -> dict[str, np.ndarray]:
+    def _tensors(self, *kinds: str) -> dict[str, np.ndarray]:
         return {
             f"{name}.{key}": arr
             for name, block in self.blocks.items()
-            for key, arr in getattr(block, kind).items()
+            for kind in kinds
+            for key, arr in getattr(block, kind, {}).items()
         }
 
     def params(self) -> dict[str, np.ndarray]:
@@ -230,36 +260,42 @@ class TwoStreamModel:
     def grads(self) -> dict[str, np.ndarray]:
         return self._tensors("grads")
 
+    def state(self) -> dict[str, np.ndarray]:
+        """What a checkpoint holds: the parameters and the batch-norm running statistics."""
+        return self._tensors("params", "buffers")
+
     def zero_grads(self):
         for g in self.grads().values():
             g[:] = 0.0
 
     def load_params(self, tensors: dict[str, np.ndarray]):
-        """Install ``tensors`` (checkpoint name -> array) as the model's parameters.
+        """Install ``tensors`` (checkpoint name -> array) as the model's :meth:`state`.
 
-        The names must be exactly the model's and each shape must match;
-        otherwise ValueError. Each array then becomes the parameter itself,
-        not a copy, when it is float64, C-contiguous, aligned and writable,
-        as :func:`spd_bci.data.read_tensors` returns them; the model owns it
+        The names must be exactly the model's parameters and running
+        statistics, and each shape must match; otherwise ValueError. Each
+        array then becomes the model's own, not a copy, when it is float64,
+        C-contiguous, aligned and writable, as
+        :func:`spd_bci.data.read_tensors` returns them; the model owns it
         from then on, and training updates it in place. Any other array is
         converted once.
         """
-        params = self.params()
-        missing = set(params) - set(tensors)
+        state = self.state()
+        missing = set(state) - set(tensors)
         if missing:
             raise ValueError(f"checkpoint is missing tensors: {sorted(missing)}")
-        extra = set(tensors) - set(params)
+        extra = set(tensors) - set(state)
         if extra:
             raise ValueError(f"checkpoint has tensors this model does not: {sorted(extra)}")
-        for key, arr in params.items():
+        for key, arr in state.items():
             incoming = tensors[key]
             if incoming.shape != arr.shape:
                 raise ValueError(
                     f"tensor {key!r} has shape {incoming.shape}, model expects {arr.shape}"
                 )
         for name, block in self.blocks.items():
-            for key in block.params:
-                block.params[key] = np.require(tensors[f"{name}.{key}"], np.float64, "CAW")
+            for store in (block.params, getattr(block, "buffers", {})):
+                for key in store:
+                    store[key] = np.require(tensors[f"{name}.{key}"], np.float64, "CAW")
 
     # -- forward/backward ---------------------------------------------------
 
@@ -363,14 +399,12 @@ def train_model(
     xs,
     labels,
     *,
-    epochs: int | None = None,
-    batch_size: int | None = None,
-    lr: float | None = None,
     seed: int = 0,
     log_path=None,
 ) -> list[dict]:
     """Mini-batch Adam training; returns the per-epoch loss log.
 
+    The schedule (epochs, batch size, learning rate) is ``model.config``'s.
     Deterministic given the seed: shuffling and dropout masks come from
     one generator. A non-finite loss aborts with diagnostics. Each
     ``history`` record holds ``epoch`` and ``loss``, the mean over the
@@ -382,9 +416,6 @@ def train_model(
     so the fitted parameters do not depend on the log.
     """
     cfg = model.config
-    epochs = cfg.epochs if epochs is None else epochs
-    batch_size = cfg.batch_size if batch_size is None else batch_size
-    lr = cfg.learning_rate if lr is None else lr
     targets = encode_targets(labels, cfg)
     n = targets.shape[0]
     if xt is not None and len(xt) != n:
@@ -392,15 +423,15 @@ def train_model(
     if xs is not None and len(xs) != n:
         raise ValueError(f"{len(xs)} spatial inputs for {n} labels")
     rng = np.random.default_rng(seed)
-    optimizer = adam_init(model.params(), lr=lr)
+    optimizer = adam_init(model.params(), lr=cfg.learning_rate)
     history = []
     labels_array = np.asarray(labels)
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         predictions = []  # the epoch's training-mode predictions, in ``order``
-        for start in range(0, n, batch_size):
-            batch = order[start:start + batch_size]
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
             bt = xt[batch] if xt is not None else None
             bs = xs[batch] if xs is not None else None
             model.zero_grads()

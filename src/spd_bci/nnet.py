@@ -50,18 +50,6 @@ def _unset(**shapes) -> dict[str, np.ndarray]:
     return {key: np.broadcast_to(np.nan, shape) for key, shape in shapes.items()}
 
 
-def _zero_grads(params: dict[str, np.ndarray], init: bool) -> dict[str, np.ndarray]:
-    """Gradient buffers shaped like ``params``.
-
-    ``zeros_like`` writes every page now, so the first training step does
-    not fault them in; a block built to be loaded (``init=False``) takes
-    ``np.zeros``, which the allocator hands out untouched until first use.
-    """
-    if init:
-        return {key: np.zeros_like(arr) for key, arr in params.items()}
-    return {key: np.zeros(arr.shape) for key, arr in params.items()}
-
-
 def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
     """Softmax with max subtraction; invariant to adding a constant along ``axis``."""
     shifted = z - np.max(z, axis=axis, keepdims=True)
@@ -126,7 +114,7 @@ class Dense:
             }
         else:
             self.params = _unset(w=(out_dim, in_dim), b=(out_dim,))
-        self.grads = _zero_grads(self.params, init)
+        self.grads = {key: np.zeros(arr.shape) for key, arr in self.params.items()}
 
     def forward(self, x: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -170,7 +158,7 @@ class Lstm:
             self.params = {"w": w, "b": b}
         else:
             self.params = _unset(w=(4 * hidden, in_dim + hidden), b=(4 * hidden,))
-        self.grads = _zero_grads(self.params, init)
+        self.grads = {key: np.zeros(arr.shape) for key, arr in self.params.items()}
 
     def forward(self, x: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -256,7 +244,7 @@ class Attention:
             }
         else:
             self.params = _unset(w=(hidden, hidden), b=(hidden,))
-        self.grads = _zero_grads(self.params, init)
+        self.grads = {key: np.zeros(arr.shape) for key, arr in self.params.items()}
 
     def forward(self, h_seq: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -319,23 +307,34 @@ class Dropout:
 
 
 class BatchNorm:
-    """Per-feature standardization with learned scale/shift and running stats."""
+    """Per-feature standardization with learned scale/shift and running stats.
+
+    The running stats are ``buffers``: a checkpoint saves them, the optimizer never sees them.
+    """
 
     def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
         self.eps = eps
         self.momentum = momentum
         self.params = {"gamma": np.ones(dim), "beta": np.zeros(dim)}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
+        self.buffers = {"running_mean": np.zeros(dim), "running_var": np.ones(dim)}
+
+    @property
+    def running_mean(self) -> np.ndarray:
+        return self.buffers["running_mean"]
+
+    @property
+    def running_var(self) -> np.ndarray:
+        return self.buffers["running_var"]
 
     def forward(self, x: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         if train:
             mean = x.mean(axis=0)
             var = x.var(axis=0)
-            self.running_mean = (1 - self.momentum) * self.running_mean + self.momentum * mean
-            self.running_var = (1 - self.momentum) * self.running_var + self.momentum * var
+            m, stats = self.momentum, self.buffers
+            stats["running_mean"] = (1 - m) * stats["running_mean"] + m * mean
+            stats["running_var"] = (1 - m) * stats["running_var"] + m * var
         else:
             mean = self.running_mean
             var = self.running_var

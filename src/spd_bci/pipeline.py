@@ -41,6 +41,7 @@ from .model import (
     OUTPUT_ACTIVATIONS,
     VARIANTS,
     ArchitectureConfig,
+    ModelSettings,
     TwoStreamModel,
     evaluate_model,
     train_model,
@@ -52,10 +53,6 @@ logger = logging.getLogger("spd_bci.pipeline")
 
 SEGMENT_SUFFIX = ".eegs"
 
-# ArchitectureConfig fields that a pipeline config sets under the same name.
-_SHARED_FIELDS = {f.name for f in fields(PipelineConfig)} & {
-    f.name for f in fields(ArchitectureConfig)
-}
 # The choices that a checkpoint's tensor names and shapes leave open, stored as
 # ``meta.<field>``: a label as its index into this vocabulary, a count (None) as itself.
 _META_VOCABULARIES = {
@@ -255,14 +252,9 @@ def run_features(config: PipelineConfig) -> dict:
 def _architecture(config: PipelineConfig, label: str, temporal_dim: int,
                   spatial_dim: int) -> ArchitectureConfig:
     """The model that ``config`` describes under the variant ``label``."""
-    shared = {name: getattr(config, name) for name in _SHARED_FIELDS}
-    return ArchitectureConfig(**{
-        **shared,
-        "variant": label,
-        "temporal_input_dim": temporal_dim,
-        "spatial_input_dim": spatial_dim,
-        "n_outputs": config.n_outputs,
-    })
+    settings = {f.name: getattr(config, f.name) for f in fields(ModelSettings)}
+    return ArchitectureConfig(**{**settings, "variant": label}, n_outputs=config.n_outputs,
+                              temporal_input_dim=temporal_dim, spatial_input_dim=spatial_dim)
 
 
 def _meta_codes(arch: ArchitectureConfig) -> dict[str, float]:
@@ -314,7 +306,7 @@ def run_train(config: PipelineConfig, jobs: int = 1) -> dict:
         seed=config.seed,
         log_path=model_dir / f"train_log_{label}.jsonl",
     )
-    tensors = dict(model.params())
+    tensors = model.state()
     tensors.update({key: np.array(code) for key, code in _meta_codes(arch).items()})
     save_checkpoint(_checkpoint_path(config, label), tensors)
     return {"variant": label, "epochs": len(history), "final_loss": history[-1]["loss"]}

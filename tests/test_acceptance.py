@@ -330,10 +330,10 @@ def test_criterion_6_synthetic_classification():
 
     config = ArchitectureConfig(
         temporal_input_dim=1, spatial_input_dim=xs_train.shape[1], n_outputs=2,
-        variant="spatial", **SMALL_NET,
+        variant="spatial", epochs=40, batch_size=32, **SMALL_NET,
     )
     spatial_model = TwoStreamModel(config, seed=7)
-    train_model(spatial_model, None, xs_train, y_train, epochs=40, batch_size=32, seed=8)
+    train_model(spatial_model, None, xs_train, y_train, seed=8)
     spatial_accuracy = np.mean(spatial_model.predict(None, xs_test) == y_test)
     assert spatial_accuracy >= 0.95
 
@@ -352,10 +352,10 @@ def test_criterion_6_synthetic_classification():
     xt_test, y_test = _sequence_features(test_segments, bands, 128.0)
     config = ArchitectureConfig(
         temporal_input_dim=xt_train.shape[2], spatial_input_dim=1, n_outputs=2,
-        variant="temporal", **SMALL_NET,
+        variant="temporal", epochs=40, batch_size=32, **SMALL_NET,
     )
     temporal_model = TwoStreamModel(config, seed=9)
-    train_model(temporal_model, xt_train, None, y_train, epochs=40, batch_size=32, seed=10)
+    train_model(temporal_model, xt_train, None, y_train, seed=10)
     temporal_accuracy = np.mean(temporal_model.predict(xt_test, None) == y_test)
     assert temporal_accuracy >= 0.95
 
@@ -371,10 +371,10 @@ def test_criterion_6_synthetic_classification():
     for variant in ("temporal", "spatial", "fused"):
         config = ArchitectureConfig(
             temporal_input_dim=xt_train.shape[2], spatial_input_dim=xs_train.shape[1],
-            n_outputs=2, variant=variant, **SMALL_NET,
+            n_outputs=2, variant=variant, epochs=60, batch_size=32, **SMALL_NET,
         )
         model = TwoStreamModel(config, seed=5)
-        train_model(model, xt_train, xs_train, y_train, epochs=60, batch_size=32, seed=6)
+        train_model(model, xt_train, xs_train, y_train, seed=6)
         accuracies[variant] = float(np.mean(model.predict(xt_test, xs_test) == y_test))
 
     assert accuracies["temporal"] <= 0.85

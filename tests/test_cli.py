@@ -677,28 +677,10 @@ def roundtrip_workspace(tmp_path_factory):
     return root
 
 
-# Running statistics are not saved (ROADMAP item 1), so a loaded batch-norm model
-# normalises with 0 and 1 and scores differently from the fitted one. The spatial
-# model has no batch norm.
-_BATCHNORM_STATS_NOT_SAVED = pytest.mark.xfail(
-    raises=AssertionError,
-    strict=True,
-    reason="batch-norm running statistics are not in the checkpoint (ROADMAP item 1)",
-)
-
-
 class TestCheckpointRoundTrip:
     @pytest.mark.parametrize(
         "variant, regularizer",
-        [
-            pytest.param(
-                variant, regularizer,
-                marks=_BATCHNORM_STATS_NOT_SAVED
-                if regularizer == "batchnorm" and variant != "spatial" else (),
-            )
-            for variant in VARIANTS
-            for regularizer in ("batchnorm", "dropout")
-        ],
+        [(variant, regularizer) for variant in VARIANTS for regularizer in ("batchnorm", "dropout")],
     )
     def test_evaluate_scores_exactly_the_trained_model(
         self, roundtrip_workspace, monkeypatch, variant, regularizer

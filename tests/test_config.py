@@ -6,9 +6,12 @@ from typing import get_args, get_type_hints
 
 import pytest
 
+from spd_bci import pipeline
+from spd_bci.cli import main
 from spd_bci.config import PipelineConfig, parse_config_text
 from spd_bci.errors import ConfigError
 from spd_bci.filters import BandSpec
+from spd_bci.model import ArchitectureConfig, ModelSettings
 
 # One non-default text per field of the synthetic profile and the value it must parse to.
 SAMPLES = {
@@ -121,3 +124,88 @@ def test_named_profile_fixes_band_table_synthetic_does_not():
     assert parse_config_text("profile = synthetic\nbands = 4-8\n").n_bands == 1
     default = parse_config_text("profile = synthetic\n").bands
     assert default == [BandSpec(8.0, 16.0), BandSpec(16.0, 24.0)]
+
+
+# Model settings out of range: each must fail at load, naming the file, the key and the value.
+OUT_OF_RANGE = [
+    *((name, "0") for name in (
+        "epochs", "batch_size", "lstm_layers", "lstm_hidden", "temporal_embedding_dim",
+        "spatial_hidden", "spatial_embedding_dim", "encoder_hidden", "fusion_hidden",
+    )),
+    ("lstm_hidden", "-3"),
+    ("learning_rate", "-1"),
+    ("learning_rate", "0"),
+    ("learning_rate", "nan"),
+    ("learning_rate", "inf"),
+    ("temporal_regularizer", "foo"),
+]
+
+
+@pytest.mark.parametrize("key, text", OUT_OF_RANGE)
+def test_model_setting_out_of_range_fails_at_load(key, text):
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(f"profile = synthetic\n{key} = {text}\n", origin="run.cfg")
+    message = str(info.value)
+    assert message.startswith("run.cfg: ")
+    assert key in message and text in message
+
+
+@pytest.mark.parametrize("step", ["preprocess", "features", "train", "evaluate", "ablate"])
+def test_every_step_rejects_a_bad_model_setting_before_any_work(step, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("profile = synthetic\nwork_dir = out\nepochs = 0\n", encoding="utf-8")
+    assert main([step, "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err and "'epochs'" in err and "got 0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+# A head that differs from the ModelSettings defaults and fits SAMPLES' two classes.
+_HEAD = {"output_activation": ("sigmoid", "sigmoid"), "loss": ("bce", "bce")}
+
+
+def test_architecture_carries_every_model_setting():
+    names = [f.name for f in fields(ModelSettings)]
+    samples = {**SAMPLES, **_HEAD}
+    text = "profile = synthetic\n" + "".join(f"{name} = {samples[name][0]}\n" for name in names)
+    config = parse_config_text(text)
+    defaults = ModelSettings()
+    for name in names:
+        assert getattr(config, name) == samples[name][1]
+        assert getattr(config, name) != getattr(defaults, name), name
+    arch = pipeline._architecture(config, config.variant, temporal_dim=5, spatial_dim=6)
+    for name in names:
+        assert getattr(arch, name) == getattr(config, name), name
+    assert (arch.temporal_input_dim, arch.spatial_input_dim) == (5, 6)
+    assert arch.n_outputs == config.n_outputs == 1
+
+
+def test_model_settings_are_declared_once():
+    shared = {f.name for f in fields(ModelSettings)}
+    assert len(shared) == 14
+    assert shared <= {f.name for f in fields(PipelineConfig)}
+    assert shared <= {f.name for f in fields(ArchitectureConfig)}
+    for cls in (PipelineConfig, ArchitectureConfig):
+        assert shared.isdisjoint(vars(cls).get("__annotations__", {})), cls.__name__
+
+
+@pytest.mark.parametrize(
+    "keys",
+    [
+        {"variant": "weighted"},
+        {"temporal_regularizer": "layernorm"},
+        {"output_activation": "relu"},
+        {"output_activation": "softmax", "loss": "mse"},
+        {"epochs": 0},
+        {"learning_rate": -1.0},
+    ],
+    ids=lambda keys: ",".join(keys),
+)
+def test_both_configs_reject_a_bad_setting_with_one_message(keys):
+    with pytest.raises(ValueError) as arch_error:
+        ArchitectureConfig(temporal_input_dim=5, spatial_input_dim=6, n_outputs=2, **keys)
+    lines = "".join(f"{key} = {value}\n" for key, value in keys.items())
+    with pytest.raises(ConfigError) as config_error:
+        parse_config_text(f"profile = synthetic\n{lines}", origin="run.cfg")
+    assert str(config_error.value) == f"run.cfg: {arch_error.value}"

@@ -283,8 +283,8 @@ class TestTraining:
     def test_separable_task_reaches_high_accuracy(self):
         rng = np.random.default_rng(30)
         xt, xs, labels = separable_dataset(rng, n=64)
-        model = tiny_model(seed=1)
-        train_model(model, xt, xs, labels, epochs=50, batch_size=16, seed=2)
+        model = tiny_model(seed=1, epochs=50, batch_size=16)
+        train_model(model, xt, xs, labels, seed=2)
         accuracy = np.mean(model.predict(xt, xs) == labels)
         assert accuracy >= 0.99
 
@@ -292,8 +292,10 @@ class TestTraining:
         rng = np.random.default_rng(31)
         xt, xs, _ = separable_dataset(rng, n=48)
         targets = 1.0 / (1.0 + np.exp(-xs[:, 0]))  # smooth function of the cue
-        model = tiny_model(seed=2, output_activation="sigmoid", loss="mse", n_outputs=1)
-        history = train_model(model, xt, xs, targets, epochs=10, batch_size=16, seed=3)
+        model = tiny_model(
+            seed=2, output_activation="sigmoid", loss="mse", n_outputs=1, epochs=10, batch_size=16
+        )
+        history = train_model(model, xt, xs, targets, seed=3)
         losses = [h["loss"] for h in history]
         increases = sum(1 for a, b in zip(losses, losses[1:]) if b > a)
         assert increases <= 2
@@ -304,8 +306,8 @@ class TestTraining:
         xt, xs, labels = separable_dataset(rng, n=32)
         runs = []
         for _ in range(2):
-            model = tiny_model(seed=4)
-            history = train_model(model, xt, xs, labels, epochs=5, batch_size=8, seed=5)
+            model = tiny_model(seed=4, epochs=5, batch_size=8)
+            history = train_model(model, xt, xs, labels, seed=5)
             runs.append((history[-1]["loss"], {k: v.copy() for k, v in model.params().items()}))
         assert runs[0][0] == runs[1][0]
         for key in runs[0][1]:
@@ -316,21 +318,21 @@ class TestTraining:
         rng = np.random.default_rng(33)
         xt, xs, _ = separable_dataset(rng, n=16)
         targets = rng.standard_normal(16)
-        model = tiny_model(seed=5, output_activation="linear", loss="mse", n_outputs=1)
+        model = tiny_model(
+            seed=5, output_activation="linear", loss="mse", n_outputs=1, epochs=3, batch_size=8
+        )
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="diverged"):
-                train_model(
-                    model, xt, 1e200 * xs, targets, epochs=3, batch_size=8, seed=6
-                )
+                train_model(model, xt, 1e200 * xs, targets, seed=6)
 
     def test_training_log_has_epoch_loss_and_metric(self, tmp_path):
         import json
 
         rng = np.random.default_rng(34)
         xt, xs, labels = separable_dataset(rng, n=16)
-        model = tiny_model(seed=6)
+        model = tiny_model(seed=6, epochs=3, batch_size=8)
         log_path = tmp_path / "log.jsonl"
-        train_model(model, xt, xs, labels, epochs=3, batch_size=8, seed=7, log_path=log_path)
+        train_model(model, xt, xs, labels, seed=7, log_path=log_path)
         lines = log_path.read_text().strip().splitlines()
         assert len(lines) == 3
         first = json.loads(lines[0])
@@ -345,18 +347,18 @@ class TestTraining:
         xt, xs, _ = separable_dataset(rng, n=20)
         targets = 1.0 / (1.0 + np.exp(-xs[:, 0]))
         model = tiny_model(
-            seed=9, output_activation=activation, loss="mse", n_outputs=1, spatial_dropout=0.5
+            seed=9, output_activation=activation, loss="mse", n_outputs=1, spatial_dropout=0.5,
+            epochs=4, batch_size=8,
         )
-        history = train_model(
-            model, xt, xs, targets, epochs=4, batch_size=8, seed=10, log_path=tmp_path / "log"
-        )
+        history = train_model(model, xt, xs, targets, seed=10, log_path=tmp_path / "log")
         for record in history:
             assert record["rmse"] ** 2 == pytest.approx(record["loss"], rel=1e-12, abs=0.0)
 
     def test_an_epoch_makes_one_forward_pass_over_the_data(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(38)
         xt, xs, labels = separable_dataset(rng, n=20)
-        model = tiny_model(seed=10)
+        epochs, batch_size = 3, 8
+        model = tiny_model(seed=10, epochs=epochs, batch_size=batch_size)
         calls = []
         forward = model.forward
 
@@ -365,9 +367,7 @@ class TestTraining:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(model, "forward", counting)
-        epochs, batch_size = 3, 8
-        train_model(model, xt, xs, labels, epochs=epochs, batch_size=batch_size, seed=11,
-                    log_path=tmp_path / "log")
+        train_model(model, xt, xs, labels, seed=11, log_path=tmp_path / "log")
         assert len(calls) == epochs * -(-20 // batch_size)  # ceil(n / batch_size) per epoch
         assert all(calls)  # every pass is a training step
 
@@ -376,10 +376,8 @@ class TestTraining:
         xt, xs, labels = separable_dataset(rng, n=16)
         runs = []
         for log_path in (None, tmp_path / "log.jsonl"):
-            model = tiny_model(seed=7, spatial_dropout=0.5)
-            history = train_model(
-                model, xt, xs, labels, epochs=3, batch_size=8, seed=8, log_path=log_path
-            )
+            model = tiny_model(seed=7, spatial_dropout=0.5, epochs=3, batch_size=8)
+            history = train_model(model, xt, xs, labels, seed=8, log_path=log_path)
             runs.append((history, model))
         (bare, bare_model), (logged, logged_model) = runs
         assert [set(r) for r in bare] == [{"epoch", "loss"}] * 3
@@ -432,8 +430,8 @@ class TestMetrics:
     def test_evaluate_model_classification_payload(self):
         rng = np.random.default_rng(36)
         xt, xs, labels = separable_dataset(rng, n=32)
-        model = tiny_model(seed=8)
-        train_model(model, xt, xs, labels, epochs=30, batch_size=8, seed=9)
+        model = tiny_model(seed=8, epochs=30, batch_size=8)
+        train_model(model, xt, xs, labels, seed=9)
         metrics = evaluate_model(model, xt, xs, labels)
         assert set(metrics) == {"accuracy", "kappa", "confusion"}
         assert metrics["kappa"] <= metrics["accuracy"] + 1e-12
