@@ -64,7 +64,15 @@ PROFILES = {
 
 @dataclass(kw_only=True)
 class PipelineConfig(ModelSettings):
-    """Everything a pipeline run needs, resolved from profile + config file."""
+    """Everything a pipeline run needs, resolved from profile + config file.
+
+    ``reference_policy`` picks where the test split's tangent vectors are
+    taken: ``test-mean`` re-centres each band at the Riemannian mean of all
+    test trials (unsupervised re-centring, so it needs two or more);
+    ``train-mean`` projects each trial at the training references alone.
+    The train split always uses the training references. A bad value of a
+    key declared here raises ConfigError naming the key and the value.
+    """
 
     profile: str
     fs: float
@@ -80,7 +88,7 @@ class PipelineConfig(ModelSettings):
     work_dir: Path = Path("work")
 
     seed: int = 0
-    reference_policy: str = "batch-mean"  # or "train-mean"
+    reference_policy: str = "test-mean"  # or "train-mean"
     rank_mode: str = "fixed"  # or "grid"
     broadband_low: float = 0.5
     broadband_high: float = 70.0
@@ -93,8 +101,11 @@ class PipelineConfig(ModelSettings):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.reference_policy not in ("batch-mean", "train-mean"):
-            raise ConfigError(f"unknown reference policy {self.reference_policy!r}")
+        if self.reference_policy not in ("test-mean", "train-mean"):
+            raise ConfigError(
+                f"unknown reference_policy {self.reference_policy!r}; "
+                "choose one of ['test-mean', 'train-mean']"
+            )
         if self.rank_mode not in ("fixed", "grid"):
             raise ConfigError(f"unknown rank mode {self.rank_mode!r}")
         if self.constant_channel not in ("error", "zero"):
@@ -111,6 +122,18 @@ class PipelineConfig(ModelSettings):
                 f"keys task = {self.task}, n_classes = {self.n_classes}, "
                 f"loss = {self.loss}: {exc}"
             ) from exc
+        # Written ``not x >= low`` so that NaN fails too.
+        for key, low in (("filter_order", 1), ("trial_seconds", 1)):  # 1 s analysis window
+            if not getattr(self, key) >= low:
+                raise ConfigError(f"key {key!r} must be at least {low}, got {getattr(self, key)}")
+        for key in ("fs", "broadband_low", "notch_hz"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"key {key!r} must be greater than 0, got {getattr(self, key)}")
+        if not self.broadband_low < self.broadband_high:
+            raise ConfigError(
+                f"key 'broadband_low' must be below broadband_high = {self.broadband_high}, "
+                f"got {self.broadband_low}"
+            )
         if not 1 <= self.rank <= self.n_channels:
             raise ConfigError(
                 f"rank {self.rank} is outside [1, {self.n_channels}] for profile {self.profile}"

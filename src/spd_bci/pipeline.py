@@ -151,36 +151,20 @@ def fit_spatial_reducers(train_scms: np.ndarray, rank: int):
     return filters, references
 
 
-def spatial_features_for(
-    scms: np.ndarray,
-    filters,
-    references,
-    *,
-    policy: str = "train-mean",
-    batch_size: int = 32,
-) -> np.ndarray:
+def spatial_features_for(scms: np.ndarray, filters, references=None) -> np.ndarray:
     """Concatenated per-band tangent vectors for each trial.
 
-    ``train-mean`` projects at the fitted references; ``batch-mean``
-    re-estimates each reference from the trials of every consecutive
-    batch, mirroring test-time batch statistics.
+    Each band is reduced by its filter and projected at its reference.
+    ``references=None`` re-centres every band at the Riemannian mean of
+    all its reduced trials, so a trial's vector depends on the whole set
+    but not on its order.
     """
-    if policy not in ("train-mean", "batch-mean"):
-        raise ConfigError(f"unknown reference policy {policy!r}")
     reduced = [reduce_covariance(w, scms[:, b]) for b, w in enumerate(filters)]  # H x (P, R, R)
-    if policy == "train-mean":
-        return np.concatenate(
-            [tangent_vectorize(ref, band) for ref, band in zip(references, reduced)], axis=1
-        )
-    batches = []
-    for start in range(0, scms.shape[0], batch_size):
-        chunks = [band[start:start + batch_size] for band in reduced]
-        batches.append(
-            np.concatenate(
-                [tangent_vectorize(riemannian_mean(chunk), chunk) for chunk in chunks], axis=1
-            )
-        )
-    return np.concatenate(batches)
+    if references is None:
+        references = [riemannian_mean(band) for band in reduced]
+    return np.concatenate(
+        [tangent_vectorize(ref, band) for ref, band in zip(references, reduced)], axis=1
+    )
 
 
 def run_features(config: PipelineConfig) -> dict:
@@ -214,15 +198,19 @@ def run_features(config: PipelineConfig) -> dict:
             "scms": np.asarray(scms),  # (P, H, N, N)
         }
 
+    n_test = len(splits["test"]["labels"])
+    if config.reference_policy == "test-mean" and n_test < 2:
+        raise DataError(
+            f"{config.work_dir / 'preprocessed' / 'test'} holds {n_test} test trial; "
+            "reference_policy = test-mean re-centres the test split at its own mean, which "
+            "maps a single trial to zero; reference_policy = train-mean projects a single trial"
+        )
     filters, references = fit_spatial_reducers(splits["train"]["scms"], config.rank)
     expected_dim = config.spatial_feature_dim()
     info = {}
     for split, bundle in splits.items():
-        policy = "train-mean" if split == "train" else config.reference_policy
-        spatial = spatial_features_for(
-            bundle["scms"], filters, references,
-            policy=policy, batch_size=config.batch_size,
-        )
+        recentre = split == "test" and config.reference_policy == "test-mean"
+        spatial = spatial_features_for(bundle["scms"], filters, None if recentre else references)
         if spatial.shape[1] != expected_dim:
             raise DataError(
                 f"spatial features have length {spatial.shape[1]}, profile expects {expected_dim}"
@@ -316,8 +304,8 @@ def _grid_point(payload) -> dict:
     """Train and score one rank candidate; module-level so executors can pickle it."""
     (config, rank, fit_idx, val_idx, temporal, scms, labels) = payload
     filters, references = fit_spatial_reducers(scms[fit_idx], rank)
-    spatial_fit = spatial_features_for(scms[fit_idx], filters, references, policy="train-mean")
-    spatial_val = spatial_features_for(scms[val_idx], filters, references, policy="train-mean")
+    spatial_fit = spatial_features_for(scms[fit_idx], filters, references)
+    spatial_val = spatial_features_for(scms[val_idx], filters, references)
     arch = _architecture(config, config.variant, temporal.shape[2], spatial_fit.shape[1])
     model = TwoStreamModel(arch, seed=config.seed)
     train_model(model, temporal[fit_idx], spatial_fit, labels[fit_idx], seed=config.seed)

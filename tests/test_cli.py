@@ -381,6 +381,10 @@ class TestPipelineRun:
     def test_mismatched_checkpoint_exits_1(self, workspace):
         import shutil
 
+        # Both checkpoints are trained here, with the configs the tests above use,
+        # so this test runs alone too and leaves the same files as they would.
+        for extra in ("", "variant = spatial\n"):
+            assert main(["train", "--config", str(write_config(workspace, extra=extra))]) == 0
         fused = workspace / "work" / "model" / "model_fused.ckpt"
         target = workspace / "work" / "model" / "model_spatial.ckpt"
         backup = target.read_bytes()
@@ -396,6 +400,65 @@ class TestPipelineRun:
         config = tmp_path / "bad.cfg"
         config.write_text("profile = synthetic\nmystery = 1\n", encoding="utf-8")
         assert main(["preprocess", "--config", str(config)]) == 1
+
+
+# A value other than BASE_CONFIG's for every ModelSettings field, all in range.
+OTHER_MODEL_SETTINGS = {
+    "output_activation": "sigmoid", "loss": "bce", "temporal_regularizer": "dropout",
+    "variant": "spatial", "lstm_layers": 1, "lstm_hidden": 5, "temporal_embedding_dim": 3,
+    "spatial_hidden": 7, "spatial_embedding_dim": 4, "encoder_hidden": 2, "fusion_hidden": 6,
+    "epochs": 3, "batch_size": 5, "learning_rate": 0.05,
+}
+
+
+@pytest.fixture(scope="module")
+def recentring_workspace(tmp_path_factory):
+    """Preprocessed segments (24 test trials) for reruns of the features step."""
+    root = tmp_path_factory.mktemp("recentring")
+    write_synthetic_dataset(root)
+    assert main(["preprocess", "--config", str(write_config(root))]) == 0
+    return root
+
+
+def feature_bytes(root, extra=""):
+    """Run ``features`` under BASE_CONFIG plus ``extra``; the bytes of both feature files."""
+    assert main(["features", "--config", str(write_config(root, extra=extra))]) == 0
+    return {split: (root / "work" / "features" / f"{split}.spdt").read_bytes()
+            for split in ("train", "test")}
+
+
+class TestRecentredTestFeatures:
+    def test_test_features_do_not_depend_on_batch_size(self, recentring_workspace):
+        sixteen = feature_bytes(recentring_workspace, "batch_size = 16\n")
+        five = feature_bytes(recentring_workspace, "batch_size = 5\n")
+        assert five["test"] == sixteen["test"]
+
+    def test_features_do_not_read_any_model_setting(self, recentring_workspace):
+        from dataclasses import fields
+
+        from spd_bci.model import ModelSettings
+
+        assert set(OTHER_MODEL_SETTINGS) == {f.name for f in fields(ModelSettings)}
+        base = load_config(write_config(recentring_workspace))
+        for name, value in OTHER_MODEL_SETTINGS.items():
+            assert getattr(base, name) != value, name
+        extra = "".join(f"{name} = {value}\n" for name, value in OTHER_MODEL_SETTINGS.items())
+        assert feature_bytes(recentring_workspace, extra) == feature_bytes(recentring_workspace)
+
+    def test_one_test_trial_exits_2_naming_the_split(self, tmp_path, capsys):
+        write_synthetic_dataset(tmp_path)
+        for path in sorted((tmp_path / "raw" / "test").glob("*.eegs"))[1:]:
+            path.unlink()
+        config = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["features", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "work" / "preprocessed" / "test") in err
+        assert "1 test trial" in err and "reference_policy = train-mean" in err
+        assert not (tmp_path / "work" / "features" / "test.spdt").exists()
+        train_mean = write_config(tmp_path, extra="reference_policy = train-mean\n")
+        assert main(["features", "--config", str(train_mean)]) == 0
 
 
 class TestSeedOverride:

@@ -209,3 +209,53 @@ def test_both_configs_reject_a_bad_setting_with_one_message(keys):
     with pytest.raises(ConfigError) as config_error:
         parse_config_text(f"profile = synthetic\n{lines}", origin="run.cfg")
     assert str(config_error.value) == f"run.cfg: {arch_error.value}"
+
+
+# PipelineConfig's own keys out of range: each config line and the key and value its error names.
+PIPELINE_OUT_OF_RANGE = [
+    ("filter_order = 0", "filter_order", "0"),
+    ("trial_seconds = 0", "trial_seconds", "0"),
+    ("trial_seconds = 0.5", "trial_seconds", "0.5"),
+    ("fs = 0", "fs", "0"),
+    ("fs = nan", "fs", "nan"),
+    ("broadband_low = 30\nbroadband_high = 20", "broadband_low", "30"),
+    ("broadband_low = -1", "broadband_low", "-1"),
+    ("notch_hz = 0", "notch_hz", "0"),
+]
+
+
+@pytest.mark.parametrize(
+    "lines, key, value", PIPELINE_OUT_OF_RANGE, ids=[line for line, _, _ in PIPELINE_OUT_OF_RANGE]
+)
+def test_pipeline_key_out_of_range_exits_1_at_preprocess(lines, key, value, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"profile = synthetic\nwork_dir = out\n{lines}\n", encoding="utf-8")
+    assert main(["preprocess", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert f"{config}: key {key!r} must be" in err and f"got {value}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_pipeline_key_message_matches_the_model_settings_form():
+    with pytest.raises(ConfigError) as info:
+        parse_config_text("profile = synthetic\nfilter_order = 0\n", origin="run.cfg")
+    assert str(info.value) == "run.cfg: key 'filter_order' must be at least 1, got 0"
+
+
+def test_test_mean_is_the_default_reference_policy():
+    assert parse_config_text("profile = synthetic\n").reference_policy == "test-mean"
+
+
+@pytest.mark.parametrize("policy", ["batch-mean", "per-batch"])
+def test_unknown_reference_policy_exits_1_listing_the_choices(policy, tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"profile = synthetic\nwork_dir = out\nreference_policy = {policy}\n", encoding="utf-8"
+    )
+    assert main(["features", "--config", str(config)]) == 1
+    err = capsys.readouterr().err
+    assert str(config) in err and repr(policy) in err
+    assert "['test-mean', 'train-mean']" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

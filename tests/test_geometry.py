@@ -601,6 +601,41 @@ class TestTangentFeatures:
         np.testing.assert_allclose(vec[:6], tangent_vectorize(refs[0], scms[0]))
 
 
+class TestRecentring:
+    """``references=None``: every band re-centred at the mean of all its trials."""
+
+    @pytest.fixture
+    def split(self):
+        # 33 trials: one more than a 32-trial batch, two bands of 6 channels reduced to rank 4.
+        rng = np.random.default_rng(24)
+        scms = np.array([[random_spd(rng, 6) for _ in range(2)] for _ in range(33)])
+        filters = [pca_spatial_filter(scms[:, b], 4) for b in range(2)]
+        return scms, filters
+
+    def test_does_not_depend_on_trial_order(self, split):
+        scms, filters = split
+        perm = np.random.default_rng(25).permutation(len(scms))
+        want = spatial_features_for(scms, filters, None)[perm]
+        got = spatial_features_for(scms[perm], filters, None)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_no_trial_maps_to_zero(self, split):
+        scms, filters = split
+        vectors = spatial_features_for(scms, filters, None)
+        assert vectors.shape == (33, 2 * tangent_dimension(4))
+        assert np.min(np.linalg.norm(vectors, axis=1)) > 0.1
+
+    def test_projects_at_the_mean_of_each_whole_band(self, split):
+        scms, filters = split
+        want = []
+        for b, w in enumerate(filters):
+            band = reduce_covariance(w, scms[:, b])
+            want.append(tangent_vectorize(riemannian_mean(band), band))
+        np.testing.assert_array_equal(
+            spatial_features_for(scms, filters, None), np.concatenate(want, axis=1)
+        )
+
+
 class TestMdrm:
     def test_prefers_nearer_class_mean(self):
         # Oracle: both distances computed directly.
