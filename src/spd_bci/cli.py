@@ -17,8 +17,6 @@ from .config import load_config
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import run_ablate, run_evaluate, run_features, run_preprocess, run_train
 
-logger = logging.getLogger("spd_bci")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; the contract reserves 2 for data errors."""
@@ -102,15 +100,12 @@ def main(argv=None) -> int:
             for row in rows:
                 print(f"{row['variant']:<12} {row['metric']:<10} {row['value']:.4f}")
     except (ConfigError, ValueError) as exc:
-        logger.error("%s", exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (DataError, OSError) as exc:
-        logger.error("%s", exc)
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError) as exc:
-        logger.error("%s", exc)
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     return 0

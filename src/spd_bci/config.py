@@ -20,7 +20,7 @@ from typing import get_args, get_type_hints
 from .errors import ConfigError
 from .filters import BandSpec, seed_rhythm_bands, uniform_bands
 from .geometry import tangent_dimension
-from .model import ModelSettings, check_head_outputs
+from .model import VARIANTS, ModelSettings, check_head_outputs
 
 
 # Keys a named dataset profile owns; a config file cannot contradict them.
@@ -70,8 +70,11 @@ class PipelineConfig(ModelSettings):
     taken: ``test-mean`` re-centres each band at the Riemannian mean of all
     test trials (unsupervised re-centring, so it needs two or more);
     ``train-mean`` projects each trial at the training references alone.
-    The train split always uses the training references. A bad value of a
-    key declared here raises ConfigError naming the key and the value.
+    The train split always uses the training references. ``task`` follows
+    ``loss``: mse is regression, cross-entropy and bce classification.
+    Every ``ablate_variants`` label is checked here, as ``variant`` is. A
+    bad value of a key declared here raises ConfigError naming the key and
+    the value.
     """
 
     profile: str
@@ -122,6 +125,19 @@ class PipelineConfig(ModelSettings):
                 f"keys task = {self.task}, n_classes = {self.n_classes}, "
                 f"loss = {self.loss}: {exc}"
             ) from exc
+        task = "regression" if self.loss == "mse" else "classification"
+        if self.task != task:
+            raise ConfigError(
+                f"keys task = {self.task}, loss = {self.loss}: "
+                f"loss {self.loss!r} trains a {task} head"
+            )
+        if not self.ablate_variants:
+            raise ConfigError("key 'ablate_variants' must name at least one variant")
+        for label in self.ablate_variants:
+            if label not in VARIANTS:
+                raise ConfigError(
+                    f"unknown ablate_variants label {label!r}; choose one of {list(VARIANTS)}"
+                )
         # Written ``not x >= low`` so that NaN fails too.
         for key, low in (("filter_order", 1), ("trial_seconds", 1)):  # 1 s analysis window
             if not getattr(self, key) >= low:

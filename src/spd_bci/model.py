@@ -18,16 +18,19 @@ drops the encoders and concatenates the embeddings unscaled;
 score instead of a softmax over both. The label's index in
 :data:`VARIANTS` is the ``meta.variant`` code stored in checkpoints.
 
-``TwoStreamModel`` is named block chains: ``blocks`` maps checkpoint
-names to blocks in construction order (the order of the init draws and
-of ``params()``), ``streams`` holds one chain per input, temporal first,
-``encoders`` one scoring chain per stream for the labels that score the
-embeddings, and ``top`` is ``[fusion_fc, head]``. ``seed=None`` builds
-the same chains without an initialisation, for a fitted model:
-``load_params`` then installs a checkpoint's arrays as its ``state()``
-(parameters and batch-norm running statistics), with no draw and no copy,
-which is how ``evaluate`` and ``ablate`` load. :class:`ModelSettings`
-declares the sizes, regularizer, head and schedule once, with their checks.
+``TwoStreamModel`` is named chains of ``nnet`` blocks: ``blocks`` maps
+checkpoint names to blocks in construction order (the order of the init
+draws and of ``params()``), ``streams`` holds one chain per input,
+temporal first, ``encoders`` one scoring chain per stream for the labels
+that score the embeddings, and ``top`` is ``[fusion_fc, head]``. Its
+``state()`` is the whole checkpoint: the parameters, the batch-norm
+running statistics and the ``meta.*`` codes of the choices that tensor
+names and shapes leave open (variant, output count, activation, loss).
+``seed=None`` builds the same chains without an initialisation, for a
+fitted model: ``load_params`` then checks a checkpoint against
+``state()`` and installs its arrays, with no draw and no copy, which is
+how ``evaluate`` and ``ablate`` load. :class:`ModelSettings` declares the
+sizes, regularizer, head and schedule once, with their checks.
 
 Training is plain mini-batch Adam with global-norm gradient clipping, on
 the model config's schedule; everything is deterministic given the seed.
@@ -49,7 +52,6 @@ import numpy as np
 
 from .errors import NumericalError
 from .nnet import (
-    LEAKY_SLOPE,
     Attention,
     BatchNorm,
     Dense,
@@ -83,6 +85,24 @@ LOSS_FOR_ACTIVATION = {
 # Task-head vocabularies; the order is the ``meta.output_activation``/``meta.loss`` code.
 OUTPUT_ACTIVATIONS = tuple(LOSS_FOR_ACTIVATION)
 LOSSES = ("cross-entropy", "bce", "mse")
+# The choices that a checkpoint's tensor names and shapes leave open, stored as
+# ``meta.<field>``: a label as its index into this vocabulary, a count (None) as itself.
+_META_VOCABULARIES = {
+    "variant": VARIANTS,
+    "n_outputs": None,
+    "output_activation": OUTPUT_ACTIVATIONS,
+    "loss": LOSSES,
+}
+
+
+def _meta_text(name: str, code: float) -> str:
+    """A stored ``meta.<name>`` code as the choice it stands for."""
+    vocabulary = _META_VOCABULARIES[name]
+    if vocabulary is None:
+        return f"{code:.0f} outputs"
+    if code.is_integer() and 0 <= code < len(vocabulary):
+        return repr(vocabulary[int(code)])
+    return f"code {code:g}"
 
 
 def check_head_outputs(loss: str, n_outputs: int, n_classes: int | None = None) -> None:
@@ -162,31 +182,6 @@ class ArchitectureConfig(ModelSettings):
         check_head_outputs(self.loss, self.n_outputs)
 
 
-class _SeqBatchNormLeaky:
-    """Batch norm over (batch*length, hidden), then leaky ReLU.
-
-    The running stats move at Keras's rate: its momentum 0.99 is a new-batch weight of 0.01.
-    """
-
-    def __init__(self, dim: int):
-        self.bn = BatchNorm(dim, momentum=0.01)
-        self.params = self.bn.params
-        self.grads = self.bn.grads
-        self.buffers = self.bn.buffers
-
-    def forward(self, x, train=True, rng=None):
-        self._shape = x.shape
-        flat = x.reshape(-1, x.shape[-1])
-        y = self.bn.forward(flat, train=train)
-        self._y = y
-        return np.where(y > 0.0, y, LEAKY_SLOPE * y).reshape(self._shape)
-
-    def backward(self, grad):
-        flat = grad.reshape(-1, grad.shape[-1])
-        dy = flat * np.where(self._y > 0.0, 1.0, LEAKY_SLOPE)
-        return self.bn.backward(dy).reshape(self._shape)
-
-
 class TwoStreamModel:
     """Trainable spatio-temporal model: named block chains; see the module docstring."""
 
@@ -204,8 +199,9 @@ class TwoStreamModel:
             temporal, in_dim = {}, config.temporal_input_dim
             for i in range(config.lstm_layers):
                 temporal[f"lstm{i}"] = Lstm(in_dim, config.lstm_hidden, rng=rng, init=init)
+                # Keras's batch-norm momentum 0.99 is a new-batch weight of 0.01.
                 temporal[f"lstm{i}_reg"] = (
-                    _SeqBatchNormLeaky(config.lstm_hidden)
+                    BatchNorm(config.lstm_hidden, momentum=0.01, activation="leaky-relu")
                     if config.temporal_regularizer == "batchnorm"
                     else Dropout(0.2 if i == 0 else 0.1)
                 )
@@ -261,25 +257,41 @@ class TwoStreamModel:
         return self._tensors("grads")
 
     def state(self) -> dict[str, np.ndarray]:
-        """What a checkpoint holds: the parameters and the batch-norm running statistics."""
-        return self._tensors("params", "buffers")
+        """The checkpoint: each block's parameters and batch-norm running statistics, in
+        block order, then the ``meta.*`` codes of ``_META_VOCABULARIES`` as 0-d arrays."""
+        state = self._tensors("params", "buffers")
+        for name, vocabulary in _META_VOCABULARIES.items():
+            value = getattr(self.config, name)
+            state[f"meta.{name}"] = np.array(
+                float(value if vocabulary is None else vocabulary.index(value))
+            )
+        return state
 
     def zero_grads(self):
         for g in self.grads().values():
             g[:] = 0.0
 
     def load_params(self, tensors: dict[str, np.ndarray]):
-        """Install ``tensors`` (checkpoint name -> array) as the model's :meth:`state`.
+        """Install ``tensors`` (checkpoint name -> array), as :meth:`state` wrote them.
 
-        The names must be exactly the model's parameters and running
-        statistics, and each shape must match; otherwise ValueError. Each
-        array then becomes the model's own, not a copy, when it is float64,
-        C-contiguous, aligned and writable, as
-        :func:`spd_bci.data.read_tensors` returns them; the model owns it
-        from then on, and training updates it in place. Any other array is
-        converted once.
+        ValueError, in this order: a ``meta.*`` code other than the model's
+        own (naming the key and both choices), names other than the model's
+        state, a shape that differs. Each array then becomes the model's
+        own, not a copy, when it is float64, C-contiguous, aligned and
+        writable, as :func:`spd_bci.data.read_tensors` returns them; the
+        model owns it from then on, and training updates it in place. Any
+        other array is converted once.
         """
         state = self.state()
+        for name in _META_VOCABULARIES:
+            key = f"meta.{name}"
+            stored = tensors.get(key)
+            # A meta tensor of another shape is left to the shape check below.
+            if stored is not None and stored.shape == () and float(stored) != state[key]:
+                raise ValueError(
+                    f"key {key!r} is {_meta_text(name, float(stored))}, "
+                    f"this config has {_meta_text(name, float(state[key]))}"
+                )
         missing = set(state) - set(tensors)
         if missing:
             raise ValueError(f"checkpoint is missing tensors: {sorted(missing)}")

@@ -6,7 +6,8 @@ instance, so a full backward pass runs without an autodiff framework.
 All gradients are hand-derived; the test suite checks each block and the
 composed model against central finite differences.
 
-Conventions: batch-first arrays; dense weights are (out, in); LSTM gate
+Conventions: batch-first arrays; dense weights are (out, in); batch norm
+takes the last axis as the features and pools the others; LSTM gate
 order is input, forget, output, candidate with the four gate blocks
 stacked row-wise in one matrix. Attention has one fixed form: a step's
 score is the sum of the components of tanh(W h_t + b), softmax-normalized
@@ -307,14 +308,20 @@ class Dropout:
 
 
 class BatchNorm:
-    """Per-feature standardization with learned scale/shift and running stats.
+    """Per-feature standardization with learned scale/shift and running stats, then act.
 
-    The running stats are ``buffers``: a checkpoint saves them, the optimizer never sees them.
+    The features are the last axis, and the statistics pool every other
+    axis: a (batch, length, hidden) sequence is normalized per hidden unit
+    over batch and time, and comes back in its own shape. ``activation``
+    takes the names :class:`Dense` does. The running stats are
+    ``buffers``: a checkpoint saves them, the optimizer never sees them.
     """
 
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
+    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5,
+                 activation: str = "identity"):
         self.eps = eps
         self.momentum = momentum
+        self.activation = activation
         self.params = {"gamma": np.ones(dim), "beta": np.zeros(dim)}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.buffers = {"running_mean": np.zeros(dim), "running_var": np.ones(dim)}
@@ -329,9 +336,10 @@ class BatchNorm:
 
     def forward(self, x: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
+        flat = x.reshape(-1, x.shape[-1])
         if train:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            mean = flat.mean(axis=0)
+            var = flat.var(axis=0)
             m, stats = self.momentum, self.buffers
             stats["running_mean"] = (1 - m) * stats["running_mean"] + m * mean
             stats["running_var"] = (1 - m) * stats["running_var"] + m * var
@@ -339,24 +347,27 @@ class BatchNorm:
             mean = self.running_mean
             var = self.running_var
         self._train = train
-        self._x = x
-        self._mean = mean
         self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._xhat = (x - mean) * self._inv_std
-        return self.params["gamma"] * self._xhat + self.params["beta"]
+        self._xhat = (flat - mean) * self._inv_std
+        self._z = self.params["gamma"] * self._xhat + self.params["beta"]
+        self._y = _activate(self._z, self.activation)
+        return self._y.reshape(x.shape)
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
         xhat, inv_std = self._xhat, self._inv_std
-        self.grads["gamma"] += np.sum(grad_y * xhat, axis=0)
-        self.grads["beta"] += np.sum(grad_y, axis=0)
-        dxhat = grad_y * self.params["gamma"]
-        if not self._train:
-            return dxhat * inv_std
-        n = grad_y.shape[0]
-        # Batch statistics depend on x, so fold their gradients back in.
-        return (inv_std / n) * (
-            n * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
+        dz = _activate_backward(
+            grad_y.reshape(-1, grad_y.shape[-1]), self._z, self._y, self.activation
         )
+        self.grads["gamma"] += np.sum(dz * xhat, axis=0)
+        self.grads["beta"] += np.sum(dz, axis=0)
+        dxhat = dz * self.params["gamma"]
+        if not self._train:
+            return (dxhat * inv_std).reshape(grad_y.shape)
+        n = dz.shape[0]
+        # Batch statistics depend on x, so fold their gradients back in.
+        return ((inv_std / n) * (
+            n * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
+        )).reshape(grad_y.shape)
 
 
 def forward_chain(blocks, x: np.ndarray, train: bool = True,

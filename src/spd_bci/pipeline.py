@@ -37,9 +37,6 @@ from .geometry import (
     tangent_vectorize,
 )
 from .model import (
-    LOSSES,
-    OUTPUT_ACTIVATIONS,
-    VARIANTS,
     ArchitectureConfig,
     ModelSettings,
     TwoStreamModel,
@@ -52,15 +49,6 @@ from .spectral import build_feature_sequence, plan_stft
 logger = logging.getLogger("spd_bci.pipeline")
 
 SEGMENT_SUFFIX = ".eegs"
-
-# The choices that a checkpoint's tensor names and shapes leave open, stored as
-# ``meta.<field>``: a label as its index into this vocabulary, a count (None) as itself.
-_META_VOCABULARIES = {
-    "variant": VARIANTS,
-    "n_outputs": None,
-    "output_activation": OUTPUT_ACTIVATIONS,
-    "loss": LOSSES,
-}
 
 
 def _segment_files(directory: Path) -> list[Path]:
@@ -245,25 +233,6 @@ def _architecture(config: PipelineConfig, label: str, temporal_dim: int,
                               temporal_input_dim=temporal_dim, spatial_input_dim=spatial_dim)
 
 
-def _meta_codes(arch: ArchitectureConfig) -> dict[str, float]:
-    """The checkpoint ``meta.*`` tensors that pin ``arch``'s open choices."""
-    codes = {}
-    for name, vocabulary in _META_VOCABULARIES.items():
-        value = getattr(arch, name)
-        codes[f"meta.{name}"] = float(value if vocabulary is None else vocabulary.index(value))
-    return codes
-
-
-def _meta_text(name: str, code: float) -> str:
-    """A stored ``meta.<name>`` code as the choice it stands for."""
-    vocabulary = _META_VOCABULARIES[name]
-    if vocabulary is None:
-        return f"{code:.0f} outputs"
-    if code.is_integer() and 0 <= code < len(vocabulary):
-        return repr(vocabulary[int(code)])
-    return f"code {code:g}"
-
-
 def _load_features(config: PipelineConfig, split: str) -> dict:
     path = config.work_dir / "features" / f"{split}.spdt"
     if not path.is_file():
@@ -294,9 +263,7 @@ def run_train(config: PipelineConfig, jobs: int = 1) -> dict:
         seed=config.seed,
         log_path=model_dir / f"train_log_{label}.jsonl",
     )
-    tensors = model.state()
-    tensors.update({key: np.array(code) for key, code in _meta_codes(arch).items()})
-    save_checkpoint(_checkpoint_path(config, label), tensors)
+    save_checkpoint(_checkpoint_path(config, label), model.state())
     return {"variant": label, "epochs": len(history), "final_loss": history[-1]["loss"]}
 
 
@@ -373,15 +340,6 @@ def _evaluate_variant(config: PipelineConfig, label: str, test: dict) -> dict:
         raise DataError(f"missing checkpoint for variant {label!r}: {path}")
     tensors = load_checkpoint(path)
     arch = _architecture(config, label, test["temporal"].shape[2], test["spatial"].shape[1])
-    # A checkpoint written before a meta key existed loads without that check.
-    for key, code in _meta_codes(arch).items():
-        stored = tensors.pop(key, None)
-        if stored is not None and float(stored) != code:
-            name = key.removeprefix("meta.")
-            raise ConfigError(
-                f"checkpoint {path} key {key!r} is {_meta_text(name, float(stored))}, "
-                f"this config has {_meta_text(name, code)}"
-            )
     model = TwoStreamModel(arch, seed=None)
     try:
         model.load_params(tensors)
@@ -415,13 +373,6 @@ def run_evaluate(config: PipelineConfig) -> dict:
 
 def run_ablate(config: PipelineConfig) -> list[dict]:
     """Evaluate every configured variant and tabulate one row per variant per metric."""
-    if not config.ablate_variants:
-        raise ConfigError("ablate needs a non-empty ablate_variants list")
-    for label in config.ablate_variants:
-        if label not in VARIANTS:
-            raise ConfigError(
-                f"unknown ablate variant {label!r}; choose from {sorted(VARIANTS)}"
-            )
     test = _load_features(config, "test")
     rows = []
     for label in config.ablate_variants:

@@ -64,6 +64,14 @@ def write_synthetic_dataset(root, seed=0, train_per_class=20):
             write_segment(out / f"seg_{i:03d}.eegs", segment)
 
 
+def package_env():
+    """The environment with this checkout's package first on PYTHONPATH, for subprocesses."""
+    src = str(Path(spd_bci.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    ))
+
+
 def write_config(root, extra=""):
     path = root / "pipeline.cfg"
     path.write_text(BASE_CONFIG + extra, encoding="utf-8")
@@ -148,6 +156,17 @@ class TestCliErrors:
     def test_missing_config_flag_is_usage_error(self):
         assert main(["preprocess"]) == 1
 
+    def test_error_is_printed_once(self, tmp_path):
+        # In a fresh interpreter, as the console script runs: pytest owns the
+        # logging handlers in-process, so a logged copy would not show there.
+        missing = tmp_path / "absent.cfg"
+        proc = subprocess.run(
+            [sys.executable, "-m", "spd_bci.cli", "preprocess", "--config", str(missing)],
+            env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.count(f"config file {missing} does not exist") == 1, proc.stderr
+
     def test_bad_config_exits_1(self, tmp_path):
         config = tmp_path / "bad.cfg"
         config.write_text("profile = synthetic\nmystery = 1\n", encoding="utf-8")
@@ -177,6 +196,29 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert str(config) in err and reason in err
         assert "task = " in err and "n_classes = " in err and "loss = " in err
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("extra", [
+        "output_activation = sigmoid\nloss = mse\n",
+        "task = regression\nn_classes = 1\noutput_activation = sigmoid\nloss = bce\n",
+    ], ids=["classification-mse", "regression-bce"])
+    def test_task_that_does_not_follow_the_loss_exits_1_at_preprocess(
+        self, tmp_path, capsys, extra
+    ):
+        # Found at load: evaluate would score such a head under the other task's metrics.
+        config = write_config(tmp_path, extra=extra)
+        assert main(["preprocess", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and "task = " in err and "loss = " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("labels, named", [("fused,bogus", "'bogus'"), ("", "at least one")])
+    def test_ablate_variants_checked_at_preprocess(self, tmp_path, capsys, labels, named):
+        config = write_config(tmp_path, extra=f"ablate_variants = {labels}\n")
+        assert main(["preprocess", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert str(config) in err and "ablate_variants" in err and named in err
         assert not (tmp_path / "work").exists()
 
     def test_missing_data_dir_exits_2(self, tmp_path):
@@ -638,12 +680,9 @@ class TestLazyScipyImport:
             "    loaded.append('scipy.signal' in sys.modules)\n"
             "print(loaded)\n"
         )
-        src = str(Path(spd_bci.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])
-        ))
         proc = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", script], env=package_env(), capture_output=True, text=True,
+            timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[False, False, False, False]"
@@ -718,6 +757,21 @@ class TestCheckpointMismatch:
         assert main(["evaluate", "--config", str(regression)]) == 1
         err = capsys.readouterr().err
         assert "'meta.loss' is 'bce'" in err and "'mse'" in err
+
+    def test_checkpoint_without_meta_exits_1_naming_the_tensors(self, workspace, capsys):
+        from spd_bci.data import read_tensors, write_tensors
+
+        config = write_config(workspace, extra="variant = spatial\nepochs = 1\n")
+        assert main(["train", "--config", str(config)]) == 0
+        path = workspace / "work" / "model" / "model_spatial.ckpt"
+        tensors = read_tensors(path)
+        write_tensors(path, {k: v for k, v in tensors.items() if not k.startswith("meta.")})
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and "missing tensors" in err
+        for name in ("variant", "n_outputs", "output_activation", "loss"):
+            assert f"'meta.{name}'" in err
 
     def test_output_count_mismatch_exits_1_naming_key(self, workspace, capsys):
         config = write_config(workspace, extra="variant = spatial\nepochs = 1\n")

@@ -6,6 +6,9 @@ from conftest import finite_difference_grads, max_relative_error
 
 from spd_bci.errors import NumericalError
 from spd_bci.model import (
+    LOSSES,
+    OUTPUT_ACTIVATIONS,
+    VARIANTS,
     ArchitectureConfig,
     TwoStreamModel,
     cohen_kappa,
@@ -107,6 +110,21 @@ def test_checkpoint_keys_are_pinned(label, regularizer):
     model = tiny_model(lstm_layers=2, temporal_regularizer=regularizer, variant=label)
     assert list(model.params()) == CHECKPOINT_KEYS[label, regularizer]
     assert list(model.grads()) == CHECKPOINT_KEYS[label, regularizer]
+
+
+@pytest.mark.parametrize("label", VARIANTS)
+def test_state_is_params_and_buffers_then_meta(label):
+    model = tiny_model(lstm_layers=2, variant=label, output_activation="sigmoid", loss="bce",
+                       n_outputs=1)
+    state = model.state()
+    names = list(state)
+    meta = ["meta.variant", "meta.n_outputs", "meta.output_activation", "meta.loss"]
+    assert names[-4:] == meta
+    assert [n for n in names[:-4] if ".running_" not in n] == list(model.params())
+    codes = [VARIANTS.index(label), 1, OUTPUT_ACTIVATIONS.index("sigmoid"), LOSSES.index("bce")]
+    for key, code in zip(meta, codes):
+        assert state[key].shape == () and state[key].dtype == np.float64
+        assert state[key] == code, key
 
 
 class TestTemporalStream:
@@ -386,8 +404,8 @@ class TestTraining:
             assert bare_model.params()[key].tobytes() == value.tobytes(), key
         for i in range(TINY["lstm_layers"]):
             bare_reg, logged_reg = (m.blocks[f"lstm{i}_reg"] for m in (bare_model, logged_model))
-            assert bare_reg.bn.running_mean.tobytes() == logged_reg.bn.running_mean.tobytes()
-            assert bare_reg.bn.running_var.tobytes() == logged_reg.bn.running_var.tobytes()
+            assert bare_reg.running_mean.tobytes() == logged_reg.running_mean.tobytes()
+            assert bare_reg.running_var.tobytes() == logged_reg.running_var.tobytes()
 
 
 class TestMetrics:

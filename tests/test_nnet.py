@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spd_bci.errors import DataError
 from spd_bci.nnet import (
     ADAM_BLOCK,
+    LEAKY_SLOPE,
     Attention,
     BatchNorm,
     Dense,
@@ -297,6 +298,33 @@ class TestBatchNorm:
             lambda rng: BatchNorm(3),
             lambda rng: rng.standard_normal((6, 3)),
         )
+        # A sequence, as after an LSTM layer: statistics pool batch and time.
+        check_block_gradients(
+            lambda rng: BatchNorm(3, activation="leaky-relu"),
+            lambda rng: rng.standard_normal((4, 5, 3)),
+        )
+
+    def test_sequence_with_leaky_relu_equals_flattened_reference(self):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((4, 5, 3))
+        grad = rng.standard_normal(x.shape)
+        block = BatchNorm(3, momentum=0.01, activation="leaky-relu")
+        reference = BatchNorm(3, momentum=0.01)
+        for bn in (block, reference):
+            bn.params["gamma"][:] = [0.5, 1.5, -1.0]
+            bn.params["beta"][:] = [0.1, -0.2, 0.3]
+        for train in (True, False):
+            y = block.forward(x, train=train)
+            z = reference.forward(x.reshape(-1, 3), train=train)
+            expected = np.where(z > 0.0, z, LEAKY_SLOPE * z).reshape(x.shape)
+            assert y.shape == x.shape and y.tobytes() == expected.tobytes()
+            dx = block.backward(grad)
+            slope = np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+            expected = reference.backward(grad.reshape(-1, 3) * slope).reshape(x.shape)
+            assert dx.tobytes() == expected.tobytes()
+            for store in ("grads", "buffers"):
+                for key, arr in getattr(reference, store).items():
+                    assert getattr(block, store)[key].tobytes() == arr.tobytes(), key
 
 
 def test_every_block_class_runs_in_a_chain():
