@@ -138,8 +138,10 @@ class PipelineConfig(ModelSettings):
                 raise ConfigError(
                     f"unknown ablate_variants label {label!r}; choose one of {list(VARIANTS)}"
                 )
-        # Written ``not x >= low`` so that NaN fails too.
-        for key, low in (("filter_order", 1), ("trial_seconds", 1)):  # 1 s analysis window
+        # Written ``not x >= low`` so that NaN fails too. The 1 s floor on
+        # trial_seconds is one analysis window; the seed feeds numpy's
+        # generators, which take no negative seed.
+        for key, low in (("filter_order", 1), ("trial_seconds", 1), ("seed", 0)):
             if not getattr(self, key) >= low:
                 raise ConfigError(f"key {key!r} must be at least {low}, got {getattr(self, key)}")
         for key in ("fs", "broadband_low", "notch_hz"):

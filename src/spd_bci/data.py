@@ -19,12 +19,12 @@ Tensor bundle (named arrays, also used for feature files and checkpoints):
     per tensor: u16 name length, utf-8 name, u8 ndim, ndim * u64 shape,
                 f64 payload in C order
 
-Bundles move no payload through an intermediate buffer: ``write_tensors``
-writes each array's own memory, and ``read_tensors`` reads each payload
-straight into a new aligned, C-contiguous, writable float64 array (payload
-offsets follow the name lengths, so views into one file buffer would be
-misaligned). A declared payload is checked against the bytes left in the
-file before its array is allocated.
+Neither format moves a payload through an intermediate buffer: the
+writers write each array's own memory, and the readers read each payload
+straight into a new aligned, C-contiguous, writable float64 array (bundle
+payload offsets follow the name lengths, so views into one file buffer
+would be misaligned). A declared payload is checked against the bytes left
+in the file before its array is allocated.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 
 from .config import parse_key_values
 from .errors import ConfigError, DataError
-from .filters import EegSegment, apply_filter_zero_phase
+from .filters import EegSegment, apply_filter_zero_phase, design_butterworth_lowpass
 
 SEGMENT_MAGIC = b"EEGS"
 TENSOR_MAGIC = b"SPDT"
@@ -70,27 +70,35 @@ def write_segment(path, segment: EegSegment):
                 value,
             )
         )
-        fh.write(segment.samples.astype("<f8").tobytes(order="C"))
+        fh.write(np.require(segment.samples, dtype="<f8", requirements="C"))
 
 
 def read_segment(path) -> EegSegment:
+    """Read one trial; the payload is read straight into a new (channels, samples) array.
+
+    The payload size is checked against the file size before the array is
+    allocated.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < _HEADER.size:
-        raise DataError(f"{path}: truncated header, {len(data)} bytes < {_HEADER.size}")
-    magic, version, n_channels, n_samples, fs, kind, value = _HEADER.unpack_from(data, 0)
-    if magic != SEGMENT_MAGIC:
-        raise DataError(f"{path}: bad magic {magic!r} at offset 0")
-    if version != FORMAT_VERSION:
-        raise DataError(f"{path}: unsupported version {version} at offset 4")
-    expected = n_channels * n_samples * 8
-    payload = data[_HEADER.size:]
-    if len(payload) != expected:
-        raise DataError(
-            f"{path}: payload at offset {_HEADER.size} has {len(payload)} bytes, "
-            f"expected {expected}"
-        )
-    samples = np.frombuffer(payload, dtype="<f8").reshape(n_channels, n_samples).copy()
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise DataError(f"{path}: truncated header, {len(head)} bytes < {_HEADER.size}")
+        magic, version, n_channels, n_samples, fs, kind, value = _HEADER.unpack(head)
+        if magic != SEGMENT_MAGIC:
+            raise DataError(f"{path}: bad magic {magic!r} at offset 0")
+        if version != FORMAT_VERSION:
+            raise DataError(f"{path}: unsupported version {version} at offset 4")
+        expected = n_channels * n_samples * 8
+        found = size - _HEADER.size
+        if found == expected:
+            samples = np.empty((n_channels, n_samples), dtype="<f8")
+            found = fh.readinto(samples)  # short only if the file shrank while it was read
+        if found != expected:
+            raise DataError(
+                f"{path}: payload at offset {_HEADER.size} has {found} bytes, "
+                f"expected {expected}"
+            )
     finite = np.isfinite(samples)
     if not finite.all():
         first = int(np.argmin(finite))  # row-major index of the first non-finite value
@@ -351,9 +359,7 @@ def decimate_segment(segment: EegSegment, factor: int) -> EegSegment:
         return segment
     new_fs = segment.fs / factor
     cutoff = 0.8 * new_fs / 2.0
-    from scipy import signal as sps
-
-    sos = sps.butter(8, cutoff, btype="lowpass", fs=segment.fs, output="sos")
+    sos = design_butterworth_lowpass(cutoff, 8, segment.fs)
     filtered = apply_filter_zero_phase(sos, segment).samples
     return EegSegment(filtered[:, ::factor], new_fs, segment.label)
 

@@ -521,7 +521,8 @@ def pearson_correlation(y_true, y_pred) -> float:
     denom = np.sqrt(np.sum(a ** 2) * np.sum(b ** 2))
     if denom == 0.0:
         raise NumericalError("Pearson correlation undefined: zero variance in inputs")
-    return float(np.sum(a * b) / denom)
+    # Rounding can carry |r| just past 1 (two points give exactly +-1 in exact arithmetic).
+    return float(np.clip(np.sum(a * b) / denom, -1.0, 1.0))
 
 
 def _defined(metric, *args):

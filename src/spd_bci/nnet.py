@@ -500,11 +500,21 @@ def _flat_view(array: np.ndarray, key: str) -> np.ndarray:
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 5.0) -> float:
     """Scale all gradients so their joint L2 norm is at most ``max_norm``.
 
-    A non-finite norm is returned unscaled so divergence stays visible to
-    the caller instead of being silently zeroed out.
+    The squares are summed one ``ADAM_BLOCK`` at a time through one scratch
+    buffer, so no full-size ``g ** 2`` is made. A non-finite norm is
+    returned unscaled so divergence stays visible to the caller instead of
+    being silently zeroed out.
     """
+    scratch = np.empty(min(ADAM_BLOCK, max((g.size for g in grads.values()), default=0)))
+    total = 0.0
     with np.errstate(over="ignore"):
-        total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
+        for g in grads.values():
+            flat = g.reshape(-1)
+            for lo in range(0, flat.size, ADAM_BLOCK):
+                block = flat[lo:lo + ADAM_BLOCK]
+                squares = np.square(block, out=scratch[:block.size])
+                total += float(squares.sum())
+    total = np.sqrt(total)
     if np.isfinite(total) and total > max_norm and total > 0.0:
         scale = max_norm / total
         for g in grads.values():

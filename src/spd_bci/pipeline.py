@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -319,6 +318,9 @@ def _run_rank_grid(config: PipelineConfig, train: dict, jobs: int = 1) -> dict:
         for rank in ranks
     ]
     if jobs > 1:
+        # Imported here: no other step pays for loading the process pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_grid_point, payloads))
     else:

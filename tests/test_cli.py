@@ -172,6 +172,18 @@ class TestCliErrors:
         config.write_text("profile = synthetic\nmystery = 1\n", encoding="utf-8")
         assert main(["preprocess", "--config", str(config)]) == 1
 
+    @pytest.mark.parametrize("flag", ["--seed", "--jobs"])
+    def test_negative_flag_exits_1_naming_the_flag(self, tmp_path, capsys, flag):
+        # Checked before any step runs: a negative seed would otherwise fail
+        # only inside numpy, with no flag named.
+        write_synthetic_dataset(tmp_path)
+        config = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config), flag, "-1"]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} must be" in err and "got -1" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "work").exists()
+
     def test_unpaired_head_exits_1_at_preprocess_naming_file_and_keys(self, tmp_path, capsys):
         # The synthetic profile's softmax head cannot take mse; found at load, not at train.
         write_synthetic_dataset(tmp_path)
@@ -648,44 +660,47 @@ class TestSinglePassFeatures:
 
 class TestFiltersDesignedOncePerRun:
     def test_initial_conditions_and_notch_are_designed_once_per_step(self, tmp_path, monkeypatch):
-        import scipy.signal
+        # zero_phase_sos builds each filter's initial conditions and block matrices.
+        from spd_bci import filters, pipeline
 
         calls = {}
-        for name in ("sosfilt_zi", "lfilter_zi", "iirnotch"):
-            original = getattr(scipy.signal, name)
+        for name in ("design_butterworth_bandpass", "design_notch", "zero_phase_sos"):
+            original = getattr(filters, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(scipy.signal, name, counting)
+            for module in (filters, pipeline):  # the pipeline imports them by name
+                monkeypatch.setattr(module, name, counting)
         write_synthetic_dataset(tmp_path)  # 40 train + 24 test trials, 2 bands
         config = write_config(tmp_path)
         assert main(["preprocess", "--config", str(config)]) == 0
-        assert calls == {"sosfilt_zi": 1, "lfilter_zi": 1, "iirnotch": 1}  # broadband, notch
+        # One broadband and one notch.
+        assert calls == {"design_butterworth_bandpass": 1, "design_notch": 1, "zero_phase_sos": 2}
         calls.clear()
         assert main(["features", "--config", str(config)]) == 0
-        assert calls == {"sosfilt_zi": 2}  # one per band
+        assert calls == {"design_butterworth_bandpass": 2, "zero_phase_sos": 2}  # one per band
 
 
 class TestLazyScipyImport:
-    def test_steps_that_do_not_filter_never_import_scipy_signal(self, workspace):
-        config = write_config(workspace, extra="ablate_variants = fused\n")
+    def test_no_step_imports_scipy(self, tmp_path):
+        write_synthetic_dataset(tmp_path)
+        config = write_config(tmp_path, extra="ablate_variants = fused\n")
         script = (
             "import sys\n"
             "import spd_bci.cli\n"
-            "loaded = ['scipy.signal' in sys.modules]\n"
-            "for step in ('train', 'evaluate', 'ablate'):\n"
-            f"    assert spd_bci.cli.main([step, '--config', {str(config)!r}]) == 0\n"
-            "    loaded.append('scipy.signal' in sys.modules)\n"
-            "print(loaded)\n"
+            "for step in ('preprocess', 'features', 'train', 'evaluate', 'ablate'):\n"
+            f"    assert spd_bci.cli.main([step, '--config', {str(config)!r}]) == 0, step\n"
+            "    assert 'scipy' not in sys.modules, step\n"
+            "print('ok')\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], env=package_env(), capture_output=True, text=True,
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip().splitlines()[-1] == "[False, False, False, False]"
+        assert proc.stdout.strip().splitlines()[-1] == "ok"
 
 
 class TestRankGridSplits:

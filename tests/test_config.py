@@ -221,6 +221,7 @@ PIPELINE_OUT_OF_RANGE = [
     ("broadband_low = 30\nbroadband_high = 20", "broadband_low", "30"),
     ("broadband_low = -1", "broadband_low", "-1"),
     ("notch_hz = 0", "notch_hz", "0"),
+    ("seed = -1", "seed", "-1"),
 ]
 
 

@@ -48,6 +48,41 @@ class TestSegmentFile:
         with pytest.raises(DataError, match=r"792 bytes.*expected 800|expected 800"):
             read_segment(path)
 
+    @pytest.mark.parametrize("cut, found", [(-8, 792), (-800, 0), (8, 808)],
+                             ids=["truncated", "no-payload", "oversized"])
+    def test_payload_size_message_names_path_offset_and_counts(self, tmp_path, cut, found):
+        path = tmp_path / "trial.eegs"
+        write_segment(path, EegSegment(np.ones((2, 50)), FS))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:cut] if cut < 0 else raw + bytes(cut))
+        header = len(raw) - 800
+        with pytest.raises(DataError) as info:
+            read_segment(path)
+        assert str(info.value) == (
+            f"{path}: payload at offset {header} has {found} bytes, expected 800"
+        )
+
+    @pytest.mark.parametrize("layout", ["c", "fortran", "strided", "big-endian"])
+    def test_bytes_on_disk_follow_the_layout_for_any_array(self, tmp_path, layout):
+        # Oracle: the documented header packed field by field, then the
+        # payload as row-major little-endian float64.
+        samples = np.random.default_rng(2).standard_normal((3, 40))
+        given = {
+            "c": samples,
+            "fortran": np.asfortranarray(samples),
+            "strided": np.repeat(samples, 2, axis=1)[:, ::2],
+            "big-endian": samples.astype(">f8"),
+        }[layout]
+        segment = EegSegment(samples, FS, 2)
+        segment.samples = given  # as a filter's output view would be held
+        path = tmp_path / "trial.eegs"
+        write_segment(path, segment)
+        header = struct.pack("<4sIIQdBd", b"EEGS", 1, 3, 40, FS, 1, 2.0)
+        assert path.read_bytes() == header + samples.astype("<f8").tobytes()
+        loaded = read_segment(path)
+        assert loaded.samples.flags.c_contiguous and loaded.samples.flags.writeable
+        assert loaded.samples.tobytes() == samples.tobytes()
+
     def test_non_finite_sample_names_path_and_offset(self, tmp_path):
         path = tmp_path / "trial.eegs"
         write_segment(path, EegSegment(np.zeros((2, 50)), FS))

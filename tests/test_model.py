@@ -422,6 +422,14 @@ class TestMetrics:
         assert root_mean_squared_error([0.0, 1.0], [1.0, 0.0]) == pytest.approx(1.0)
         assert pearson_correlation([0.0, 1.0], [1.0, 0.0]) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("y_true, y_pred, sign", [
+        ([0.6095693498571635, 0.31582937101109626], [0.04097352393619469, 0.016527635528529094], 1.0),
+        ([0.3754479830433002, 0.4442389855582667], [0.9660620807840702, 0.562231842228457], -1.0),
+    ])
+    def test_pcc_of_two_points_stays_within_one(self, y_true, y_pred, sign):
+        # Unclipped, these pairs round to +-1.0000000000000002.
+        assert pearson_correlation(y_true, y_pred) == sign
+
     def test_pcc_undefined_for_constant_predictions(self):
         with pytest.raises(NumericalError, match="zero variance"):
             pearson_correlation([0.0, 1.0], [0.5, 0.5])
