@@ -38,8 +38,10 @@ from .geometry import (
 )
 from .model import ArchitectureConfig, TwoStreamModel, evaluate_model, train_model
 from .spectral import (
+    BandBasis,
     FeatureSequence,
     StftPlan,
+    band_basis,
     build_feature_sequence,
     de_feature,
     log_psd_feature,

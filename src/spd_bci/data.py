@@ -99,13 +99,6 @@ def read_segment(path) -> EegSegment:
                 f"{path}: payload at offset {_HEADER.size} has {found} bytes, "
                 f"expected {expected}"
             )
-    finite = np.isfinite(samples)
-    if not finite.all():
-        first = int(np.argmin(finite))  # row-major index of the first non-finite value
-        raise DataError(
-            f"{path}: non-finite sample at offset {_HEADER.size + 8 * first} "
-            f"(channel {first // n_samples}, sample {first % n_samples})"
-        )
     if kind == _LABEL_NONE:
         label = None
     elif kind == _LABEL_CLASS:
@@ -115,9 +108,16 @@ def read_segment(path) -> EegSegment:
     else:
         raise DataError(f"{path}: unknown label kind {kind} at offset {_HEADER.size - 9}")
     try:
-        return EegSegment(samples, fs, label)
-    except ValueError as exc:  # header shape or rate out of range
-        raise DataError(f"{path}: {exc}") from exc
+        return EegSegment(samples, fs, label)  # its checks make the one finiteness pass
+    except ValueError as exc:  # header shape or rate out of range, or a non-finite sample
+        finite = np.isfinite(samples)
+        if finite.all():
+            raise DataError(f"{path}: {exc}") from exc
+        first = int(np.argmin(finite))  # row-major index of the first non-finite value
+        raise DataError(
+            f"{path}: non-finite sample at offset {_HEADER.size + 8 * first} "
+            f"(channel {first // n_samples}, sample {first % n_samples})"
+        ) from exc
 
 
 def write_tensors(path, tensors: dict[str, np.ndarray]):

@@ -73,6 +73,17 @@ class EegSegment:
         """New segment with the same rate and label but different samples."""
         return EegSegment(samples, self.fs, self.label)
 
+    def _filtered(self, samples: np.ndarray) -> "EegSegment":
+        """:meth:`with_samples` for a filter's output, which skips the checks.
+
+        A stable filter maps this checked segment to a float64 array of the
+        same shape and finite values, so only the I/O and user boundary pays
+        the full-size ``isfinite`` pass.
+        """
+        out = object.__new__(EegSegment)
+        out.samples, out.fs, out.label = samples, self.fs, self.label
+        return out
+
 
 @dataclass(frozen=True)
 class BandSpec:
@@ -339,7 +350,7 @@ def apply_filter_zero_phase(filt, segment: EegSegment) -> EegSegment:
     ext = _odd_extend(segment.samples, n)
     y = filt.run(ext, ext[:, :1] * filt.zi)
     y = filt.run(y[:, ::-1], y[:, -1:] * filt.zi)
-    return segment.with_samples(y[:, ::-1][:, n:-n])
+    return segment._filtered(y[:, ::-1][:, n:-n])
 
 
 def notch_filter(segment: EegSegment, f0: float = 50.0, quality: float = 30.0) -> EegSegment:
@@ -400,12 +411,19 @@ def design_filter_bank(bands, fs) -> FilterBank:
 
 
 def filter_bank_decompose(segment: EegSegment, bank: FilterBank) -> list[EegSegment]:
-    """Band-limited copies of a segment, one per bank band."""
+    """Band-limited copies of a segment, one per bank band, each in C order.
+
+    The zero-phase pass returns a time-reversed view. The SCMs and spectra
+    read every band whole, and ``x @ x.T`` on that view takes a slower BLAS
+    path whose last bits depend on the BLAS thread count, so each band is
+    copied once here.
+    """
     if segment.fs != bank.fs:
         raise ValueError(
             f"segment rate {segment.fs} Hz does not match bank rate {bank.fs} Hz"
         )
-    return [apply_filter_zero_phase(filt, segment) for filt in bank.filters]
+    bands = [apply_filter_zero_phase(filt, segment) for filt in bank.filters]
+    return [segment._filtered(np.ascontiguousarray(band.samples)) for band in bands]
 
 
 def seed_rhythm_bands(order: int = 5) -> list[BandSpec]:

@@ -43,7 +43,7 @@ from .model import (
     train_model,
 )
 from .nnet import load_checkpoint, save_checkpoint
-from .spectral import build_feature_sequence, plan_stft
+from .spectral import band_basis, build_feature_sequence, plan_stft
 
 logger = logging.getLogger("spd_bci.pipeline")
 
@@ -158,6 +158,7 @@ def run_features(config: PipelineConfig) -> dict:
     """Temporal feature sequences and spatial tangent features for both splits."""
     bank = design_filter_bank(config.bands, config.fs)
     plan = plan_stft(config.trial_seconds, config.fs)
+    bases = [band_basis(plan, band) for band in bank.bands]
     out_dir = config.work_dir / "features"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -167,7 +168,7 @@ def run_features(config: PipelineConfig) -> dict:
         # One filter-bank pass per trial feeds both streams.
         for segment in _load_split_segments(config, split):
             band_segments = filter_bank_decompose(segment, bank)
-            features = build_feature_sequence(band_segments, bank.bands, plan)
+            features = build_feature_sequence(band_segments, bases, plan)
             if features.values.shape != (plan.n_windows, config.temporal_feature_dim):
                 raise DataError(
                     f"temporal features have shape {features.values.shape}, profile "

@@ -7,10 +7,13 @@ sub-band: the natural log of the in-band power, and the differential
 entropy 0.5*ln(2*pi*e*var) of a Gaussian signal whose variance is that
 same in-band power. Powers are floored at 1e-10 before the log so silent
 channels stay finite. One kernel computes the in-band power of every
-window of every channel of a band at once: a strided (channels, windows,
-n) view, one Hann multiply, one ``rfft`` along the last axis, and a
-weighted sum over the in-band bins. :func:`periodogram` and
-:func:`band_power` compute the same quantity for a single frame.
+window of every channel of a band at once. A band holds only a few of
+the window's DFT bins, so only those bins are computed (a pruned DFT):
+the framed signal, one row per channel and window, is multiplied by the
+band's :class:`BandBasis`, the cosine and sine columns of its in-band
+bins with the Hann window folded in. A run builds each band's basis once
+with :func:`band_basis`. :func:`periodogram` and :func:`band_power`
+compute the same quantity for a single frame with ``rfft``.
 """
 
 from __future__ import annotations
@@ -152,24 +155,58 @@ def _band_edges(band) -> tuple[float, float]:
     return float(low), float(high)
 
 
-def _window_band_powers(segment: EegSegment, plan: StftPlan, band) -> np.ndarray:
-    """In-band periodogram power per window per channel, shape (L, N), as :func:`band_power`."""
+@dataclass(frozen=True)
+class BandBasis:
+    """The in-band DFT of one band for one STFT plan.
+
+    ``matrix`` is (window_length, 2K): the cosine then the sine column of
+    each of the band's K bins, times the Hann window, so a frame times
+    ``matrix`` is the real and imaginary parts of those bins. ``weights``
+    (2K,) turns their squares into band power as :func:`band_power` does:
+    one-sided doubling except at DC and Nyquist, bin width, and the
+    window-energy scale of :func:`periodogram`.
+    """
+
+    matrix: np.ndarray
+    weights: np.ndarray
+
+
+def band_basis(plan: StftPlan, band) -> BandBasis:
+    """Build the :class:`BandBasis` of one band (a :class:`BandSpec` or a (low, high) pair)."""
     low, high = _band_edges(band)
     n = plan.window_length
     freqs = np.fft.rfftfreq(n, d=1.0 / plan.fs)
-    mask = (freqs >= low) & (freqs <= high)
-    if not np.any(mask):
+    bins = np.flatnonzero((freqs >= low) & (freqs <= high))
+    if bins.size == 0:
         raise ValueError(f"no PSD bins inside band ({low}, {high}) Hz")
-    k = np.arange(freqs.size)  # one-sided: double every bin except DC and (even n) Nyquist
-    one_sided = np.where((k == 0) | (2 * k == n), 1.0, 2.0)
-    weights = one_sided[mask] * (freqs[1] - freqs[0]) / (plan.fs * np.sum(plan.window ** 2))
-    spectrum = np.fft.rfft(frame_signal(segment.samples, plan) * plan.window, axis=-1)
-    powers = np.abs(spectrum[..., mask]) ** 2 @ weights  # (N, L)
+    one_sided = np.where((bins == 0) | (2 * bins == n), 1.0, 2.0)
+    weights = one_sided * (freqs[1] - freqs[0]) / (plan.fs * np.sum(plan.window ** 2))
+    # k*t is reduced mod n before scaling, so every angle lies in [0, 2*pi).
+    angles = (2.0 * np.pi / n) * (np.outer(np.arange(n), bins) % n)
+    matrix = np.concatenate((np.cos(angles), np.sin(angles)), axis=1) * plan.window[:, None]
+    return BandBasis(matrix, np.concatenate((weights, weights)))
+
+
+def _window_band_powers(segment: EegSegment, plan: StftPlan, band) -> np.ndarray:
+    """In-band periodogram power per window per channel, shape (L, N), as :func:`band_power`.
+
+    ``band`` is a :class:`BandBasis` built once per run, or a band spec
+    for a one-off call.
+    """
+    basis = band if isinstance(band, BandBasis) else band_basis(plan, band)
+    # One (L, n) @ (n, 2K) product per channel. Each is small enough that
+    # OpenBLAS runs it on one thread: one (N*L, n) product is not, and at two
+    # threads on two cores it sometimes stalls a whole process for ~8 ms a call.
+    frames = np.ascontiguousarray(frame_signal(segment.samples, plan))  # (N, L, n)
+    powers = np.square(frames @ basis.matrix) @ basis.weights  # (N, L)
     return powers.T
 
 
 def log_psd_feature(segment: EegSegment, plan: StftPlan, band) -> np.ndarray:
-    """Natural log of in-band power per window per channel, shape (L, N)."""
+    """Natural log of in-band power per window per channel, shape (L, N).
+
+    ``band`` is a band spec or its :class:`BandBasis`.
+    """
     powers = _window_band_powers(segment, plan, band)
     return np.log(np.maximum(powers, POWER_FLOOR))
 
@@ -179,7 +216,8 @@ def de_feature(segment: EegSegment, plan: StftPlan, band, estimator: str = "peri
 
     With the default estimator the variance is the in-band power from the
     Hanning periodogram; ``estimator="time"`` uses the plain sample
-    variance of each window instead (ablation aid).
+    variance of each window instead (ablation aid). ``band`` is a band
+    spec or its :class:`BandBasis`.
     """
     if estimator == "periodogram":
         variances = _window_band_powers(segment, plan, band)
@@ -198,7 +236,8 @@ def build_feature_sequence(
     """Assemble the L x (2*H*N) feature matrix from band-limited segments.
 
     Per window the layout is [DE(band 1, ch 1..N), ..., DE(band H, ch 1..N),
-    logPSD(band 1, ch 1..N), ..., logPSD(band H, ch 1..N)].
+    logPSD(band 1, ch 1..N), ..., logPSD(band H, ch 1..N)]. ``bands`` are
+    band specs, or the :class:`BandBasis` of each built once per run.
     """
     if len(band_segments) != len(bands):
         raise ValueError(

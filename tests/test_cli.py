@@ -682,6 +682,62 @@ class TestFiltersDesignedOncePerRun:
         assert main(["features", "--config", str(config)]) == 0
         assert calls == {"design_butterworth_bandpass": 2, "zero_phase_sos": 2}  # one per band
 
+    def test_band_bases_are_built_once_per_step(self, tmp_path, monkeypatch):
+        from spd_bci import pipeline, spectral
+
+        built = []
+        original = spectral.band_basis
+
+        def counting(plan, band):
+            built.append(band)
+            return original(plan, band)
+
+        for module in (spectral, pipeline):  # the pipeline imports it by name
+            monkeypatch.setattr(module, "band_basis", counting)
+        write_synthetic_dataset(tmp_path)  # 40 train + 24 test trials, 2 bands
+        config = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config)]) == 0
+        assert not built
+        assert main(["features", "--config", str(config)]) == 0
+        assert len(built) == 2  # one per band, not one per band and trial
+
+
+class TestFeaturesIndependentOfBlasThreads:
+    def test_seed_shape_features_are_byte_identical_at_one_and_two_threads(self, tmp_path):
+        # SEED shapes (62 ch x 1600 samples, 5 bands, rank 48): the band SCMs
+        # are large enough for OpenBLAS to split them over two threads.
+        rng = np.random.default_rng(5)
+        mixers = [rng.standard_normal((62, 62)) / 8.0 for _ in range(3)]
+        covariances = [m @ m.T + np.eye(62) for m in mixers]
+        for split, per_class, seed in (("train", 2, 0), ("test", 1, 1)):
+            out = tmp_path / "raw" / split
+            out.mkdir(parents=True)
+            spec = SynthSpec(
+                class_covariances=covariances, n_samples=1600, fs=200.0,
+                segments_per_class=per_class, seed=seed,
+            )
+            for i, segment in enumerate(synth_spd_classes(spec)):
+                write_segment(out / f"seg_{i:03d}.eegs", segment)
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(
+            "profile = seed\nraw_train_dir = raw/train\nraw_test_dir = raw/test\n"
+            "work_dir = work\n",
+            encoding="utf-8",
+        )
+        assert main(["preprocess", "--config", str(config)]) == 0
+        names = ("train.spdt", "test.spdt", "spatial_model.spdt")
+        written = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "spd_bci.cli", "features", "--config", str(config)],
+                env={**package_env(), "OPENBLAS_NUM_THREADS": threads}, cwd=tmp_path,
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            written.append([(tmp_path / "work" / "features" / name).read_bytes() for name in names])
+        for name, one, two in zip(names, *written):
+            assert one == two, name
+
 
 class TestLazyScipyImport:
     def test_no_step_imports_scipy(self, tmp_path):

@@ -330,6 +330,8 @@ class TestFilterBank:
         outputs = filter_bank_decompose(segment, bank)
         assert len(outputs) == 5
         assert all(o.samples.shape == segment.samples.shape for o in outputs)
+        # The SCMs and spectra read each band whole, from C-ordered memory.
+        assert all(o.samples.flags.c_contiguous for o in outputs)
 
     def test_fine_resolution_bank_has_25_bands(self):
         bands = uniform_bands(0.5, 50.5, 2.0)
@@ -367,6 +369,23 @@ class TestEegSegment:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             make_segment([1.0, np.nan, 2.0])
+
+    def test_with_samples_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_segment([1.0, 2.0, 3.0]).with_samples(np.array([[1.0, np.inf, 2.0]]))
+
+    def test_filter_outputs_are_not_checked_again(self, monkeypatch):
+        # A checked segment through a stable filter stays finite, so the
+        # filters build their outputs without another full-size isfinite pass.
+        segment = make_segment(np.random.default_rng(1).standard_normal((2, 400)))
+        checks = []
+        original = EegSegment.__post_init__
+        monkeypatch.setattr(EegSegment, "__post_init__", lambda self: checks.append(original(self)))
+        bank = design_filter_bank(seed_rhythm_bands(), FS)
+        outputs = [notch_filter(segment), *filter_bank_decompose(segment, bank)]
+        assert not checks
+        assert all(o.fs == FS and o.label is None for o in outputs)
+        assert all(np.all(np.isfinite(o.samples)) for o in outputs)
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from spd_bci.config import PROFILES
 from spd_bci.filters import EegSegment, apply_filter_zero_phase, design_butterworth_bandpass
 from spd_bci.spectral import (
     HALF_LN_2PI_E,
     POWER_FLOOR,
     FeatureSequence,
     _window_band_powers,
+    band_basis,
     band_power,
     build_feature_sequence,
     de_feature,
@@ -268,8 +270,32 @@ class TestFeatureInvariants:
         assert np.all(np.isfinite(features.values))
 
 
+# Each bench profile's bands at its rate: ``seed`` (5 rhythms at 200 Hz), ``bci2a``
+# (25 bands of 2 Hz at 250 Hz) and ``lstm-train`` (4 bands at 200 Hz).
+PROFILE_BAND_CASES = [
+    pytest.param(
+        PROFILES[name]["fs"], (band.low_hz, band.high_hz), id=f"{name}-{band.low_hz}-{band.high_hz}"
+    )
+    for name in ("seed", "bci2a")
+    for band in PROFILES[name]["bands"]
+] + [
+    pytest.param(200.0, band, id=f"lstm-train-{band[0]}-{band[1]}")
+    for band in ((4.0, 8.0), (8.0, 13.0), (13.0, 30.0), (30.0, 45.0))
+]
+EDGE_CASES = [
+    pytest.param(fs, band, id=f"{name}-{fs}")
+    for name, band in (
+        ("edges-on-bins", (8.0, 13.0)),
+        ("edges-between-bins", (4.5, 7.5)),
+        ("dc-edge", (0.0, 62.0)),
+        ("up-to-nyquist", (0.0, 100.0)),
+    )
+    for fs in (200.0, 125.0)  # even and odd window lengths
+]
+
+
 class TestVectorizedBandPowers:
-    """The one-rfft kernel against a per-frame periodogram + band_power loop."""
+    """The in-band DFT kernel against a per-frame periodogram + band_power loop."""
 
     @staticmethod
     def frame_loop(segment, plan, low, high):
@@ -280,12 +306,7 @@ class TestVectorizedBandPowers:
                 powers[w, ch] = band_power(freqs, psd, low, high)
         return powers
 
-    @pytest.mark.parametrize("fs", [200.0, 125.0])  # even and odd window lengths
-    @pytest.mark.parametrize(
-        "band",
-        [(8.0, 13.0), (4.5, 7.5), (0.0, 62.0), (0.0, 100.0)],
-        ids=["edges-on-bins", "edges-between-bins", "dc-edge", "up-to-nyquist"],
-    )
+    @pytest.mark.parametrize("fs,band", EDGE_CASES + PROFILE_BAND_CASES)
     def test_matches_per_frame_oracle(self, fs, band):
         rng = np.random.default_rng(40)
         segment = EegSegment(rng.standard_normal((3, int(3.5 * fs))), fs)
@@ -293,6 +314,8 @@ class TestVectorizedBandPowers:
         got = _window_band_powers(segment, plan, band)
         assert got.shape == (plan.n_windows, 3)
         np.testing.assert_allclose(got, self.frame_loop(segment, plan, *band), rtol=1e-12)
+        # A basis built once and reused gives the same bits as a one-off call.
+        np.testing.assert_array_equal(_window_band_powers(segment, plan, band_basis(plan, band)), got)
 
     def test_empty_band_raises(self):
         segment = EegSegment(np.ones((1, 400)), FS)
