@@ -34,9 +34,10 @@ sizes, regularizer, head and schedule once, with their checks.
 
 Training is plain mini-batch Adam with global-norm gradient clipping, on
 the model config's schedule; everything is deterministic given the seed.
-The per-step cost sits in ``nnet``: time-batched LSTM input projections, one sigmoid call on the
-stacked gates, weight gradients as matmuls over the flattened
-batch·time axis, and a cache-blocked in-place Adam update. An epoch
+The per-step cost sits in ``nnet``: time-batched LSTM input projections,
+one sigmoid call on the stacked gates, weight gradients that each backward
+writes over the last ones, and an in-place Adam update that applies the
+clip factor; the step holds params, grads and two moments, no more. An epoch
 makes one forward pass over the training set: the log's metric comes
 from the same training-mode predictions as its loss.
 """
@@ -62,6 +63,7 @@ from .nnet import (
     backward_chain,
     binary_cross_entropy_with_logits,
     clip_global_norm,
+    clip_scale,
     forward_chain,
     mean_squared_error,
     sigmoid,
@@ -267,10 +269,6 @@ class TwoStreamModel:
             )
         return state
 
-    def zero_grads(self):
-        for g in self.grads().values():
-            g[:] = 0.0
-
     def load_params(self, tensors: dict[str, np.ndarray]):
         """Install ``tensors`` (checkpoint name -> array), as :meth:`state` wrote them.
 
@@ -446,7 +444,6 @@ def train_model(
             batch = order[start:start + cfg.batch_size]
             bt = xt[batch] if xt is not None else None
             bs = xs[batch] if xs is not None else None
-            model.zero_grads()
             logits = model.forward(bt, bs, train=True, rng=rng)
             loss, dlogits = model.loss_and_grad(logits, targets[batch])
             if not np.isfinite(loss):
@@ -458,8 +455,8 @@ def train_model(
                 predictions.append(model.decide(model.activate(logits)))
             model.backward(dlogits)
             grads = model.grads()
-            clip_global_norm(grads, cfg.grad_clip)
-            adam_step(optimizer, model.params(), grads)
+            scale = clip_scale(clip_global_norm(grads), cfg.grad_clip)
+            adam_step(optimizer, model.params(), grads, scale)
             epoch_loss += loss * len(batch)
         record = {"epoch": epoch, "loss": epoch_loss / n}
         if log_path is not None:

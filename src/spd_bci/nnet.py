@@ -25,8 +25,10 @@ The training step is kept lean: the LSTM projects its inputs for all
 time steps in one matmul and runs one sigmoid per step over the stacked
 input/forget/output gates, the LSTM and attention weight gradients are
 matmuls over the flattened batch·time axis with no transposed copies,
-``sigmoid`` is branch-free, and ``adam_step`` updates in place block by
-block without full-size temporaries.
+and ``sigmoid`` is branch-free. Each ``backward`` writes over its
+block's ``grads`` (``out=``), so nothing zeroes them and no weight
+gradient is a new array; ``adam_step`` applies the clip factor and
+updates in place block by block without full-size temporaries.
 """
 
 from __future__ import annotations
@@ -126,8 +128,8 @@ class Dense:
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
         dz = _activate_backward(grad_y, self._z, self._y, self.activation)
-        self.grads["w"] += dz.T @ self._x
-        self.grads["b"] += dz.sum(axis=0)
+        np.matmul(dz.T, self._x, out=self.grads["w"])
+        np.sum(dz, axis=0, out=self.grads["b"])
         return dz @ self.params["w"]
 
 
@@ -191,7 +193,7 @@ class Lstm:
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         batch, length, _ = grad_out.shape
-        nh, w = self.hidden, self.params["w"]
+        nh, w, w_grad = self.hidden, self.params["w"], self.grads["w"]
         gates, cells, tanh_c = self._gates, self._cells, self._tanh_c
         i, f, o, g = (gates[..., k * nh:(k + 1) * nh] for k in range(4))
         # Local derivatives of every step at once; only dh and dc recur.
@@ -220,9 +222,9 @@ class Lstm:
         # Step t's gates read h_{t-1}, zero at step 0: h shifted one step makes this one matmul.
         h_prev = np.zeros_like(self._h)
         h_prev[:, 1:] = self._h[:, :-1]
-        self.grads["w"][:, :self.in_dim] += flat.T @ self._x.reshape(-1, self.in_dim)
-        self.grads["w"][:, self.in_dim:] += flat.T @ h_prev.reshape(-1, nh)
-        self.grads["b"] += flat.sum(axis=0)
+        np.matmul(flat.T, self._x.reshape(-1, self.in_dim), out=w_grad[:, :self.in_dim])
+        np.matmul(flat.T, h_prev.reshape(-1, nh), out=w_grad[:, self.in_dim:])
+        np.sum(flat, axis=0, out=self.grads["b"])
         return (flat @ w[:, :self.in_dim]).reshape(batch, length, self.in_dim)
 
 
@@ -274,8 +276,8 @@ class Attention:
         # Each component of u_t adds to the score, so all share its gradient.
         da = dscores[:, :, None] * (1.0 - u ** 2)
         da_flat = da.reshape(-1, self.hidden)
-        self.grads["w"] += da_flat.T @ h.reshape(-1, self.hidden)
-        self.grads["b"] += da.sum(axis=(0, 1))
+        np.matmul(da_flat.T, h.reshape(-1, self.hidden), out=self.grads["w"])
+        np.sum(da, axis=(0, 1), out=self.grads["b"])
         dh += (da_flat @ self.params["w"]).reshape(dh.shape)
         return dh
 
@@ -358,8 +360,8 @@ class BatchNorm:
         dz = _activate_backward(
             grad_y.reshape(-1, grad_y.shape[-1]), self._z, self._y, self.activation
         )
-        self.grads["gamma"] += np.sum(dz * xhat, axis=0)
-        self.grads["beta"] += np.sum(dz, axis=0)
+        np.sum(dz * xhat, axis=0, out=self.grads["gamma"])
+        np.sum(dz, axis=0, out=self.grads["beta"])
         dxhat = dz * self.params["gamma"]
         if not self._train:
             return (dxhat * inv_std).reshape(grad_y.shape)
@@ -444,21 +446,21 @@ class AdamState:
 
 def adam_init(params: dict[str, np.ndarray], lr: float = 0.001) -> AdamState:
     state = AdamState(lr=lr)
-    state.m = {k: np.zeros_like(p) for k, p in params.items()}
-    state.v = {k: np.zeros_like(p) for k, p in params.items()}
+    state.m = {k: np.zeros(p.shape) for k, p in params.items()}
+    state.v = {k: np.zeros(p.shape) for k, p in params.items()}
     return state
 
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
-              grads: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """One bias-corrected Adam update, applied in place.
+              grads: dict[str, np.ndarray], scale: float = 1.0) -> dict[str, np.ndarray]:
+    """One bias-corrected Adam update on the gradients times ``scale``, applied in place.
 
     Each tensor is updated through its flat view one cache-sized block at
-    a time, with two scratch buffers and no full-size temporaries. The
-    operations and their order are the textbook formula's
-    (m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2,
-    p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)), so the result is
-    bit-identical to it.
+    a time, with two scratch buffers and no full-size temporaries; the
+    gradients are only read. Each block g is scaled first, then the
+    textbook formula's operations run in its order (m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g**2, p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)),
+    so the result is bit-identical to scaling the grads, then that step.
     """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
@@ -473,6 +475,8 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
             hi = min(lo + ADAM_BLOCK, p_flat.size)
             g, m, v = g_flat[lo:hi], m_flat[lo:hi], v_flat[lo:hi]
             s1, s2 = buf1[:hi - lo], buf2[:hi - lo]
+            if scale != 1.0:  # s2 holds the scaled block until g's last use
+                g = np.multiply(g, scale, out=s2)
             m *= b1
             np.multiply(1.0 - b1, g, out=s1)
             m += s1
@@ -497,13 +501,12 @@ def _flat_view(array: np.ndarray, key: str) -> np.ndarray:
     return array.reshape(-1)
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 5.0) -> float:
-    """Scale all gradients so their joint L2 norm is at most ``max_norm``.
+def clip_global_norm(grads: dict[str, np.ndarray]) -> float:
+    """The joint L2 norm of all gradients, which are left as they are.
 
     The squares are summed one ``ADAM_BLOCK`` at a time through one scratch
-    buffer, so no full-size ``g ** 2`` is made. A non-finite norm is
-    returned unscaled so divergence stays visible to the caller instead of
-    being silently zeroed out.
+    buffer, so no full-size ``g ** 2`` is made. :func:`clip_scale` turns
+    the norm into the factor that :func:`adam_step` applies.
     """
     scratch = np.empty(min(ADAM_BLOCK, max((g.size for g in grads.values()), default=0)))
     total = 0.0
@@ -512,14 +515,14 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float = 5.0) -> flo
             flat = g.reshape(-1)
             for lo in range(0, flat.size, ADAM_BLOCK):
                 block = flat[lo:lo + ADAM_BLOCK]
-                squares = np.square(block, out=scratch[:block.size])
-                total += float(squares.sum())
-    total = np.sqrt(total)
-    if np.isfinite(total) and total > max_norm and total > 0.0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
-    return total
+                total += float(np.square(block, out=scratch[:block.size]).sum())
+    return np.sqrt(total)
+
+
+def clip_scale(norm: float, max_norm: float = 5.0) -> float:
+    """The factor that brings a joint gradient norm down to ``max_norm``; 1 within it, and
+    for a non-finite norm, so divergence stays visible instead of being zeroed out."""
+    return max_norm / norm if np.isfinite(norm) and norm > max_norm and norm > 0.0 else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -305,8 +305,8 @@ def _run_rank_grid(config: PipelineConfig, train: dict, jobs: int = 1) -> dict:
     """Sweep R over [1, N-1] on a 90/10 split of the training data.
 
     A kappa or PCC that the validation split leaves undefined is written
-    as null, and ``best_rank`` is chosen among the ranks whose score is
-    defined (null if none is).
+    as null. ``best_rank`` is the lowest rank with the highest defined
+    score, accuracy or PCC (null if no score is defined).
     """
     labels = train["labels"]
     classification = config.task == "classification"

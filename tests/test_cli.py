@@ -805,6 +805,20 @@ class TestRankGridSplits:
         assert grid["best_rank"] is None and grid["rows"][1]["pcc"] is None
 
 
+    def test_tied_scores_go_to_the_lowest_rank(self, tmp_path, monkeypatch):
+        from spd_bci import pipeline
+
+        accuracies = {1: 0.5, 2: 0.9, 3: 0.9}
+        monkeypatch.setattr(
+            pipeline, "_grid_point",
+            lambda payload: {"rank": payload[1], "accuracy": accuracies[payload[1]]},
+        )
+        config = parse_config_text(f"profile = synthetic\nrank_mode = grid\nwork_dir = {tmp_path}\n")
+        train = {"labels": np.repeat([0.0, 1.0], 10), "temporal": None, "scms": None}
+        assert pipeline._run_rank_grid(config, train)["best_rank"] == 2
+        accuracies[1] = 0.9
+        assert pipeline._run_rank_grid(config, train)["best_rank"] == 1
+
 class TestCheckpointMismatch:
     def test_batchnorm_checkpoint_under_dropout_config_exits_1(self, workspace, capsys):
         config = write_config(workspace, extra="variant = temporal\nepochs = 1\n")

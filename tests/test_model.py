@@ -254,7 +254,6 @@ class TestEndToEndGradients:
             logits = model.forward(xt, xs, train=True)
             return model.loss_and_grad(logits, targets)[0]
 
-        model.zero_grads()
         logits = model.forward(xt, xs, train=True)
         _, dlogits = model.loss_and_grad(logits, targets)
         model.backward(dlogits)
@@ -275,7 +274,6 @@ class TestEndToEndGradients:
             logits = model.forward(xt, xs, train=True)
             return model.loss_and_grad(logits, targets)[0]
 
-        model.zero_grads()
         logits = model.forward(xt, xs, train=True)
         _, dlogits = model.loss_and_grad(logits, targets)
         model.backward(dlogits)
@@ -284,6 +282,49 @@ class TestEndToEndGradients:
         for key, grad in analytic.items():
             err = max_relative_error(grad, numeric[key])
             assert err < 1e-4, f"{variant}: tensor {key} rel err {err:.2e}"
+
+
+class TestBackwardOverwrites:
+    @pytest.mark.parametrize("regularizer", ["batchnorm", "dropout"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_second_backward_leaves_only_its_own_gradients(self, variant, regularizer):
+        xt, xs = tiny_batch(np.random.default_rng(22))
+        models = [
+            tiny_model(seed=7, variant=variant, temporal_regularizer=regularizer,
+                       spatial_dropout=0.5)
+            for _ in range(2)
+        ]
+        for model in models:
+            logits = model.forward(xt, xs, train=True, rng=np.random.default_rng(23))
+        first, second = np.random.default_rng(24).standard_normal((2, *logits.shape))
+        twice, once = models
+        twice.backward(first)
+        twice.backward(second)
+        once.backward(second)
+        for key, grad in once.grads().items():
+            assert twice.grads()[key].tobytes() == grad.tobytes(), key
+
+
+class TestTrainingMemory:
+    def test_epoch_allocates_only_the_moments_beyond_the_model(self):
+        # spatial_fc1 is 4,000 x 512, 16.4 MB of the 16.5 MB of parameters. An epoch
+        # may allocate Adam's two moments and a little for activations; a weight
+        # gradient built as a new array and then copied would add another 16.4 MB.
+        import tracemalloc
+
+        model = tiny_model(seed=8, variant="spatial", spatial_input_dim=4000,
+                           spatial_hidden=512, spatial_dropout=0.5, epochs=1, batch_size=8)
+        rng = np.random.default_rng(25)
+        xs = rng.standard_normal((16, 4000))
+        labels = np.tile([0, 1], 8)
+        param_bytes = sum(p.nbytes for p in model.params().values())
+        tracemalloc.start()
+        try:
+            train_model(model, None, xs, labels, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * param_bytes + 2 ** 21, f"peak {peak / 2 ** 20:.1f} MiB"
 
 
 def separable_dataset(rng, n=64):

@@ -21,6 +21,7 @@ from spd_bci.nnet import (
     binary_cross_entropy,
     binary_cross_entropy_with_logits,
     clip_global_norm,
+    clip_scale,
     cross_entropy,
     forward_chain,
     load_checkpoint,
@@ -48,8 +49,6 @@ def check_block_gradients(make_block, make_input, seeds=range(5)):
             return float(np.sum(block.forward(x, train=True) * projection))
 
         loss()  # populate caches at the unperturbed point
-        for g in block.grads.values():
-            g[:] = 0.0
         grad_x = block.backward(projection)
         numeric = finite_difference_grads(loss, {**block.params, "__input__": x})
         for key in block.params:
@@ -327,6 +326,31 @@ class TestBatchNorm:
                     assert getattr(block, store)[key].tobytes() == arr.tobytes(), key
 
 
+class TestBackwardOverwrites:
+    """A backward pass writes the gradients; it does not add to those of an earlier pass."""
+
+    @pytest.mark.parametrize("make_block, shape", [
+        (lambda rng: Dense(4, 3, "leaky-relu", rng=rng), (5, 4)),
+        (lambda rng: Dense(4, 3, "softmax", rng=rng), (5, 4)),
+        (lambda rng: Lstm(3, 4, rng=rng), (2, 5, 3)),
+        (lambda rng: Attention(4, rng=rng), (2, 5, 4)),
+        (lambda rng: BatchNorm(3), (6, 3)),
+        (lambda rng: BatchNorm(3, activation="leaky-relu"), (4, 5, 3)),
+    ], ids=["dense", "dense-softmax", "lstm", "attention", "batchnorm", "batchnorm-sequence"])
+    def test_second_backward_leaves_only_its_own_gradients(self, make_block, shape):
+        x = np.random.default_rng(15).standard_normal(shape)
+        twice, once = make_block(np.random.default_rng(16)), make_block(np.random.default_rng(16))
+        y = twice.forward(x)
+        once.forward(x)
+        first, second = np.random.default_rng(17).standard_normal((2, *y.shape))
+        twice.backward(first)
+        dx_twice = twice.backward(second)
+        dx_once = once.backward(second)
+        assert dx_twice.tobytes() == dx_once.tobytes()
+        for key, grad in once.grads.items():
+            assert twice.grads[key].tobytes() == grad.tobytes(), key
+
+
 def test_every_block_class_runs_in_a_chain():
     """Each block has ``forward(x, train=True, rng=None)``, so any list of them is a chain."""
     rng = np.random.default_rng(12)
@@ -439,18 +463,26 @@ class TestAdam:
 
     @pytest.mark.parametrize("shape", [(3, ADAM_BLOCK + 123), (ADAM_BLOCK,), (), (1,)])
     def test_blocked_update_is_bit_identical_to_textbook(self, shape):
+        # Odd steps are clipped: adam_step's factor must match scaling the grads first.
         rng = np.random.default_rng(7)
         start = np.asarray(rng.standard_normal(shape))
         params = {"w": start.copy(), "b": np.zeros(4)}
         state = adam_init(params)
         p, m, v = start.copy(), np.zeros(shape), np.zeros(shape)
+        clipped, size = 0, max(1, int(np.prod(shape)))
         for step in range(1, 6):
-            g = np.asarray(rng.standard_normal(shape))
-            adam_step(state, params, {"w": g, "b": np.ones(4)})
-            p, m, v = self.textbook_step(p, m, v, g, step)
+            g = np.asarray(rng.standard_normal(shape) * (40.0 if step % 2 else 0.5 / np.sqrt(size)))
+            grads = {"w": g, "b": np.ones(4)}
+            given = g.copy()
+            scale = clip_scale(clip_global_norm(grads), 5.0)
+            clipped += scale != 1.0
+            adam_step(state, params, grads, scale)
+            p, m, v = self.textbook_step(p, m, v, g * scale, step)
             assert params["w"].tobytes() == p.tobytes()
             assert state.m["w"].tobytes() == m.tobytes()
             assert state.v["w"].tobytes() == v.tobytes()
+            assert g.tobytes() == given.tobytes()
+        assert clipped == 3
 
     def test_non_contiguous_parameter_rejected(self):
         params = {"w": np.zeros((4, 6))[:, ::2]}
@@ -462,13 +494,38 @@ class TestAdam:
 class TestClipGlobalNorm:
     def test_small_gradients_untouched(self):
         grads = {"a": np.array([0.1, 0.2])}
-        clip_global_norm(grads, 5.0)
+        assert clip_scale(clip_global_norm(grads), 5.0) == 1.0
         np.testing.assert_array_equal(grads["a"], [0.1, 0.2])
 
-    def test_large_gradients_scaled_to_max_norm(self):
-        grads = {"a": np.array([30.0, 40.0])}
-        clip_global_norm(grads, 5.0)
-        assert np.linalg.norm(grads["a"]) == pytest.approx(5.0)
+    def test_large_norm_returned_and_gradients_left_unscaled(self):
+        grads = {"a": np.array([30.0, 40.0]), "b": np.zeros((2, 3))}
+        assert clip_global_norm(grads) == 50.0
+        assert clip_scale(50.0, 5.0) == 0.1
+        np.testing.assert_array_equal(grads["a"], [30.0, 40.0])
+        np.testing.assert_array_equal(grads["b"], 0.0)
+
+    def test_norm_is_the_blockwise_sum_of_squares(self):
+        # The summation order is part of the result: per tensor, per ADAM_BLOCK,
+        # each block's squares summed by numpy and added as a Python float.
+        rng = np.random.default_rng(3)
+        grads = {"w": rng.standard_normal((3, ADAM_BLOCK + 17)), "b": rng.standard_normal(5)}
+        before = {k: g.copy() for k, g in grads.items()}
+        total = 0.0
+        for g in grads.values():
+            flat = g.reshape(-1)
+            for lo in range(0, flat.size, ADAM_BLOCK):
+                total += float(np.square(flat[lo:lo + ADAM_BLOCK]).sum())
+        assert clip_global_norm(grads).hex() == np.sqrt(total).hex()
+        for key, g in grads.items():
+            assert g.tobytes() == before[key].tobytes()
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_norm_applies_no_factor(self, bad):
+        grads = {"a": np.array([bad, 40.0])}
+        norm = clip_global_norm(grads)
+        assert not np.isfinite(norm)
+        assert clip_scale(norm, 5.0) == 1.0
+        np.testing.assert_array_equal(grads["a"], [bad, 40.0])
 
 
 class TestDeterminism:
