@@ -33,7 +33,7 @@ per-matrix positive-definite check names the first matrix that fails.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -216,12 +216,17 @@ class MeanInfo:
     ``grad_norm`` is the whitened tangent norm ``||T||_F`` (see
     :func:`riemannian_mean`) at the returned mean, converged or not. A mean
     that stopped at the rounding floor is converged with a ``grad_norm``
-    that may exceed ``tol``.
+    that may exceed ``tol``. ``log_eigvals`` (P, R) and ``eigvecs``
+    (P, R, R) are the eigenpairs of log(M^{-1/2} C_i M^{-1/2}) at the
+    returned mean M, so the tangent vectors there need no further
+    decomposition.
     """
 
     converged: bool
     iterations: int
     grad_norm: float
+    log_eigvals: np.ndarray = field(repr=False, compare=False)
+    eigvecs: np.ndarray = field(repr=False, compare=False)
 
 
 def _karcher_state(center: np.ndarray, mats: np.ndarray):
@@ -351,8 +356,19 @@ def riemannian_mean(mats, tol: float = 1e-9, max_iter: int = 50, return_info: bo
             stacklevel=2,
         )
     if return_info:
-        return center, MeanInfo(converged=converged, iterations=iterations, grad_norm=grad_norm)
+        return center, MeanInfo(converged, iterations, grad_norm, log_vals, eigvecs)
     return center
+
+
+def _mean_and_tangent_vectors(mats):
+    """Riemannian mean M of a stack and each matrix's tangent vector at M, from one solve.
+
+    The vectors equal ``tangent_vectorize(M, mats)`` bit for bit: the
+    solver's last accepted state already holds the eigenpairs of
+    M^{-1/2} C_i M^{-1/2}, which that function would compute again.
+    """
+    mean, info = riemannian_mean(mats, return_info=True)
+    return mean, upper_vectorize(_from_eigh(info.log_eigvals, info.eigvecs))
 
 
 def tangent_vectorize(c_ref: np.ndarray, c: np.ndarray) -> np.ndarray:

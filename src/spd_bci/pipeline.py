@@ -3,13 +3,24 @@
 Every step reads and writes only deterministic artifacts (binary tensor
 bundles, sorted-key JSON, CSV), so rerunning with the same config and
 seed reproduces outputs byte for byte.
+
+``features`` runs each band's spatial geometry (PCA on the training
+SCMs, congruence reduction, Karcher mean and tangent vectors) as one task
+on a thread pool of min(bands, usable CPUs) workers, with the OpenBLAS
+that numpy loaded held at one thread meanwhile. A band's numbers then do
+not depend on the worker count, so neither do the feature files.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import functools
 import json
 import logging
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -28,10 +39,10 @@ from .filters import (
     zero_phase_sos,
 )
 from .geometry import (
+    _mean_and_tangent_vectors,
     pca_spatial_filter,
     reduce_covariance,
     ridge_regularize,
-    riemannian_mean,
     scm,
     tangent_vectorize,
 )
@@ -127,15 +138,105 @@ def _load_split_segments(config: PipelineConfig, split: str):
     return segments
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas_thread_controls():
+    """(set, get) thread-count functions of the OpenBLAS numpy loaded, or None if not found."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = [line.split()[-1] for line in maps if "openblas" in line]
+    except OSError:
+        paths = []
+    libs_dir = Path(np.__file__).resolve().parents[1] / "numpy.libs"
+    paths += sorted(str(p) for p in libs_dir.glob("*openblas*"))
+    for path in dict.fromkeys(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas_", "64_"), ("openblas_", "")):
+            setter = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
+            getter = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextmanager
+def _one_blas_thread(controls):
+    """Hold OpenBLAS at one thread; restore the previous count on exit, also on error."""
+    setter, getter = controls
+    previous = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(previous)
+
+
+class _BandError(NumericalError):
+    """A numerical failure in the geometry of band ``band`` (its index); ``__cause__`` is it."""
+
+    def __init__(self, band: int, exc: NumericalError):
+        super().__init__(f"band {band}: {exc}")
+        self.band = band
+
+
+def _map_bands(func, per_band: list) -> list:
+    """``func(*args)`` for each band's args, results in band order.
+
+    Bands run on a thread pool of min(bands, usable CPUs) workers with
+    OpenBLAS held at one thread, so each band's numbers do not depend on
+    the worker count. Without a thread control, or with one usable CPU,
+    they run in a loop at the library's own thread count. Either way a
+    failure is that of the first failing band in band order.
+    """
+    workers = min(len(per_band), _usable_cpus())
+    controls = _openblas_thread_controls() if workers > 1 else None
+
+    def run(band: int):
+        try:
+            return func(*per_band[band])
+        except NumericalError as exc:
+            raise _BandError(band, exc) from exc
+
+    if controls is None:
+        return [run(b) for b in range(len(per_band))]
+    with _one_blas_thread(controls), ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run, range(len(per_band))))
+
+
+def _fit_band(band_scms: np.ndarray, rank: int):
+    w = pca_spatial_filter(band_scms, rank)
+    return (w, *_mean_and_tangent_vectors(reduce_covariance(w, band_scms)))
+
+
 def fit_spatial_reducers(train_scms: np.ndarray, rank: int):
-    """Per-band PCA filters and Riemannian-mean references from training SCMs."""
-    n_bands = train_scms.shape[1]
-    filters, references = [], []
-    for b in range(n_bands):
-        w = pca_spatial_filter(train_scms[:, b], rank)
-        filters.append(w)
-        references.append(riemannian_mean(reduce_covariance(w, train_scms[:, b])))
-    return filters, references
+    """Per-band PCA filters, Riemannian-mean references and training tangent vectors.
+
+    The third value is the concatenated per-band tangent vectors of the
+    training trials at their references, as :func:`spatial_features_for`
+    gives them, taken from each mean's last solver state.
+    """
+    fitted = _map_bands(_fit_band, [(train_scms[:, b], rank) for b in range(train_scms.shape[1])])
+    filters, references, vectors = zip(*fitted)
+    return list(filters), list(references), np.concatenate(vectors, axis=1)
+
+
+def _band_features(band_scms: np.ndarray, w: np.ndarray, reference) -> np.ndarray:
+    reduced = reduce_covariance(w, band_scms)
+    if reference is None:
+        return _mean_and_tangent_vectors(reduced)[1]
+    return tangent_vectorize(reference, reduced)
 
 
 def spatial_features_for(scms: np.ndarray, filters, references=None) -> np.ndarray:
@@ -146,12 +247,10 @@ def spatial_features_for(scms: np.ndarray, filters, references=None) -> np.ndarr
     all its reduced trials, so a trial's vector depends on the whole set
     but not on its order.
     """
-    reduced = [reduce_covariance(w, scms[:, b]) for b, w in enumerate(filters)]  # H x (P, R, R)
     if references is None:
-        references = [riemannian_mean(band) for band in reduced]
-    return np.concatenate(
-        [tangent_vectorize(ref, band) for ref, band in zip(references, reduced)], axis=1
-    )
+        references = [None] * len(filters)
+    per_band = [(scms[:, b], w, ref) for b, (w, ref) in enumerate(zip(filters, references))]
+    return np.concatenate(_map_bands(_band_features, per_band), axis=1)
 
 
 def run_features(config: PipelineConfig) -> dict:
@@ -193,12 +292,23 @@ def run_features(config: PipelineConfig) -> dict:
             "reference_policy = test-mean re-centres the test split at its own mean, which "
             "maps a single trial to zero; reference_policy = train-mean projects a single trial"
         )
-    filters, references = fit_spatial_reducers(splits["train"]["scms"], config.rank)
+    try:
+        filters, references, splits["train"]["spatial"] = fit_spatial_reducers(
+            splits["train"]["scms"], config.rank
+        )
+        recentre = config.reference_policy == "test-mean"
+        splits["test"]["spatial"] = spatial_features_for(
+            splits["test"]["scms"], filters, None if recentre else references
+        )
+    except _BandError as exc:
+        band = config.bands[exc.band]
+        raise NumericalError(
+            f"band {exc.band} ({band.low_hz:g}-{band.high_hz:g} Hz): {exc.__cause__}"
+        ) from exc.__cause__
     expected_dim = config.spatial_feature_dim()
     info = {}
     for split, bundle in splits.items():
-        recentre = split == "test" and config.reference_policy == "test-mean"
-        spatial = spatial_features_for(bundle["scms"], filters, None if recentre else references)
+        spatial = bundle["spatial"]
         if spatial.shape[1] != expected_dim:
             raise DataError(
                 f"spatial features have length {spatial.shape[1]}, profile expects {expected_dim}"
@@ -270,8 +380,7 @@ def run_train(config: PipelineConfig, jobs: int = 1) -> dict:
 def _grid_point(payload) -> dict:
     """Train and score one rank candidate; module-level so executors can pickle it."""
     (config, rank, fit_idx, val_idx, temporal, scms, labels) = payload
-    filters, references = fit_spatial_reducers(scms[fit_idx], rank)
-    spatial_fit = spatial_features_for(scms[fit_idx], filters, references)
+    filters, references, spatial_fit = fit_spatial_reducers(scms[fit_idx], rank)
     spatial_val = spatial_features_for(scms[val_idx], filters, references)
     arch = _architecture(config, config.variant, temporal.shape[2], spatial_fit.shape[1])
     model = TwoStreamModel(arch, seed=config.seed)

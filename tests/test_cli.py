@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -702,41 +703,164 @@ class TestFiltersDesignedOncePerRun:
         assert len(built) == 2  # one per band, not one per band and trial
 
 
-class TestFeaturesIndependentOfBlasThreads:
-    def test_seed_shape_features_are_byte_identical_at_one_and_two_threads(self, tmp_path):
-        # SEED shapes (62 ch x 1600 samples, 5 bands, rank 48): the band SCMs
-        # are large enough for OpenBLAS to split them over two threads.
-        rng = np.random.default_rng(5)
-        mixers = [rng.standard_normal((62, 62)) / 8.0 for _ in range(3)]
-        covariances = [m @ m.T + np.eye(62) for m in mixers]
-        for split, per_class, seed in (("train", 2, 0), ("test", 1, 1)):
-            out = tmp_path / "raw" / split
-            out.mkdir(parents=True)
-            spec = SynthSpec(
-                class_covariances=covariances, n_samples=1600, fs=200.0,
-                segments_per_class=per_class, seed=seed,
-            )
-            for i, segment in enumerate(synth_spd_classes(spec)):
-                write_segment(out / f"seg_{i:03d}.eegs", segment)
-        config = tmp_path / "pipeline.cfg"
-        config.write_text(
-            "profile = seed\nraw_train_dir = raw/train\nraw_test_dir = raw/test\n"
-            "work_dir = work\n",
-            encoding="utf-8",
+FEATURE_FILES = ("train.spdt", "test.spdt", "spatial_model.spdt")
+
+
+@pytest.fixture(scope="class")
+def seed_shape_workspace(tmp_path_factory):
+    """Preprocessed SEED-shape trials (62 ch x 1600 samples, 5 bands, rank 48)."""
+    root = tmp_path_factory.mktemp("seed_shape")
+    rng = np.random.default_rng(5)
+    mixers = [rng.standard_normal((62, 62)) / 8.0 for _ in range(3)]
+    covariances = [m @ m.T + np.eye(62) for m in mixers]
+    for split, per_class, seed in (("train", 2, 0), ("test", 1, 1)):
+        out = root / "raw" / split
+        out.mkdir(parents=True)
+        spec = SynthSpec(
+            class_covariances=covariances, n_samples=1600, fs=200.0,
+            segments_per_class=per_class, seed=seed,
         )
+        for i, segment in enumerate(synth_spd_classes(spec)):
+            write_segment(out / f"seg_{i:03d}.eegs", segment)
+    config = root / "pipeline.cfg"
+    config.write_text(
+        "profile = seed\nraw_train_dir = raw/train\nraw_test_dir = raw/test\n"
+        "work_dir = work\n",
+        encoding="utf-8",
+    )
+    assert main(["preprocess", "--config", str(config)]) == 0
+    return root
+
+
+def features_in_subprocess(root, command, threads):
+    """Run ``features`` with ``command`` at OPENBLAS_NUM_THREADS=threads; the files' bytes."""
+    proc = subprocess.run(
+        [*command, "features", "--config", str(root / "pipeline.cfg")],
+        env={**package_env(), "OPENBLAS_NUM_THREADS": threads}, cwd=root,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [(root / "work" / "features" / name).read_bytes() for name in FEATURE_FILES]
+
+
+CLI = [sys.executable, "-m", "spd_bci.cli"]
+# The CLI with the band pool cut to one worker.
+ONE_WORKER_CLI = [sys.executable, "-c", (
+    "import sys\nfrom spd_bci import cli, pipeline\n"
+    "pipeline._usable_cpus = lambda: 1\nsys.exit(cli.main(sys.argv[1:]))\n"
+)]
+
+
+class TestFeaturesIndependentOfBlasThreads:
+    # At SEED shapes the band SCMs are large enough for OpenBLAS to split
+    # them over two threads.
+    def test_seed_shape_features_are_byte_identical_at_one_and_two_threads(
+        self, seed_shape_workspace
+    ):
+        one, two = (features_in_subprocess(seed_shape_workspace, CLI, t) for t in ("1", "2"))
+        for name, a, b in zip(FEATURE_FILES, one, two):
+            assert a == b, name
+
+    def test_seed_shape_features_are_byte_identical_with_one_and_two_workers(
+        self, seed_shape_workspace
+    ):
+        two = features_in_subprocess(seed_shape_workspace, CLI, "2")
+        one = features_in_subprocess(seed_shape_workspace, ONE_WORKER_CLI, "2")
+        for name, a, b in zip(FEATURE_FILES, one, two):
+            assert a == b, name
+
+
+class TestBandPool:
+    """``features`` maps each band's geometry over a thread pool at one BLAS thread."""
+
+    @pytest.fixture
+    def config(self, tmp_path, monkeypatch):
+        from spd_bci import pipeline
+
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)  # a pool even on one CPU
+        write_synthetic_dataset(tmp_path)  # 2 bands: 8-16 and 16-24 Hz
+        config = write_config(tmp_path)
         assert main(["preprocess", "--config", str(config)]) == 0
-        names = ("train.spdt", "test.spdt", "spatial_model.spdt")
-        written = []
-        for threads in ("1", "2"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "spd_bci.cli", "features", "--config", str(config)],
-                env={**package_env(), "OPENBLAS_NUM_THREADS": threads}, cwd=tmp_path,
-                capture_output=True, text=True, timeout=300,
+        return config
+
+    @pytest.fixture
+    def blas_threads(self):
+        """OpenBLAS's thread-count getter, with the count set to 2 for the test."""
+        from spd_bci import pipeline
+
+        controls = pipeline._openblas_thread_controls()
+        if controls is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
+        setter, getter = controls
+        previous = getter()
+        setter(2)  # so that a count left at one shows
+        yield getter
+        setter(previous)
+
+    def test_bands_run_at_one_blas_thread_and_the_count_is_restored(
+        self, config, blas_threads, monkeypatch
+    ):
+        from spd_bci import pipeline
+
+        inside = []
+        fit_band = pipeline._fit_band
+
+        def recording(*args):
+            inside.append(blas_threads())
+            return fit_band(*args)
+
+        monkeypatch.setattr(pipeline, "_fit_band", recording)
+        before = blas_threads()
+        assert main(["features", "--config", str(config)]) == 0
+        assert inside == [1, 1]
+        assert blas_threads() == before == 2
+
+    def test_first_failing_band_in_band_order_is_reported(
+        self, config, blas_threads, monkeypatch, capsys
+    ):
+        from spd_bci import pipeline
+        from spd_bci.errors import NumericalError
+
+        seen = {}
+        fit = pipeline.fit_spatial_reducers
+
+        def recording_fit(train_scms, rank):
+            seen["scms"] = train_scms
+            return fit(train_scms, rank)
+
+        def failing_band(band_scms, rank):
+            scms = seen["scms"]
+            band = next(
+                b for b in range(scms.shape[1]) if np.array_equal(band_scms, scms[:, b])
             )
-            assert proc.returncode == 0, proc.stderr
-            written.append([(tmp_path / "work" / "features" / name).read_bytes() for name in names])
-        for name, one, two in zip(names, *written):
-            assert one == two, name
+            if band == 0:
+                time.sleep(0.2)  # band 1 fails first in time
+            raise NumericalError(f"synthetic failure in band {band}")
+
+        monkeypatch.setattr(pipeline, "fit_spatial_reducers", recording_fit)
+        monkeypatch.setattr(pipeline, "_fit_band", failing_band)
+        before = blas_threads()
+        assert main(["features", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert "band 0 (8-16 Hz): synthetic failure in band 0" in err, err
+        assert "band 1" not in err
+        assert blas_threads() == before == 2
+
+    def test_without_a_thread_control_the_loop_writes_the_same_bytes(self, config, monkeypatch):
+        from spd_bci import pipeline
+
+        features = config.parent / "work" / "features"
+        assert main(["features", "--config", str(config)]) == 0
+        pooled = [(features / name).read_bytes() for name in FEATURE_FILES]
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("the fallback must not start a pool")
+
+        monkeypatch.setattr(pipeline, "_openblas_thread_controls", lambda: None)
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", no_pool)
+        assert main(["features", "--config", str(config)]) == 0
+        for name, want in zip(FEATURE_FILES, pooled):
+            assert (features / name).read_bytes() == want, name
 
 
 class TestLazyScipyImport:

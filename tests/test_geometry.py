@@ -31,7 +31,7 @@ from spd_bci.geometry import (
     tangent_vectorize,
     upper_vectorize,
 )
-from spd_bci.pipeline import spatial_features_for
+from spd_bci.pipeline import fit_spatial_reducers, spatial_features_for
 
 
 def diag_distance(a, b):
@@ -634,6 +634,34 @@ class TestRecentring:
         np.testing.assert_array_equal(
             spatial_features_for(scms, filters, None), np.concatenate(want, axis=1)
         )
+
+
+
+class TestMeanAndTangentVectors:
+    """The mean's last solver state gives the tangent vectors at the mean, bit for bit."""
+
+    @pytest.mark.parametrize("rank, n_trials, spread", [(48, 10, 3.0), (18, 40, 10.0), (8, 15, 1.5)])
+    def test_vectors_equal_tangent_vectorize_at_the_mean(self, rank, n_trials, spread):
+        # The ranks of the seed, bci2a and lstm-train workloads.
+        rng = np.random.default_rng(rank)
+        mats = np.stack([random_spd(rng, rank, 1.0 / spread, spread) for _ in range(n_trials)])
+        mean, vectors = geometry._mean_and_tangent_vectors(mats)
+        np.testing.assert_array_equal(mean, riemannian_mean(mats))
+        np.testing.assert_array_equal(vectors, tangent_vectorize(mean, mats))
+
+    def test_mean_reached_without_a_step(self):
+        # Equal inputs: the Euclidean start is the mean, so the first state is the last.
+        mats = np.stack([np.diag([2.0, 3.0])] * 3)
+        mean, vectors = geometry._mean_and_tangent_vectors(mats)
+        np.testing.assert_array_equal(mean, mats[0])
+        np.testing.assert_array_equal(vectors, tangent_vectorize(mean, mats))
+        np.testing.assert_allclose(vectors, 0.0, atol=1e-15)
+
+    def test_fit_returns_the_training_vectors_at_its_references(self):
+        rng = np.random.default_rng(26)
+        scms = np.array([[random_spd(rng, 6, 0.2, 5.0) for _ in range(3)] for _ in range(20)])
+        filters, references, vectors = fit_spatial_reducers(scms, 4)
+        np.testing.assert_array_equal(vectors, spatial_features_for(scms, filters, references))
 
 
 class TestMdrm:
