@@ -28,6 +28,8 @@ solvers.
 The matrix functions, congruence reduction and tangent vectorization
 also take a stack (..., R, R): one batched ``eigh`` covers it, and the
 per-matrix positive-definite check names the first matrix that fails.
+Every map through a reference M, from the Karcher step to MDRM, whitens
+at M through one kernel that returns the log eigenpairs.
 """
 
 from __future__ import annotations
@@ -185,22 +187,31 @@ def reduce_covariance(w: np.ndarray, c: np.ndarray) -> np.ndarray:
     return _symmetrize(w.T @ c @ w)
 
 
+def _whitened_log_eigh(ref: np.ndarray, mats: np.ndarray, what: str):
+    """Whiten a matrix or stack (..., R, R) at the SPD reference M and take its log eigenpairs.
+
+    Returns M^{1/2} and the log eigenvalues and eigenvectors of each
+    M^{-1/2} C M^{-1/2}. ``what`` names M if it is not positive definite.
+    """
+    half, inv_half = _sqrtm_pair(ref, what)
+    eigvals, eigvecs = _spd_eigh(_symmetrize(inv_half @ mats @ inv_half), "whitened input")
+    return half, np.log(eigvals), eigvecs
+
+
 def airm_distance(c1: np.ndarray, c2: np.ndarray) -> float:
     """Affine-invariant (geodesic) distance between two SPD matrices."""
     c1 = np.asarray(c1, dtype=np.float64)
     c2 = np.asarray(c2, dtype=np.float64)
     if c1.shape != c2.shape:
         raise ValueError(f"dimension mismatch: {c1.shape} vs {c2.shape}")
-    inv_sqrt = invsqrtm(c1)
-    whitened = _symmetrize(inv_sqrt @ c2 @ inv_sqrt)
-    eigvals, _ = _spd_eigh(whitened, "whitened matrix")
-    return float(np.sqrt(np.sum(np.log(eigvals) ** 2)))
+    _, log_vals, _ = _whitened_log_eigh(c1, c2, "reference")
+    return float(np.sqrt(np.sum(log_vals**2)))
 
 
 def log_map(c_ref: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Project C from the manifold to the tangent space at C_ref."""
-    half, inv_half = _sqrtm_pair(c_ref, "reference")
-    return _symmetrize(half @ logm(_symmetrize(inv_half @ c @ inv_half)) @ half)
+    half, log_vals, eigvecs = _whitened_log_eigh(c_ref, c, "reference")
+    return _symmetrize(half @ _from_eigh(log_vals, eigvecs) @ half)
 
 
 def exp_map(c_ref: np.ndarray, tangent: np.ndarray) -> np.ndarray:
@@ -235,9 +246,7 @@ def _karcher_state(center: np.ndarray, mats: np.ndarray):
     Returns M^{1/2}, the eigenpairs (log eigenvalues) of each
     W_i = M^{-1/2} C_i M^{-1/2}, and T = mean_i log W_i.
     """
-    half, inv_half = _sqrtm_pair(center, "mean iterate")
-    eigvals, eigvecs = _spd_eigh(_symmetrize(inv_half @ mats @ inv_half), "whitened input")
-    log_vals = np.log(eigvals)
+    half, log_vals, eigvecs = _whitened_log_eigh(center, mats, "mean iterate")
     return half, log_vals, eigvecs, _from_eigh(log_vals, eigvecs).mean(axis=0)
 
 
@@ -379,9 +388,8 @@ def tangent_vectorize(c_ref: np.ndarray, c: np.ndarray) -> np.ndarray:
     Euclidean norm of the vector equals the geodesic distance:
     ||vec||_2 = ||S||_F = delta(C_ref, C).
     """
-    inv_half = invsqrtm(c_ref)
-    s = logm(_symmetrize(inv_half @ c @ inv_half))
-    return upper_vectorize(s)
+    _, log_vals, eigvecs = _whitened_log_eigh(c_ref, c, "reference")
+    return upper_vectorize(_from_eigh(log_vals, eigvecs))
 
 
 def upper_vectorize(sym: np.ndarray) -> np.ndarray:
@@ -428,14 +436,14 @@ class MdrmClassifier:
         return self
 
     def distances(self, covs) -> np.ndarray:
+        """(n_covs, n_classes) affine-invariant distances, one whitened stack per class mean."""
         if self.means_ is None:
             raise ValueError("classifier is not fitted")
         covs = np.asarray(covs, dtype=np.float64)
         if covs.ndim == 2:
             covs = covs[None]
-        return np.array(
-            [[airm_distance(c, mean) for mean in self.means_] for c in covs]
-        )
+        per_mean = [_whitened_log_eigh(mean, covs, "reference")[1] for mean in self.means_]
+        return np.sqrt(np.sum(np.stack(per_mean, axis=1) ** 2, axis=-1))
 
     def predict(self, covs) -> np.ndarray:
         dist = self.distances(covs)

@@ -183,31 +183,25 @@ def _one_blas_thread(controls):
         setter(previous)
 
 
-class _BandError(NumericalError):
-    """A numerical failure in the geometry of band ``band`` (its index); ``__cause__`` is it."""
-
-    def __init__(self, band: int, exc: NumericalError):
-        super().__init__(f"band {band}: {exc}")
-        self.band = band
-
-
-def _map_bands(func, per_band: list) -> list:
+def _map_bands(func, bands: list, per_band: list) -> list:
     """``func(*args)`` for each band's args, results in band order.
 
     Bands run on a thread pool of min(bands, usable CPUs) workers with
     OpenBLAS held at one thread, so each band's numbers do not depend on
     the worker count. Without a thread control, or with one usable CPU,
     they run in a loop at the library's own thread count. Either way a
-    failure is that of the first failing band in band order.
+    failure is that of the first failing band in band order, raised as a
+    :class:`NumericalError` naming its index and its Hz edges in ``bands``.
     """
     workers = min(len(per_band), _usable_cpus())
     controls = _openblas_thread_controls() if workers > 1 else None
 
-    def run(band: int):
+    def run(b: int):
         try:
-            return func(*per_band[band])
+            return func(*per_band[b])
         except NumericalError as exc:
-            raise _BandError(band, exc) from exc
+            band = bands[b]
+            raise NumericalError(f"band {b} ({band.low_hz:g}-{band.high_hz:g} Hz): {exc}") from exc
 
     if controls is None:
         return [run(b) for b in range(len(per_band))]
@@ -220,15 +214,16 @@ def _fit_band(band_scms: np.ndarray, rank: int):
     return (w, *_mean_and_tangent_vectors(reduce_covariance(w, band_scms)))
 
 
-def fit_spatial_reducers(train_scms: np.ndarray, rank: int):
+def fit_spatial_reducers(train_scms: np.ndarray, bands: list, rank: int):
     """Per-band PCA filters, Riemannian-mean references and training tangent vectors.
 
-    The third value is the concatenated per-band tangent vectors of the
-    training trials at their references, as :func:`spatial_features_for`
-    gives them, taken from each mean's last solver state.
+    ``bands`` (the band list) names a band that fails. The third value is
+    the concatenated per-band tangent vectors of the training trials at
+    their references, as :func:`spatial_features_for` gives them, taken
+    from each mean's last solver state.
     """
-    fitted = _map_bands(_fit_band, [(train_scms[:, b], rank) for b in range(train_scms.shape[1])])
-    filters, references, vectors = zip(*fitted)
+    per_band = [(train_scms[:, b], rank) for b in range(train_scms.shape[1])]
+    filters, references, vectors = zip(*_map_bands(_fit_band, bands, per_band))
     return list(filters), list(references), np.concatenate(vectors, axis=1)
 
 
@@ -239,7 +234,7 @@ def _band_features(band_scms: np.ndarray, w: np.ndarray, reference) -> np.ndarra
     return tangent_vectorize(reference, reduced)
 
 
-def spatial_features_for(scms: np.ndarray, filters, references=None) -> np.ndarray:
+def spatial_features_for(scms: np.ndarray, bands: list, filters, references=None) -> np.ndarray:
     """Concatenated per-band tangent vectors for each trial.
 
     Each band is reduced by its filter and projected at its reference.
@@ -250,7 +245,7 @@ def spatial_features_for(scms: np.ndarray, filters, references=None) -> np.ndarr
     if references is None:
         references = [None] * len(filters)
     per_band = [(scms[:, b], w, ref) for b, (w, ref) in enumerate(zip(filters, references))]
-    return np.concatenate(_map_bands(_band_features, per_band), axis=1)
+    return np.concatenate(_map_bands(_band_features, bands, per_band), axis=1)
 
 
 def run_features(config: PipelineConfig) -> dict:
@@ -292,19 +287,13 @@ def run_features(config: PipelineConfig) -> dict:
             "reference_policy = test-mean re-centres the test split at its own mean, which "
             "maps a single trial to zero; reference_policy = train-mean projects a single trial"
         )
-    try:
-        filters, references, splits["train"]["spatial"] = fit_spatial_reducers(
-            splits["train"]["scms"], config.rank
-        )
-        recentre = config.reference_policy == "test-mean"
-        splits["test"]["spatial"] = spatial_features_for(
-            splits["test"]["scms"], filters, None if recentre else references
-        )
-    except _BandError as exc:
-        band = config.bands[exc.band]
-        raise NumericalError(
-            f"band {exc.band} ({band.low_hz:g}-{band.high_hz:g} Hz): {exc.__cause__}"
-        ) from exc.__cause__
+    filters, references, splits["train"]["spatial"] = fit_spatial_reducers(
+        splits["train"]["scms"], config.bands, config.rank
+    )
+    recentre = config.reference_policy == "test-mean"
+    splits["test"]["spatial"] = spatial_features_for(
+        splits["test"]["scms"], config.bands, filters, None if recentre else references
+    )
     expected_dim = config.spatial_feature_dim()
     info = {}
     for split, bundle in splits.items():
@@ -380,8 +369,8 @@ def run_train(config: PipelineConfig, jobs: int = 1) -> dict:
 def _grid_point(payload) -> dict:
     """Train and score one rank candidate; module-level so executors can pickle it."""
     (config, rank, fit_idx, val_idx, temporal, scms, labels) = payload
-    filters, references, spatial_fit = fit_spatial_reducers(scms[fit_idx], rank)
-    spatial_val = spatial_features_for(scms[val_idx], filters, references)
+    filters, references, spatial_fit = fit_spatial_reducers(scms[fit_idx], config.bands, rank)
+    spatial_val = spatial_features_for(scms[val_idx], config.bands, filters, references)
     arch = _architecture(config, config.variant, temporal.shape[2], spatial_fit.shape[1])
     model = TwoStreamModel(arch, seed=config.seed)
     train_model(model, temporal[fit_idx], spatial_fit, labels[fit_idx], seed=config.seed)

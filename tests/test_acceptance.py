@@ -180,8 +180,8 @@ def test_criterion_4_feature_correctness():
     scms = np.stack(
         [[random_spd(rng, 62, 0.5, 2.0) for _ in range(5)] for _ in range(6)]
     )
-    filters, references, _ = fit_spatial_reducers(scms, rank=48)
-    spatial = spatial_features_for(scms, filters, references)
+    filters, references, _ = fit_spatial_reducers(scms, bank.bands, rank=48)
+    spatial = spatial_features_for(scms, bank.bands, filters, references)
     assert spatial.shape == (6, 5880)
 
     report(4, "feature correctness", started)

@@ -824,9 +824,9 @@ class TestBandPool:
         seen = {}
         fit = pipeline.fit_spatial_reducers
 
-        def recording_fit(train_scms, rank):
+        def recording_fit(train_scms, bands, rank):
             seen["scms"] = train_scms
-            return fit(train_scms, rank)
+            return fit(train_scms, bands, rank)
 
         def failing_band(band_scms, rank):
             scms = seen["scms"]
@@ -895,6 +895,28 @@ class TestRankGridSplits:
         assert [row["rank"] for row in grid["rows"]] == [1, 2, 3]
         assert all(row["kappa"] is not None for row in grid["rows"])
         assert grid["best_rank"] in (1, 2, 3)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_band_failure_exits_3_naming_the_band(self, tmp_path, jobs):
+        # Channels 2 and 3 copy channel 1, so every SCM has rank 2: ranks 1 and 2 fit,
+        # and rank 3's Karcher mean starts from a singular Euclidean mean. Across a
+        # process boundary the error must come back whole, not break the pool.
+        write_synthetic_dataset(tmp_path)
+        for path in sorted((tmp_path / "raw").rglob("*.eegs")):
+            segment = read_segment(path)
+            segment.samples[2:] = segment.samples[1]
+            write_segment(path, segment)
+        config = write_config(tmp_path, extra="rank = 2\nrank_mode = grid\nepochs = 1\n")
+        assert main(["preprocess", "--config", str(config)]) == 0
+        assert main(["features", "--config", str(config)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "spd_bci.cli", "train", "--config", str(config),
+             "--jobs", jobs],
+            env=package_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "band 0 (8-16 Hz): mean iterate is not positive definite" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_validation_split_is_stratified(self):
         from spd_bci.pipeline import _validation_split

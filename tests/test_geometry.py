@@ -11,6 +11,7 @@ from conftest import random_invertible, random_spd, random_symmetric
 from spd_bci import geometry
 from spd_bci.data import SynthSpec, synth_spd_classes
 from spd_bci.errors import NumericalError
+from spd_bci.filters import uniform_bands
 from spd_bci.geometry import (
     MdrmClassifier,
     airm_distance,
@@ -32,6 +33,8 @@ from spd_bci.geometry import (
     upper_vectorize,
 )
 from spd_bci.pipeline import fit_spatial_reducers, spatial_features_for
+
+BANDS = uniform_bands(8.0, 40.0, 8.0)  # 4 bands; a band failure names its edges from these
 
 
 def diag_distance(a, b):
@@ -588,7 +591,7 @@ class TestTangentFeatures:
         rng = np.random.default_rng(22)
         scms = [np.array([[2.0]])]
         refs = [np.array([[1.0]])]
-        vec = spatial_features_for(np.array([scms]), [np.eye(1)], refs)[0]
+        vec = spatial_features_for(np.array([scms]), BANDS[:1], [np.eye(1)], refs)[0]
         assert vec.shape == (1,)
         assert vec[0] == pytest.approx(np.log(2.0))
 
@@ -596,7 +599,7 @@ class TestTangentFeatures:
         rng = np.random.default_rng(23)
         scms = [random_spd(rng, 3) for _ in range(4)]
         refs = [random_spd(rng, 3) for _ in range(4)]
-        vec = spatial_features_for(np.array([scms]), [np.eye(3)] * 4, refs)[0]
+        vec = spatial_features_for(np.array([scms]), BANDS, [np.eye(3)] * 4, refs)[0]
         assert vec.shape == (4 * tangent_dimension(3),)
         np.testing.assert_allclose(vec[:6], tangent_vectorize(refs[0], scms[0]))
 
@@ -615,13 +618,13 @@ class TestRecentring:
     def test_does_not_depend_on_trial_order(self, split):
         scms, filters = split
         perm = np.random.default_rng(25).permutation(len(scms))
-        want = spatial_features_for(scms, filters, None)[perm]
-        got = spatial_features_for(scms[perm], filters, None)
+        want = spatial_features_for(scms, BANDS[:2], filters, None)[perm]
+        got = spatial_features_for(scms[perm], BANDS[:2], filters, None)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_no_trial_maps_to_zero(self, split):
         scms, filters = split
-        vectors = spatial_features_for(scms, filters, None)
+        vectors = spatial_features_for(scms, BANDS[:2], filters, None)
         assert vectors.shape == (33, 2 * tangent_dimension(4))
         assert np.min(np.linalg.norm(vectors, axis=1)) > 0.1
 
@@ -632,7 +635,7 @@ class TestRecentring:
             band = reduce_covariance(w, scms[:, b])
             want.append(tangent_vectorize(riemannian_mean(band), band))
         np.testing.assert_array_equal(
-            spatial_features_for(scms, filters, None), np.concatenate(want, axis=1)
+            spatial_features_for(scms, BANDS[:2], filters, None), np.concatenate(want, axis=1)
         )
 
 
@@ -660,8 +663,10 @@ class TestMeanAndTangentVectors:
     def test_fit_returns_the_training_vectors_at_its_references(self):
         rng = np.random.default_rng(26)
         scms = np.array([[random_spd(rng, 6, 0.2, 5.0) for _ in range(3)] for _ in range(20)])
-        filters, references, vectors = fit_spatial_reducers(scms, 4)
-        np.testing.assert_array_equal(vectors, spatial_features_for(scms, filters, references))
+        filters, references, vectors = fit_spatial_reducers(scms, BANDS[:3], 4)
+        np.testing.assert_array_equal(
+            vectors, spatial_features_for(scms, BANDS[:3], filters, references)
+        )
 
 
 class TestMdrm:
@@ -688,6 +693,21 @@ class TestMdrm:
         covs = np.stack([random_spd(rng, 3) for _ in range(5)])
         clf = MdrmClassifier().fit(covs, [0] * 5)
         assert np.all(clf.predict(covs) == 0)
+
+    @pytest.mark.parametrize("n", [4, 18, 48])
+    def test_batched_distances_match_per_pair_distances(self, n):
+        # One whitened stack per class mean against one airm_distance call per pair.
+        rng = np.random.default_rng(n)
+        train = np.stack([random_spd(rng, n, 0.2, 5.0) for _ in range(12)])
+        clf = MdrmClassifier().fit(train, [0, 1, 2] * 4)
+        covs = np.stack([random_spd(rng, n, 0.2, 5.0) for _ in range(7)])
+        for batch in (covs[0], covs):
+            rows = batch.reshape(-1, n, n)
+            want = np.array([[airm_distance(c, m) for m in clf.means_] for c in rows])
+            got = clf.distances(batch)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+            np.testing.assert_array_equal(np.argmin(got, axis=1), np.argmin(want, axis=1))
 
     def test_empty_class_raises(self):
         with pytest.raises(ValueError, match="labels"):
