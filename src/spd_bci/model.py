@@ -37,9 +37,10 @@ the model config's schedule; everything is deterministic given the seed.
 The per-step cost sits in ``nnet``: time-batched LSTM input projections,
 one sigmoid call on the stacked gates, weight gradients that each backward
 writes over the last ones, and an in-place Adam update that applies the
-clip factor; the step holds params, grads and two moments, no more. An epoch
-makes one forward pass over the training set: the log's metric comes
-from the same training-mode predictions as its loss.
+clip factor; the step holds params, grads and two moments plus one forward
+pass's activations, which the LSTM and batch-norm backward passes free as
+they read them. An epoch makes one forward pass over the training set: the
+log's metric comes from the same training-mode predictions as its loss.
 """
 
 from __future__ import annotations

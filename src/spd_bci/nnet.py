@@ -3,6 +3,10 @@
 Every layer keeps its parameters and gradient buffers in name-keyed
 dicts of float64 arrays and caches its forward activations on the
 instance, so a full backward pass runs without an autodiff framework.
+A backward consumes that cache: the LSTM and batch norm, whose
+activations are the bulk of a training step's memory, drop theirs as
+their backward reads them, so each of their backward passes needs its
+own forward pass, and a second one without it raises RuntimeError.
 All gradients are hand-derived; the test suite checks each block and the
 composed model against central finite differences.
 
@@ -28,7 +32,10 @@ matmuls over the flattened batch·time axis with no transposed copies,
 and ``sigmoid`` is branch-free. Each ``backward`` writes over its
 block's ``grads`` (``out=``), so nothing zeroes them and no weight
 gradient is a new array; ``adam_step`` applies the clip factor and
-updates in place block by block without full-size temporaries.
+updates in place block by block without full-size temporaries. The LSTM
+and batch-norm backward passes build their derivatives in buffers they
+already hold; each product keeps the two factors it has in the plain
+expression, so the results are the same bits.
 """
 
 from __future__ import annotations
@@ -51,6 +58,18 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 def _unset(**shapes) -> dict[str, np.ndarray]:
     """Parameters of a block built to be loaded: read-only NaN views that allocate nothing."""
     return {key: np.broadcast_to(np.nan, shape) for key, shape in shapes.items()}
+
+
+def _consume_cache(block) -> tuple:
+    """The activations ``block``'s last forward cached, handed to its backward once."""
+    cache = block._cache
+    if cache is None:
+        raise RuntimeError(
+            f"{type(block).__name__}.backward needs a forward pass first: each backward "
+            "consumes the activations its forward cached"
+        )
+    block._cache = None
+    return cache
 
 
 def stable_softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -82,13 +101,15 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     if kind == "sigmoid":
         return sigmoid(z)
     if kind == "leaky-relu":
-        return np.where(z > 0.0, z, LEAKY_SLOPE * z)
+        # The bits of where(z > 0, z, slope * z), signed zeros included, with no mask.
+        return np.maximum(z, LEAKY_SLOPE * z)
     if kind == "softmax":
         return stable_softmax(z, axis=-1)
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _activate_backward(grad_y: np.ndarray, z: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
+def _activate_backward(grad_y: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
+    """The gradient wrt the pre-activation, from the activation's output ``y`` alone."""
     if kind == "identity":
         return grad_y
     if kind == "tanh":
@@ -96,7 +117,10 @@ def _activate_backward(grad_y: np.ndarray, z: np.ndarray, y: np.ndarray, kind: s
     if kind == "sigmoid":
         return grad_y * y * (1.0 - y)
     if kind == "leaky-relu":
-        return grad_y * np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+        # y has the sign of z, so it picks the same slope z would.
+        dz = np.where(y > 0.0, 1.0, LEAKY_SLOPE)
+        dz *= grad_y
+        return dz
     if kind == "softmax":
         inner = np.sum(grad_y * y, axis=-1, keepdims=True)
         return y * (grad_y - inner)
@@ -122,12 +146,11 @@ class Dense:
     def forward(self, x: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         self._x = x
-        self._z = x @ self.params["w"].T + self.params["b"]
-        self._y = _activate(self._z, self.activation)
+        self._y = _activate(x @ self.params["w"].T + self.params["b"], self.activation)
         return self._y
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        dz = _activate_backward(grad_y, self._z, self._y, self.activation)
+        dz = _activate_backward(grad_y, self._y, self.activation)
         np.matmul(dz.T, self._x, out=self.grads["w"])
         np.sum(dz, axis=0, out=self.grads["b"])
         return dz @ self.params["w"]
@@ -146,7 +169,10 @@ class Lstm:
     stacked input/forget/output gates. Backward likewise keeps only
     dh_{t-1} = da_t W_h in its loop, then forms the input-weight,
     recurrent-weight, bias and input gradients of all steps with one
-    matmul or sum each over the flattened batch·time axis.
+    matmul or sum each over the flattened batch·time axis. It writes the
+    gates' local derivatives into its gate-gradient buffer and multiplies
+    each step's gradient into them there; the forward cache is dropped as
+    soon as the last of those products has read it.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None,
@@ -162,6 +188,7 @@ class Lstm:
         else:
             self.params = _unset(w=(4 * hidden, in_dim + hidden), b=(4 * hidden,))
         self.grads = {key: np.zeros(arr.shape) for key, arr in self.params.items()}
+        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -188,42 +215,49 @@ class Lstm:
             cells[:, t + 1] = f * cells[:, t] + i * g
             np.tanh(cells[:, t + 1], out=tanh_c[:, t])
             np.multiply(o, tanh_c[:, t], out=outputs[:, t])
-        self._x, self._gates, self._cells, self._tanh_c, self._h = x, gates, cells, tanh_c, outputs
+        self._cache = (x, gates, cells, tanh_c, outputs)
         return outputs
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        x, gates, cells, tanh_c, h = _consume_cache(self)
         batch, length, _ = grad_out.shape
         nh, w, w_grad = self.hidden, self.params["w"], self.grads["w"]
-        gates, cells, tanh_c = self._gates, self._cells, self._tanh_c
-        i, f, o, g = (gates[..., k * nh:(k + 1) * nh] for k in range(4))
-        # Local derivatives of every step at once; only dh and dc recur.
-        sig = gates[..., :3 * nh]
-        d_sig = sig * (1.0 - sig)
-        d_g = 1.0 - g ** 2
-        d_c = o * (1.0 - tanh_c ** 2)
-        w_h = w[:, self.in_dim:]
+        # The local derivatives of every step, in the buffer that takes the gate gradients:
+        # sig*(1-sig) for input/forget/output, 1-g^2 for the candidate. Only dh and dc recur.
         da = np.empty_like(gates)
+        d_sig, d_g = da[..., :3 * nh], da[..., 3 * nh:]
+        np.subtract(1.0, gates[..., :3 * nh], out=d_sig)
+        d_sig *= gates[..., :3 * nh]
+        np.square(gates[..., 3 * nh:], out=d_g)
+        np.subtract(1.0, d_g, out=d_g)
+        d_c = np.square(tanh_c)  # o * (1 - tanh(c)^2)
+        np.subtract(1.0, d_c, out=d_c)
+        d_c *= gates[..., 2 * nh:3 * nh]
+        w_h = w[:, self.in_dim:]
+        step = np.empty((batch, 4 * nh))  # dc*g, dc*c_{t-1}, dh*tanh(c_t), dc*i of one step
         dh_next = np.zeros((batch, nh))
         dc_next = np.zeros((batch, nh))
         for t in reversed(range(length)):
             dh = grad_out[:, t] + dh_next
             dc = dh * d_c[:, t] + dc_next
-            da_t = da[:, t]
-            np.multiply(dc, g[:, t], out=da_t[:, :nh])
-            np.multiply(dc, cells[:, t], out=da_t[:, nh:2 * nh])
-            np.multiply(dh, tanh_c[:, t], out=da_t[:, 2 * nh:3 * nh])
-            np.multiply(dc, i[:, t], out=da_t[:, 3 * nh:])
-            da_t[:, :3 * nh] *= d_sig[:, t]
-            da_t[:, 3 * nh:] *= d_g[:, t]
-            dc_next = dc * f[:, t]
+            np.multiply(dc, gates[:, t, 3 * nh:], out=step[:, :nh])
+            np.multiply(dc, cells[:, t], out=step[:, nh:2 * nh])
+            np.multiply(dh, tanh_c[:, t], out=step[:, 2 * nh:3 * nh])
+            np.multiply(dc, gates[:, t, :nh], out=step[:, 3 * nh:])
+            da[:, t] *= step
+            dc_next = dc * gates[:, t, nh:2 * nh]
             if t:
-                dh_next = da_t @ w_h
+                dh_next = da[:, t] @ w_h
+        del gates, cells, tanh_c, d_c  # the time loop was their last reader
         flat = da.reshape(-1, 4 * nh)
         # Step t's gates read h_{t-1}, zero at step 0: h shifted one step makes this one matmul.
-        h_prev = np.zeros_like(self._h)
-        h_prev[:, 1:] = self._h[:, :-1]
-        np.matmul(flat.T, self._x.reshape(-1, self.in_dim), out=w_grad[:, :self.in_dim])
+        h_prev = np.zeros_like(h)
+        h_prev[:, 1:] = h[:, :-1]
+        del h
+        np.matmul(flat.T, x.reshape(-1, self.in_dim), out=w_grad[:, :self.in_dim])
+        del x
         np.matmul(flat.T, h_prev.reshape(-1, nh), out=w_grad[:, self.in_dim:])
+        del h_prev
         np.sum(flat, axis=0, out=self.grads["b"])
         return (flat @ w[:, :self.in_dim]).reshape(batch, length, self.in_dim)
 
@@ -317,6 +351,9 @@ class BatchNorm:
     over batch and time, and comes back in its own shape. ``activation``
     takes the names :class:`Dense` does. The running stats are
     ``buffers``: a checkpoint saves them, the optimizer never sees them.
+    The forward caches x̂ and the output, which the backward consumes, and
+    the backward's batch-statistics tail runs in place in the formula's
+    order.
     """
 
     def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5,
@@ -327,6 +364,7 @@ class BatchNorm:
         self.params = {"gamma": np.ones(dim), "beta": np.zeros(dim)}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.buffers = {"running_mean": np.zeros(dim), "running_var": np.ones(dim)}
+        self._cache = None
 
     @property
     def running_mean(self) -> np.ndarray:
@@ -348,28 +386,37 @@ class BatchNorm:
         else:
             mean = self.running_mean
             var = self.running_var
-        self._train = train
-        self._inv_std = 1.0 / np.sqrt(var + self.eps)
-        self._xhat = (flat - mean) * self._inv_std
-        self._z = self.params["gamma"] * self._xhat + self.params["beta"]
-        self._y = _activate(self._z, self.activation)
-        return self._y.reshape(x.shape)
+        inv_std = 1.0 / np.sqrt(var + self.eps)
+        xhat = flat - mean
+        xhat *= inv_std
+        z = xhat * self.params["gamma"]
+        z += self.params["beta"]
+        y = _activate(z, self.activation)
+        self._cache = (train, inv_std, xhat, y)
+        return y.reshape(x.shape)
 
     def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        xhat, inv_std = self._xhat, self._inv_std
-        dz = _activate_backward(
-            grad_y.reshape(-1, grad_y.shape[-1]), self._z, self._y, self.activation
-        )
-        np.sum(dz * xhat, axis=0, out=self.grads["gamma"])
+        train, inv_std, xhat, y = _consume_cache(self)
+        dz = _activate_backward(grad_y.reshape(-1, grad_y.shape[-1]), y, self.activation)
+        del y
+        prod = dz * xhat
+        np.sum(prod, axis=0, out=self.grads["gamma"])
         np.sum(dz, axis=0, out=self.grads["beta"])
-        dxhat = dz * self.params["gamma"]
-        if not self._train:
-            return (dxhat * inv_std).reshape(grad_y.shape)
-        n = dz.shape[0]
-        # Batch statistics depend on x, so fold their gradients back in.
-        return ((inv_std / n) * (
-            n * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
-        )).reshape(grad_y.shape)
+        dxhat = np.multiply(dz, self.params["gamma"], out=prod)
+        del dz, prod
+        if not train:
+            dxhat *= inv_std
+            return dxhat.reshape(grad_y.shape)
+        # Batch statistics depend on x, so fold their gradients back in:
+        # (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)).
+        n = dxhat.shape[0]
+        dxhat_sum = np.sum(dxhat, axis=0)
+        xhat *= np.sum(dxhat * xhat, axis=0)
+        dxhat *= n
+        dxhat -= dxhat_sum
+        dxhat -= xhat
+        dxhat *= inv_std / n
+        return dxhat.reshape(grad_y.shape)
 
 
 def forward_chain(blocks, x: np.ndarray, train: bool = True,

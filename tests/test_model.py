@@ -20,7 +20,7 @@ from spd_bci.model import (
     root_mean_squared_error,
     train_model,
 )
-from spd_bci.nnet import forward_chain
+from spd_bci.nnet import BatchNorm, Lstm, forward_chain
 
 TINY = dict(
     temporal_input_dim=5,
@@ -299,6 +299,8 @@ class TestBackwardOverwrites:
         first, second = np.random.default_rng(24).standard_normal((2, *logits.shape))
         twice, once = models
         twice.backward(first)
+        # A backward consumes its forward's activations: same input, same dropout masks.
+        twice.forward(xt, xs, train=True, rng=np.random.default_rng(23))
         twice.backward(second)
         once.backward(second)
         for key, grad in once.grads().items():
@@ -325,6 +327,62 @@ class TestTrainingMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * param_bytes + 2 ** 21, f"peak {peak / 2 ** 20:.1f} MiB"
+
+    # A temporal stream at the lstm-train batch and length, with half its hidden size.
+    TEMPORAL = dict(variant="temporal", temporal_input_dim=20, lstm_layers=3, lstm_hidden=128,
+                    temporal_embedding_dim=64, fusion_hidden=16, epochs=1, batch_size=32)
+    LENGTH = 15
+
+    @staticmethod
+    def held_arrays(block):
+        """Names of the arrays a block holds besides its parameters, gradients and buffers."""
+        held = []
+        for name, value in vars(block).items():
+            if name not in ("params", "grads", "buffers"):
+                values = value if isinstance(value, tuple) else (value,)
+                held += [name for v in values if isinstance(v, np.ndarray)]
+        return held
+
+    def test_backward_leaves_no_activations_in_lstm_or_batchnorm(self):
+        model = tiny_model(seed=8, **self.TEMPORAL)
+        rng = np.random.default_rng(26)
+        xt = rng.standard_normal((32, self.LENGTH, 20))
+        logits = model.forward(xt, None, train=True, rng=rng)
+        blocks = {name: block for name, block in model.blocks.items()
+                  if isinstance(block, (Lstm, BatchNorm))}
+        assert len(blocks) == 6 and all(self.held_arrays(b) for b in blocks.values())
+        _, dlogits = model.loss_and_grad(logits, encode_targets(np.tile([0, 1], 16), model.config))
+        model.backward(dlogits)
+        for name, block in blocks.items():
+            assert not self.held_arrays(block), (name, self.held_arrays(block))
+
+    def test_temporal_epoch_holds_one_forward_pass_of_activations(self):
+        # Parameters, gradients and Adam's two moments, plus one forward pass's
+        # activations, plus the workspace of one LSTM backward. Activations that
+        # outlive their backward into the next step's forward break the bound.
+        import tracemalloc
+
+        batch, length, hidden, layers = 32, self.LENGTH, 128, 3
+        rng = np.random.default_rng(27)
+        xt = rng.standard_normal((64, length, 20))
+        labels = np.tile([0, 1], 32)
+        blh = batch * length * hidden
+        activations = 8 * (
+            layers * (4 * blh + batch * (length + 1) * hidden + 2 * blh)  # gates, cells, tanh c, h
+            + layers * 2 * blh  # batch norm's x-hat and output
+            + blh  # attention's tanh scores
+        )
+        workspace = 8 * 5 * blh  # one LSTM backward's gate gradients and o * (1 - tanh^2 c)
+        tracemalloc.start()
+        try:
+            model = tiny_model(seed=8, **self.TEMPORAL)
+            param_bytes = sum(p.nbytes for p in model.params().values())
+            train_model(model, xt, None, labels, seed=9)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        bound = 4 * param_bytes + activations + workspace + 3 * 2 ** 19
+        assert peak < bound, f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
 
 
 def separable_dataset(rng, n=64):

@@ -30,6 +30,8 @@ from spd_bci.nnet import (
     sigmoid,
     softmax_cross_entropy_with_logits,
     stable_softmax,
+    _activate,
+    _activate_backward,
 )
 
 GRAD_TOL = 1e-4
@@ -155,6 +157,79 @@ class TestLstm:
             np.tensordot(da[:, 1:], h[:, :-1], axes=([0, 1], [0, 1])),
         ], axis=1)
         assert max_relative_error(lstm.grads["w"], expected) <= 1e-12
+
+    @staticmethod
+    def full_size_reference(lstm, x, grad_out):
+        """Output, dx, dw and db with every local derivative a full-size array of its own.
+
+        The plain expressions the buffered backward rearranges: each of its products
+        keeps the same two factors, so it must match these bit for bit.
+        """
+        nh, w, in_dim = lstm.hidden, lstm.params["w"], lstm.in_dim
+        batch, length, _ = x.shape
+        w_h_t = w[:, in_dim:].T
+        gates = x.reshape(-1, in_dim) @ w[:, :in_dim].T + lstm.params["b"]
+        gates = gates.reshape(batch, length, 4 * nh)
+        cells = np.zeros((batch, length + 1, nh))
+        tanh_c = np.empty((batch, length, nh))
+        h = np.empty((batch, length, nh))
+        for t in range(length):
+            a = gates[:, t]
+            if t:
+                a += h[:, t - 1] @ w_h_t
+            a[:, :3 * nh] = sigmoid(a[:, :3 * nh])
+            np.tanh(a[:, 3 * nh:], out=a[:, 3 * nh:])
+            i, f, o, g = (a[:, k * nh:(k + 1) * nh] for k in range(4))
+            cells[:, t + 1] = f * cells[:, t] + i * g
+            np.tanh(cells[:, t + 1], out=tanh_c[:, t])
+            np.multiply(o, tanh_c[:, t], out=h[:, t])
+        i, f, o, g = (gates[..., k * nh:(k + 1) * nh] for k in range(4))
+        sig = gates[..., :3 * nh]
+        d_sig = sig * (1.0 - sig)
+        d_g = 1.0 - g ** 2
+        d_c = o * (1.0 - tanh_c ** 2)
+        w_h = w[:, in_dim:]
+        da = np.empty_like(gates)
+        dh_next = np.zeros((batch, nh))
+        dc_next = np.zeros((batch, nh))
+        for t in reversed(range(length)):
+            dh = grad_out[:, t] + dh_next
+            dc = dh * d_c[:, t] + dc_next
+            da_t = da[:, t]
+            np.multiply(dc, g[:, t], out=da_t[:, :nh])
+            np.multiply(dc, cells[:, t], out=da_t[:, nh:2 * nh])
+            np.multiply(dh, tanh_c[:, t], out=da_t[:, 2 * nh:3 * nh])
+            np.multiply(dc, i[:, t], out=da_t[:, 3 * nh:])
+            da_t[:, :3 * nh] *= d_sig[:, t]
+            da_t[:, 3 * nh:] *= d_g[:, t]
+            dc_next = dc * f[:, t]
+            if t:
+                dh_next = da_t @ w_h
+        flat = da.reshape(-1, 4 * nh)
+        h_prev = np.zeros_like(h)
+        h_prev[:, 1:] = h[:, :-1]
+        dw = np.concatenate([flat.T @ x.reshape(-1, in_dim), flat.T @ h_prev.reshape(-1, nh)],
+                            axis=1)
+        db = np.sum(flat, axis=0)
+        dx = (flat @ w[:, :in_dim]).reshape(batch, length, in_dim)
+        return h, dx, dw, db
+
+    @pytest.mark.parametrize("batch,length,in_dim,hidden",
+                             [(1, 1, 5, 4), (7, 15, 5, 8), (32, 15, 24, 16), (32, 15, 256, 256)])
+    def test_backward_is_bit_identical_to_full_size_derivatives(self, batch, length, in_dim,
+                                                                 hidden):
+        rng = np.random.default_rng(batch + length + in_dim + hidden)
+        lstm = Lstm(in_dim, hidden, rng=rng)
+        lstm.params["b"] = rng.standard_normal(4 * hidden)
+        x = rng.standard_normal((batch, length, in_dim))
+        grad_out = rng.standard_normal((batch, length, hidden))
+        out = lstm.forward(x)
+        dx = lstm.backward(grad_out)
+        ref_out, ref_dx, ref_dw, ref_db = self.full_size_reference(lstm, x, grad_out)
+        assert out.tobytes() == ref_out.tobytes()
+        assert dx.tobytes() == ref_dx.tobytes()
+        assert lstm.grads["w"].tobytes() == ref_dw.tobytes()
+        assert lstm.grads["b"].tobytes() == ref_db.tobytes()
 
 
 class TestAttention:
@@ -326,6 +401,95 @@ class TestBatchNorm:
                     assert getattr(block, store)[key].tobytes() == arr.tobytes(), key
 
 
+    @staticmethod
+    def full_size_reference(bn, x, grad, train):
+        """Output, dx and the gamma/beta gradients, each term a full-size array of its own.
+
+        The plain expressions, with the leaky ReLU and its slope taken from z by
+        ``np.where``; the cached-output, in-place block must match them bit for bit.
+        """
+        flat = x.reshape(-1, x.shape[-1])
+        if train:
+            mean, var = flat.mean(axis=0), flat.var(axis=0)
+        else:
+            mean, var = bn.running_mean, bn.running_var
+        inv_std = 1.0 / np.sqrt(var + bn.eps)
+        xhat = (flat - mean) * inv_std
+        z = bn.params["gamma"] * xhat + bn.params["beta"]
+        dz = grad.reshape(-1, grad.shape[-1])
+        if bn.activation == "leaky-relu":
+            y = np.where(z > 0.0, z, LEAKY_SLOPE * z)
+            dz = dz * np.where(z > 0.0, 1.0, LEAKY_SLOPE)
+        else:
+            y = z
+        dgamma = np.sum(dz * xhat, axis=0)
+        dbeta = np.sum(dz, axis=0)
+        dxhat = dz * bn.params["gamma"]
+        if train:
+            n = dz.shape[0]
+            dx = (inv_std / n) * (
+                n * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
+            )
+        else:
+            dx = dxhat * inv_std
+        return y.reshape(x.shape), dx.reshape(x.shape), dgamma, dbeta
+
+    @pytest.mark.parametrize("shape", [(6, 3), (4, 5, 3), (32, 15, 256)])
+    @pytest.mark.parametrize("activation", ["identity", "leaky-relu"])
+    def test_backward_is_bit_identical_to_full_size_terms(self, shape, activation):
+        rng = np.random.default_rng(sum(shape))
+        bn = BatchNorm(shape[-1], momentum=0.01, activation=activation)
+        bn.params["gamma"] = rng.standard_normal(shape[-1])
+        bn.params["beta"] = rng.standard_normal(shape[-1])
+        x = 2.0 + rng.standard_normal(shape)
+        for train in (True, False):
+            grad = rng.standard_normal(shape)
+            expected = self.full_size_reference(bn, x, grad, train)
+            y = bn.forward(x, train=train)
+            dx = bn.backward(grad)
+            got = (y, dx, bn.grads["gamma"], bn.grads["beta"])
+            for name, a, b in zip(("y", "dx", "dgamma", "dbeta"), got, expected):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes(), (train, name)
+
+
+class TestLeakyRelu:
+    VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                       -2.2250738585072014e-308, 1.0, -1.0, 1e300, -1e300, 1.7976931348623157e308,
+                       -1.7976931348623157e308, np.inf, -np.inf])
+
+    def test_maximum_form_is_bit_identical_to_where_form(self):
+        z = np.concatenate([self.VALUES, np.random.default_rng(18).standard_normal(1000)])
+        y = _activate(z, "leaky-relu")
+        assert y.tobytes() == np.where(z > 0.0, z, LEAKY_SLOPE * z).tobytes()
+        # -0.0 stays -0.0, and the smallest negative subnormal rounds to -0.0 in both forms.
+        assert np.signbit(y[1]) and y[3] == 0.0 and np.signbit(y[3])
+
+    def test_slope_from_the_output_equals_slope_from_the_input(self):
+        z = np.concatenate([self.VALUES, np.random.default_rng(19).standard_normal(1000)])
+        grad = np.random.default_rng(20).standard_normal(z.shape)
+        dz = _activate_backward(grad, _activate(z, "leaky-relu"), "leaky-relu")
+        assert dz.tobytes() == (grad * np.where(z > 0.0, 1.0, LEAKY_SLOPE)).tobytes()
+
+
+class TestBackwardConsumesTheCache:
+    @pytest.mark.parametrize("make_block, shape, name", [
+        (lambda: Lstm(3, 4), (2, 5, 3), "Lstm"),
+        (lambda: BatchNorm(3, activation="leaky-relu"), (4, 5, 3), "BatchNorm"),
+    ], ids=["lstm", "batchnorm"])
+    def test_second_backward_without_a_forward_raises_naming_the_block(self, make_block,
+                                                                       shape, name):
+        block = make_block()
+        with pytest.raises(RuntimeError, match=f"^{name}.backward needs a forward pass"):
+            block.backward(np.ones(shape))
+        x = np.random.default_rng(19).standard_normal(shape)
+        y = block.forward(x)
+        block.backward(np.ones_like(y))
+        with pytest.raises(RuntimeError, match=f"^{name}.backward needs a forward pass"):
+            block.backward(np.ones_like(y))
+        block.forward(x)
+        block.backward(np.ones_like(y))
+
+
 class TestBackwardOverwrites:
     """A backward pass writes the gradients; it does not add to those of an earlier pass."""
 
@@ -338,12 +502,14 @@ class TestBackwardOverwrites:
         (lambda rng: BatchNorm(3, activation="leaky-relu"), (4, 5, 3)),
     ], ids=["dense", "dense-softmax", "lstm", "attention", "batchnorm", "batchnorm-sequence"])
     def test_second_backward_leaves_only_its_own_gradients(self, make_block, shape):
+        # A backward consumes its forward's activations, so each runs after its own forward.
         x = np.random.default_rng(15).standard_normal(shape)
         twice, once = make_block(np.random.default_rng(16)), make_block(np.random.default_rng(16))
         y = twice.forward(x)
         once.forward(x)
         first, second = np.random.default_rng(17).standard_normal((2, *y.shape))
         twice.backward(first)
+        twice.forward(x)
         dx_twice = twice.backward(second)
         dx_once = once.backward(second)
         assert dx_twice.tobytes() == dx_once.tobytes()
