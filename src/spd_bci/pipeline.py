@@ -369,8 +369,13 @@ def run_train(config: PipelineConfig, jobs: int = 1) -> dict:
 def _grid_point(payload) -> dict:
     """Train and score one rank candidate; module-level so executors can pickle it."""
     (config, rank, fit_idx, val_idx, temporal, scms, labels) = payload
-    filters, references, spatial_fit = fit_spatial_reducers(scms[fit_idx], config.bands, rank)
-    spatial_val = spatial_features_for(scms[val_idx], config.bands, filters, references)
+    try:
+        filters, references, spatial_fit = fit_spatial_reducers(scms[fit_idx], config.bands, rank)
+        spatial_val = spatial_features_for(scms[val_idx], config.bands, filters, references)
+    except NumericalError as exc:
+        # Say, a rank above that of the SCMs: the row records the band's error, no scores.
+        scores = ("accuracy", "kappa") if config.task == "classification" else ("rmse", "pcc")
+        return {"rank": rank, "error": str(exc), **dict.fromkeys(scores)}
     arch = _architecture(config, config.variant, temporal.shape[2], spatial_fit.shape[1])
     model = TwoStreamModel(arch, seed=config.seed)
     train_model(model, temporal[fit_idx], spatial_fit, labels[fit_idx], seed=config.seed)
@@ -404,7 +409,9 @@ def _run_rank_grid(config: PipelineConfig, train: dict, jobs: int = 1) -> dict:
 
     A kappa or PCC that the validation split leaves undefined is written
     as null. ``best_rank`` is the lowest rank with the highest defined
-    score, accuracy or PCC (null if no score is defined).
+    score, accuracy or PCC (null if no score is defined). A rank whose
+    geometry fails is a row with its band's ``error`` and null scores;
+    if every rank fails, the first one's error is raised.
     """
     labels = train["labels"]
     classification = config.task == "classification"
@@ -425,6 +432,8 @@ def _run_rank_grid(config: PipelineConfig, train: dict, jobs: int = 1) -> dict:
     else:
         rows = [_grid_point(p) for p in payloads]
     rows.sort(key=lambda r: r["rank"])
+    if all("error" in r for r in rows):
+        raise NumericalError(rows[0]["error"])
     score_key = "accuracy" if classification else "pcc"
     scored = [r for r in rows if r[score_key] is not None]
     best = max(scored, key=lambda r: r[score_key])["rank"] if scored else None

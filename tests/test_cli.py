@@ -1,5 +1,6 @@
 """Config parsing and CLI pipeline tests on a small synthetic dataset."""
 
+import ctypes
 import json
 import os
 import subprocess
@@ -770,6 +771,74 @@ class TestFeaturesIndependentOfBlasThreads:
             assert a == b, name
 
 
+def has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+# The CLI without its allocator policy.
+DEFAULT_MALLOC_CLI = [sys.executable, "-c", (
+    "import sys\nfrom spd_bci import cli\n"
+    "cli._keep_freed_memory = lambda: None\nsys.exit(cli.main(sys.argv[1:]))\n"
+)]
+
+
+class TestAllocatorPolicy:
+    """The CLI keeps freed blocks in glibc's heap, and that changes no output byte."""
+
+    @pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+    def test_second_preprocess_reuses_the_first_ones_memory(self, seed_shape_workspace):
+        # At SEED shapes the filter blocks and band signals are above glibc's default
+        # 128 KiB mmap threshold: without the policy, each segment of a second run
+        # faults its temporaries in again (hundreds of minor faults per segment). A
+        # fresh interpreter, because glibc raises that threshold as large blocks are
+        # freed, so this process's history could hide the faults.
+        script = (
+            "import resource, sys\nfrom spd_bci.cli import main\nfaults = []\n"
+            "for _ in range(2):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    assert main(['preprocess', '--config', sys.argv[1]]) == 0\n"
+            "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "print(*faults)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(seed_shape_workspace / "pipeline.cfg")],
+            env=package_env(), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        first, second = map(int, proc.stdout.splitlines()[-1].split())
+        assert second < 100, (first, second)
+
+    def test_all_five_steps_write_the_same_bytes_without_the_policy(self, seed_shape_workspace):
+        # Heap and mmap blocks differ in alignment, which numpy's SIMD loops may see.
+        def run_all(command, work_dir):
+            config = seed_shape_workspace / f"{work_dir}.cfg"
+            config.write_text(
+                "profile = seed\nraw_train_dir = raw/train\nraw_test_dir = raw/test\n"
+                f"work_dir = {work_dir}\nepochs = 2\nablate_variants = fused\n",
+                encoding="utf-8",
+            )
+            for step in ("preprocess", "features", "train", "evaluate", "ablate"):
+                proc = subprocess.run(
+                    [*command, step, "--config", str(config)], env=package_env(),
+                    cwd=seed_shape_workspace, capture_output=True, text=True, timeout=300,
+                )
+                assert proc.returncode == 0, (step, proc.stderr)
+            root = seed_shape_workspace / work_dir
+            return {
+                str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()
+            }
+
+        with_policy = run_all(CLI, "work-policy")
+        without = run_all(DEFAULT_MALLOC_CLI, "work-default")
+        assert sorted(with_policy) == sorted(without)
+        assert len(with_policy) >= 10, sorted(with_policy)
+        for name, data in with_policy.items():
+            assert data == without[name], name
+
+
 class TestBandPool:
     """``features`` maps each band's geometry over a thread pool at one BLAS thread."""
 
@@ -896,11 +965,11 @@ class TestRankGridSplits:
         assert all(row["kappa"] is not None for row in grid["rows"])
         assert grid["best_rank"] in (1, 2, 3)
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_band_failure_exits_3_naming_the_band(self, tmp_path, jobs):
-        # Channels 2 and 3 copy channel 1, so every SCM has rank 2: ranks 1 and 2 fit,
-        # and rank 3's Karcher mean starts from a singular Euclidean mean. Across a
-        # process boundary the error must come back whole, not break the pool.
+    @pytest.fixture
+    def rank2_config(self, tmp_path):
+        """Preprocessed README-style data whose SCMs all have rank 2, in grid mode."""
+        # Channels 2 and 3 copy channel 1, so ranks 1 and 2 fit, and rank 3's
+        # Karcher mean starts from a singular Euclidean mean.
         write_synthetic_dataset(tmp_path)
         for path in sorted((tmp_path / "raw").rglob("*.eegs")):
             segment = read_segment(path)
@@ -909,14 +978,51 @@ class TestRankGridSplits:
         config = write_config(tmp_path, extra="rank = 2\nrank_mode = grid\nepochs = 1\n")
         assert main(["preprocess", "--config", str(config)]) == 0
         assert main(["features", "--config", str(config)]) == 0
+        return config
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_band_failure_is_an_error_row_naming_the_band(self, rank2_config, jobs):
+        # Across a process boundary the error must come back whole, not break the pool,
+        # and the feasible ranks keep their rows.
         proc = subprocess.run(
-            [sys.executable, "-m", "spd_bci.cli", "train", "--config", str(config),
-             "--jobs", jobs],
+            [*CLI, "train", "--config", str(rank2_config), "--jobs", jobs],
             env=package_env(), capture_output=True, text=True, timeout=300,
         )
-        assert proc.returncode == 3, proc.stderr
-        assert "band 0 (8-16 Hz): mean iterate is not positive definite" in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        grid = json.loads((rank2_config.parent / "work" / "grid_metrics.json").read_text())
+        assert [row["rank"] for row in grid["rows"]] == [1, 2, 3]
+        assert ["error" in row for row in grid["rows"]] == [False, False, True]
+        failed = grid["rows"][2]
+        assert failed["error"].startswith(
+            "band 0 (8-16 Hz): mean iterate is not positive definite"
+        ), failed
+        assert failed["accuracy"] is None and failed["kappa"] is None
+        assert grid["best_rank"] in (1, 2)
         assert "Traceback" not in proc.stderr
+
+    def test_fixed_rank_above_the_scm_rank_exits_3_naming_the_band(self, rank2_config, capsys):
+        config = write_config(rank2_config.parent, extra="epochs = 1\n")  # rank 3, fixed
+        assert main(["features", "--config", str(config)]) == 3
+        assert "band 0 (8-16 Hz): mean iterate is not positive definite" in capsys.readouterr().err
+
+    def test_grid_where_every_rank_fails_exits_3_with_the_first_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from spd_bci import pipeline
+        from spd_bci.errors import NumericalError
+
+        def failing(train_scms, bands, rank):
+            raise NumericalError(f"band 1 (16-24 Hz): rank {rank} failed")
+
+        write_synthetic_dataset(tmp_path, train_per_class=8)
+        config = write_config(tmp_path, extra="rank_mode = grid\nepochs = 1\n")
+        assert main(["preprocess", "--config", str(config)]) == 0
+        assert main(["features", "--config", str(config)]) == 0
+        monkeypatch.setattr(pipeline, "fit_spatial_reducers", failing)
+        capsys.readouterr()
+        assert main(["train", "--config", str(config)]) == 3
+        assert "band 1 (16-24 Hz): rank 1 failed" in capsys.readouterr().err
+        assert not (tmp_path / "work" / "grid_metrics.json").exists()
 
     def test_validation_split_is_stratified(self):
         from spd_bci.pipeline import _validation_split
