@@ -6,16 +6,20 @@ variable sets the log level.
 
 Before it runs a step, ``main`` sets glibc's allocator policy for the
 process: blocks up to 32 MiB come from the heap instead of a mapping of
-their own (``M_MMAP_THRESHOLD``), and the heap gives memory back to the
-kernel only when 256 MiB at its top are free (``M_TRIM_THRESHOLD``).
-glibc's default maps every block above 128 KiB (a threshold it raises
-only as larger blocks are freed) and unmaps it on free, so each filter
-block, band signal, LSTM step and Adam block was faulted in again, page
-by page, on the next call; with the policy the next allocation reuses
-the memory. Blocks above 32 MiB still map and unmap. The policy applies
-to the CLI only (a library caller that imports ``spd_bci`` keeps its
-allocator as it is) and only where the C library has ``mallopt``;
-elsewhere it is a no-op.
+their own (``M_MMAP_THRESHOLD``), the heap gives memory back to the
+kernel only when 256 MiB at its top are free (``M_TRIM_THRESHOLD``), and
+threads allocate from that one heap rather than from arenas of their own
+(``M_ARENA_MAX`` = 1). glibc's default maps every block above 128 KiB (a
+threshold it raises only as larger blocks are freed) and unmaps it on
+free, so each filter block, band signal, LSTM step and Adam block was
+faulted in again, page by page, on the next call; with the policy the
+next allocation reuses the memory. Without the arena cap, each worker
+thread of the per-band pool in ``features`` fills an arena of its own
+with geometry temporaries, and that memory stays mapped beside the heap
+through the later steps of the process. Blocks above 32 MiB still map and
+unmap. The policy applies to the CLI only (a library caller that imports
+``spd_bci`` keeps its allocator as it is) and only where the C library
+has ``mallopt``; elsewhere it is a no-op.
 """
 
 from __future__ import annotations
@@ -68,7 +72,7 @@ def _print_metrics_table(metrics: dict):
 
 
 def _keep_freed_memory():
-    """Let freed blocks up to 32 MiB stay in the heap for reuse (glibc only)."""
+    """Let freed blocks up to 32 MiB stay in the one heap for reuse (glibc only)."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):  # no mallopt, or no C library handle
@@ -77,6 +81,7 @@ def _keep_freed_memory():
     mallopt.restype = ctypes.c_int
     mallopt(-3, 32 * 2**20)  # M_MMAP_THRESHOLD, at its ceiling on 64-bit systems
     mallopt(-1, 256 * 2**20)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX: worker threads allocate from the main heap too
 
 
 def main(argv=None) -> int:

@@ -37,9 +37,12 @@ the model config's schedule; everything is deterministic given the seed.
 The per-step cost sits in ``nnet``: time-batched LSTM input projections,
 one sigmoid call on the stacked gates, weight gradients that each backward
 writes over the last ones, and an in-place Adam update that applies the
-clip factor; the step holds params, grads and two moments plus one forward
-pass's activations, which the LSTM and batch-norm backward passes free as
-they read them. An epoch makes one forward pass over the training set: the
+clip factor; the step holds params, grads and two moments plus the part
+of one forward pass's activations that no backward can rebuild bit for
+bit (no tanh(c), x̂ or separate gate gradients), which the LSTM,
+attention and batch-norm backward passes free as they read them. Neither
+stream computes the gradient with respect to its input, which nothing
+reads. An epoch makes one forward pass over the training set: the
 log's metric comes from the same training-mode predictions as its loss.
 """
 
@@ -349,7 +352,7 @@ class TwoStreamModel:
                 for k, (g, enc) in enumerate(zip(grads, self.encoders.values()))
             ]
         for chain, g in zip(self.streams.values(), grads):
-            backward_chain(chain, g)
+            backward_chain(chain, g, input_grad=False)
 
     # -- task head ------------------------------------------------------------
 

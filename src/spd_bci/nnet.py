@@ -3,12 +3,13 @@
 Every layer keeps its parameters and gradient buffers in name-keyed
 dicts of float64 arrays and caches its forward activations on the
 instance, so a full backward pass runs without an autodiff framework.
-A backward consumes that cache: the LSTM and batch norm, whose
-activations are the bulk of a training step's memory, drop theirs as
-their backward reads them, so each of their backward passes needs its
-own forward pass, and a second one without it raises RuntimeError.
-All gradients are hand-derived; the test suite checks each block and the
-composed model against central finite differences.
+The LSTM, attention and batch norm, whose activations are the bulk of a
+training step's memory, cache only what their backward cannot rebuild
+bit for bit, and the backward consumes that cache as it reads it: each
+of their backward passes needs its own forward pass, and a second one
+without it raises RuntimeError. All gradients are hand-derived; the
+test suite checks each block and the composed model against central
+finite differences.
 
 Conventions: batch-first arrays; dense weights are (out, in); batch norm
 takes the last axis as the features and pools the others; LSTM gate
@@ -18,11 +19,13 @@ score is the sum of the components of tanh(W h_t + b), softmax-normalized
 over time.
 
 Every block has the same signature, ``forward(x, train=True, rng=None)``
-and ``backward(grad)``; only dropout draws from ``rng``. So a list of
-blocks is a chain: :func:`forward_chain` runs it in order and
-:func:`backward_chain` in reverse. A block built with ``init=False`` draws
-nothing: its parameters are read-only NaN placeholders of the right
-shapes, for a caller that installs fitted arrays in their place (see
+and ``backward(grad, input_grad=True)``; only dropout draws from ``rng``,
+and ``input_grad=False`` asks a block for its parameter gradients alone
+(its backward then returns None). So a list of blocks is a chain:
+:func:`forward_chain` runs it in order and :func:`backward_chain` in
+reverse. A block built with ``init=False`` draws nothing: its
+parameters are read-only NaN placeholders of the right shapes, for a
+caller that installs fitted arrays in their place (see
 ``TwoStreamModel.load_params``).
 
 The training step is kept lean: the LSTM projects its inputs for all
@@ -32,9 +35,13 @@ matmuls over the flattened batch·time axis with no transposed copies,
 and ``sigmoid`` is branch-free. Each ``backward`` writes over its
 block's ``grads`` (``out=``), so nothing zeroes them and no weight
 gradient is a new array; ``adam_step`` applies the clip factor and
-updates in place block by block without full-size temporaries. The LSTM
-and batch-norm backward passes build their derivatives in buffers they
-already hold; each product keeps the two factors it has in the plain
+updates in place block by block without full-size temporaries. The
+LSTM, attention and batch-norm backward passes build their derivatives
+in buffers they already hold: the LSTM turns its cached gates into the
+gate gradients step by step, and attention its tanh scores into theirs.
+What is not cached is recomputed with the forward's own operations on
+the same arrays: tanh(c_t) from the cached cells, x̂ from batch norm's
+input and mean. Each product keeps the two factors it has in the plain
 expression, so the results are the same bits.
 """
 
@@ -149,11 +156,11 @@ class Dense:
         self._y = _activate(x @ self.params["w"].T + self.params["b"], self.activation)
         return self._y
 
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
+    def backward(self, grad_y: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         dz = _activate_backward(grad_y, self._y, self.activation)
         np.matmul(dz.T, self._x, out=self.grads["w"])
         np.sum(dz, axis=0, out=self.grads["b"])
-        return dz @ self.params["w"]
+        return dz @ self.params["w"] if input_grad else None
 
 
 class Lstm:
@@ -166,13 +173,16 @@ class Lstm:
     The one (4H, in + H) weight is used as two blocks: the input
     projection x_t W_x^T + b of every step is one matmul before the time
     loop, so only h_{t-1} W_h^T recurs, and one sigmoid call covers the
-    stacked input/forget/output gates. Backward likewise keeps only
-    dh_{t-1} = da_t W_h in its loop, then forms the input-weight,
-    recurrent-weight, bias and input gradients of all steps with one
-    matmul or sum each over the flattened batch·time axis. It writes the
-    gates' local derivatives into its gate-gradient buffer and multiplies
-    each step's gradient into them there; the forward cache is dropped as
-    soon as the last of those products has read it.
+    stacked input/forget/output gates. The forward caches the input, the
+    activated gates, the cells and the outputs; tanh(c_t) lives in one
+    step buffer. Backward keeps only dh_{t-1} = da_t W_h and dc in its
+    loop: it recomputes tanh(c_t) and o*(1 - tanh^2 c_t) from the cached
+    cell, forms the step's products, then overwrites the step's gate slab
+    with the local derivatives times them, so the gates become the gate
+    gradients da and no second (batch, length, 4H) array is made. It then
+    forms the input-weight, recurrent-weight, bias and input gradients of
+    all steps with one matmul or sum each over the flattened batch·time
+    axis, dropping each cached array once its last reader has run.
     """
 
     def __init__(self, in_dim: int, hidden: int, rng: np.random.Generator | None = None,
@@ -203,7 +213,7 @@ class Lstm:
         gates = x.reshape(-1, self.in_dim) @ w[:, :self.in_dim].T + self.params["b"]
         gates = gates.reshape(batch, length, 4 * nh)
         cells = np.zeros((batch, length + 1, nh))  # cells[:, t] is c_{t-1}
-        tanh_c = np.empty((batch, length, nh))
+        tanh_c = np.empty((batch, nh))  # tanh(c_t) of one step; the backward recomputes it
         outputs = np.empty((batch, length, nh))
         for t in range(length):
             a = gates[:, t]
@@ -213,43 +223,48 @@ class Lstm:
             np.tanh(a[:, 3 * nh:], out=a[:, 3 * nh:])
             i, f, o, g = (a[:, k * nh:(k + 1) * nh] for k in range(4))
             cells[:, t + 1] = f * cells[:, t] + i * g
-            np.tanh(cells[:, t + 1], out=tanh_c[:, t])
-            np.multiply(o, tanh_c[:, t], out=outputs[:, t])
-        self._cache = (x, gates, cells, tanh_c, outputs)
+            np.tanh(cells[:, t + 1], out=tanh_c)
+            np.multiply(o, tanh_c, out=outputs[:, t])
+        self._cache = (x, gates, cells, outputs)
         return outputs
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        x, gates, cells, tanh_c, h = _consume_cache(self)
+    def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        x, gates, cells, h = _consume_cache(self)
         batch, length, _ = grad_out.shape
         nh, w, w_grad = self.hidden, self.params["w"], self.grads["w"]
-        # The local derivatives of every step, in the buffer that takes the gate gradients:
-        # sig*(1-sig) for input/forget/output, 1-g^2 for the candidate. Only dh and dc recur.
-        da = np.empty_like(gates)
-        d_sig, d_g = da[..., :3 * nh], da[..., 3 * nh:]
-        np.subtract(1.0, gates[..., :3 * nh], out=d_sig)
-        d_sig *= gates[..., :3 * nh]
-        np.square(gates[..., 3 * nh:], out=d_g)
-        np.subtract(1.0, d_g, out=d_g)
-        d_c = np.square(tanh_c)  # o * (1 - tanh(c)^2)
-        np.subtract(1.0, d_c, out=d_c)
-        d_c *= gates[..., 2 * nh:3 * nh]
         w_h = w[:, self.in_dim:]
-        step = np.empty((batch, 4 * nh))  # dc*g, dc*c_{t-1}, dh*tanh(c_t), dc*i of one step
+        # One step's buffers: tanh(c_t) and o * (1 - tanh(c_t)^2), rebuilt with the
+        # forward's operations; the products dc*g, dc*c_{t-1}, dh*tanh(c_t), dc*i; 1 - sig.
+        tanh_c, d_c = np.empty((2, batch, nh))
+        step = np.empty((batch, 4 * nh))
+        one_minus_sig = np.empty((batch, 3 * nh))
         dh_next = np.zeros((batch, nh))
         dc_next = np.zeros((batch, nh))
         for t in reversed(range(length)):
+            a = gates[:, t]
+            i, f, o, g = (a[:, k * nh:(k + 1) * nh] for k in range(4))
+            np.tanh(cells[:, t + 1], out=tanh_c)
+            np.square(tanh_c, out=d_c)
+            np.subtract(1.0, d_c, out=d_c)
+            d_c *= o
             dh = grad_out[:, t] + dh_next
-            dc = dh * d_c[:, t] + dc_next
-            np.multiply(dc, gates[:, t, 3 * nh:], out=step[:, :nh])
+            dc = dh * d_c + dc_next
+            np.multiply(dc, g, out=step[:, :nh])
             np.multiply(dc, cells[:, t], out=step[:, nh:2 * nh])
-            np.multiply(dh, tanh_c[:, t], out=step[:, 2 * nh:3 * nh])
-            np.multiply(dc, gates[:, t, :nh], out=step[:, 3 * nh:])
-            da[:, t] *= step
-            dc_next = dc * gates[:, t, nh:2 * nh]
+            np.multiply(dh, tanh_c, out=step[:, 2 * nh:3 * nh])
+            np.multiply(dc, i, out=step[:, 3 * nh:])
+            dc_next = dc * f
+            # The step's gates are not read again: their slab becomes the gate gradients,
+            # sig*(1-sig) for input/forget/output and 1-g^2 for the candidate, times step.
+            np.subtract(1.0, a[:, :3 * nh], out=one_minus_sig)
+            a[:, :3 * nh] *= one_minus_sig
+            np.square(g, out=g)
+            np.subtract(1.0, g, out=g)
+            a *= step
             if t:
-                dh_next = da[:, t] @ w_h
-        del gates, cells, tanh_c, d_c  # the time loop was their last reader
-        flat = da.reshape(-1, 4 * nh)
+                dh_next = a @ w_h
+        del cells  # the time loop was its last reader
+        flat = gates.reshape(-1, 4 * nh)
         # Step t's gates read h_{t-1}, zero at step 0: h shifted one step makes this one matmul.
         h_prev = np.zeros_like(h)
         h_prev[:, 1:] = h[:, :-1]
@@ -259,6 +274,8 @@ class Lstm:
         np.matmul(flat.T, h_prev.reshape(-1, nh), out=w_grad[:, self.in_dim:])
         del h_prev
         np.sum(flat, axis=0, out=self.grads["b"])
+        if not input_grad:
+            return None
         return (flat @ w[:, :self.in_dim]).reshape(batch, length, self.in_dim)
 
 
@@ -267,7 +284,9 @@ class Attention:
 
     Scores each step through u_t = tanh(W h_t + b) with a square W; the
     scalar score of a step is the sum of u_t's components, softmax-normalized
-    over time, and the context is the weighted sum of hidden states.
+    over time, and the context is the weighted sum of hidden states. The
+    forward caches the hidden states and the tanh scores, which the
+    backward consumes; the weights stay readable through ``weights``.
     """
 
     def __init__(self, hidden: int, rng: np.random.Generator | None = None,
@@ -282,6 +301,7 @@ class Attention:
         else:
             self.params = _unset(w=(hidden, hidden), b=(hidden,))
         self.grads = {key: np.zeros(arr.shape) for key, arr in self.params.items()}
+        self._cache = None
 
     def forward(self, h_seq: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -289,12 +309,12 @@ class Attention:
             raise ValueError(
                 f"expected (batch, length, {self.hidden}) hidden sequence, got {h_seq.shape}"
             )
-        self._h = h_seq
         # One gemm on the (batch * length, H) view, not one per batch row.
         u = h_seq.reshape(-1, self.hidden) @ self.params["w"].T
         u += self.params["b"]
-        self._u = np.tanh(u, out=u).reshape(h_seq.shape)
-        self._alpha = stable_softmax(self._u.sum(axis=2), axis=1)  # (batch, length)
+        u = np.tanh(u, out=u).reshape(h_seq.shape)
+        self._alpha = stable_softmax(u.sum(axis=2), axis=1)  # (batch, length)
+        self._cache = (h_seq, u)
         return np.einsum("bl,blh->bh", self._alpha, h_seq)
 
     @property
@@ -302,16 +322,22 @@ class Attention:
         """Attention weights from the last forward pass."""
         return self._alpha
 
-    def backward(self, grad_context: np.ndarray) -> np.ndarray:
-        h, u, alpha = self._h, self._u, self._alpha
+    def backward(self, grad_context: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        h, u = _consume_cache(self)
+        alpha = self._alpha
         dalpha = np.einsum("bh,blh->bl", grad_context, h)
-        dh = alpha[:, :, None] * grad_context[:, None, :]
         dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=1, keepdims=True))
-        # Each component of u_t adds to the score, so all share its gradient.
-        da = dscores[:, :, None] * (1.0 - u ** 2)
+        # Each component of u_t adds to the score, so all share its gradient; u's
+        # buffer becomes dscores * (1 - u^2).
+        da = np.square(u, out=u)
+        np.subtract(1.0, da, out=da)
+        np.multiply(dscores[:, :, None], da, out=da)
         da_flat = da.reshape(-1, self.hidden)
         np.matmul(da_flat.T, h.reshape(-1, self.hidden), out=self.grads["w"])
         np.sum(da, axis=(0, 1), out=self.grads["b"])
+        if not input_grad:
+            return None
+        dh = alpha[:, :, None] * grad_context[:, None, :]
         dh += (da_flat @ self.params["w"]).reshape(dh.shape)
         return dh
 
@@ -337,10 +363,10 @@ class Dropout:
         self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
         return x * self._mask
 
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_y
-        return grad_y * self._mask
+    def backward(self, grad_y: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        if not input_grad:
+            return None
+        return grad_y if self._mask is None else grad_y * self._mask
 
 
 class BatchNorm:
@@ -351,9 +377,10 @@ class BatchNorm:
     over batch and time, and comes back in its own shape. ``activation``
     takes the names :class:`Dense` does. The running stats are
     ``buffers``: a checkpoint saves them, the optimizer never sees them.
-    The forward caches x̂ and the output, which the backward consumes, and
-    the backward's batch-statistics tail runs in place in the formula's
-    order.
+    The forward caches its input, the mean and 1/std and the output, which
+    the backward consumes; the backward rebuilds x̂ from them with the
+    forward's two operations, and its batch-statistics tail runs in place
+    in the formula's order.
     """
 
     def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5,
@@ -387,21 +414,25 @@ class BatchNorm:
             mean = self.running_mean
             var = self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = flat - mean
-        xhat *= inv_std
-        z = xhat * self.params["gamma"]
+        z = flat - mean
+        z *= inv_std  # x-hat, which the backward rebuilds with these two operations
+        z *= self.params["gamma"]
         z += self.params["beta"]
         y = _activate(z, self.activation)
-        self._cache = (train, inv_std, xhat, y)
+        self._cache = (train, flat, mean, inv_std, y)
         return y.reshape(x.shape)
 
-    def backward(self, grad_y: np.ndarray) -> np.ndarray:
-        train, inv_std, xhat, y = _consume_cache(self)
+    def backward(self, grad_y: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        train, flat, mean, inv_std, y = _consume_cache(self)
         dz = _activate_backward(grad_y.reshape(-1, grad_y.shape[-1]), y, self.activation)
         del y
+        xhat = flat - mean
+        xhat *= inv_std
         prod = dz * xhat
         np.sum(prod, axis=0, out=self.grads["gamma"])
         np.sum(dz, axis=0, out=self.grads["beta"])
+        if not input_grad:
+            return None
         dxhat = np.multiply(dz, self.params["gamma"], out=prod)
         del dz, prod
         if not train:
@@ -427,11 +458,15 @@ def forward_chain(blocks, x: np.ndarray, train: bool = True,
     return x
 
 
-def backward_chain(blocks, grad: np.ndarray) -> np.ndarray:
-    """Backpropagate ``grad`` through ``blocks`` in reverse; returns the input gradient."""
-    for block in reversed(blocks):
+def backward_chain(blocks, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+    """Backpropagate ``grad`` through ``blocks`` in reverse; returns the input gradient.
+
+    With ``input_grad=False`` the first block computes only its parameter
+    gradients, and the chain returns None.
+    """
+    for block in reversed(blocks[1:]):
         grad = block.backward(grad)
-    return grad
+    return blocks[0].backward(grad, input_grad=input_grad)
 
 
 # ---------------------------------------------------------------------------

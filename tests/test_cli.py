@@ -7,11 +7,13 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import spd_bci
+from spd_bci import cli
 from spd_bci.cli import main
 from spd_bci.config import PROFILES, load_config, parse_config_text
 from spd_bci.data import SynthSpec, read_segment, synth_spd_classes, write_segment
@@ -422,7 +424,6 @@ class TestPipelineRun:
         assert grid_path.read_bytes() == sequential
 
     def test_numerical_failure_exits_3(self, monkeypatch, tmp_path):
-        from spd_bci import cli
         from spd_bci.errors import NumericalError
 
         write_synthetic_dataset(tmp_path)
@@ -810,6 +811,18 @@ class TestAllocatorPolicy:
         assert proc.returncode == 0, proc.stderr
         first, second = map(int, proc.stdout.splitlines()[-1].split())
         assert second < 100, (first, second)
+
+    def test_policy_is_three_mallopt_calls(self, monkeypatch):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+        calls = []
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        cli._keep_freed_memory()
+        # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD, M_ARENA_MAX.
+        assert calls == [(-3, 32 * 2**20), (-1, 256 * 2**20), (-8, 1)]
+        assert mallopt.argtypes == (ctypes.c_int, ctypes.c_int)
 
     def test_all_five_steps_write_the_same_bytes_without_the_policy(self, seed_shape_workspace):
         # Heap and mmap blocks differ in alignment, which numpy's SIMD loops may see.

@@ -307,6 +307,41 @@ class TestBackwardOverwrites:
             assert twice.grads()[key].tobytes() == grad.tobytes(), key
 
 
+class TestStreamInputGradients:
+    @pytest.mark.parametrize("regularizer", ["batchnorm", "dropout"])
+    def test_skipping_the_stream_input_gradients_leaves_the_grads_byte_identical(
+        self, regularizer, monkeypatch
+    ):
+        # The model asks each stream's first block (lstm0, spatial_fc1) for no input
+        # gradient; the same step with every input gradient computed gives the same grads.
+        from spd_bci import model as model_module
+        from spd_bci.nnet import backward_chain
+
+        asked = []
+
+        def recording_chain(blocks, grad, input_grad=True):
+            asked.append((blocks[0], input_grad))
+            return backward_chain(blocks, grad, input_grad)
+
+        def full_chain(blocks, grad, input_grad=True):
+            return backward_chain(blocks, grad)
+
+        xt, xs = tiny_batch(np.random.default_rng(28))
+        grads = []
+        for chain in (recording_chain, full_chain):
+            monkeypatch.setattr(model_module, "backward_chain", chain)
+            model = tiny_model(seed=10, temporal_regularizer=regularizer, spatial_dropout=0.5)
+            logits = model.forward(xt, xs, train=True, rng=np.random.default_rng(29))
+            model.backward(np.random.default_rng(30).standard_normal(logits.shape))
+            grads.append(model.grads())
+            if chain is recording_chain:
+                skipped = [block for block, wanted in asked if not wanted]
+                assert skipped == [model.blocks["lstm0"], model.blocks["spatial_fc1"]]
+        with_skip, without = grads
+        for key, grad in without.items():
+            assert with_skip[key].tobytes() == grad.tobytes(), key
+
+
 class TestTrainingMemory:
     def test_epoch_allocates_only_the_moments_beyond_the_model(self):
         # spatial_fc1 is 4,000 x 512, 16.4 MB of the 16.5 MB of parameters. An epoch
@@ -357,8 +392,9 @@ class TestTrainingMemory:
             assert not self.held_arrays(block), (name, self.held_arrays(block))
 
     def test_temporal_epoch_holds_one_forward_pass_of_activations(self):
-        # Parameters, gradients and Adam's two moments, plus one forward pass's
-        # activations, plus the workspace of one LSTM backward. Activations that
+        # Parameters, gradients and Adam's two moments, plus the activations that no
+        # backward can rebuild bit for bit, plus one LSTM backward's workspace. A cached
+        # tanh(c) or x-hat, a gate-gradient array beside the gates, or activations that
         # outlive their backward into the next step's forward break the bound.
         import tracemalloc
 
@@ -368,11 +404,12 @@ class TestTrainingMemory:
         labels = np.tile([0, 1], 32)
         blh = batch * length * hidden
         activations = 8 * (
-            layers * (4 * blh + batch * (length + 1) * hidden + 2 * blh)  # gates, cells, tanh c, h
-            + layers * 2 * blh  # batch norm's x-hat and output
+            layers * (4 * blh + batch * (length + 1) * hidden + blh)  # gates, cells, h
+            + layers * blh  # batch norm's output; its input is the LSTM's h
             + blh  # attention's tanh scores
         )
-        workspace = 8 * 5 * blh  # one LSTM backward's gate gradients and o * (1 - tanh^2 c)
+        # h_{t-1} for the recurrent weight gradient, and at most 16 (batch, hidden) step buffers.
+        workspace = 8 * (blh + 16 * batch * hidden)
         tracemalloc.start()
         try:
             model = tiny_model(seed=8, **self.TEMPORAL)
@@ -381,7 +418,7 @@ class TestTrainingMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        bound = 4 * param_bytes + activations + workspace + 3 * 2 ** 19
+        bound = 4 * param_bytes + activations + workspace + 2 ** 20
         assert peak < bound, f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
 
 

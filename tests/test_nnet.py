@@ -293,11 +293,12 @@ class TestAttention:
         h = rng.standard_normal((batch, length, hidden))
         grad_context = rng.standard_normal((batch, hidden))
         att.forward(h)
+        u = att._cache[1].copy()  # the forward's tanh scores; the backward reuses their buffer
         att.backward(grad_context)
         alpha = att.weights
         dalpha = np.einsum("bh,blh->bl", grad_context, h)
         dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=1, keepdims=True))
-        da = dscores[:, :, None] * (1.0 - att._u ** 2)
+        da = dscores[:, :, None] * (1.0 - u ** 2)
         np.testing.assert_array_equal(att.grads["b"], da.sum(axis=(0, 1)))  # same da
         expected = np.einsum("bla,blh->ah", da, h)
         assert max_relative_error(att.grads["w"], expected) <= 1e-12
@@ -311,10 +312,11 @@ class TestAttention:
         h = rng.standard_normal((batch, length, hidden))
         grad_context = rng.standard_normal((batch, hidden))
         att.forward(h)
+        cached_u = att._cache[1].copy()  # the backward reuses this buffer
         dh = att.backward(grad_context)
         w, alpha = att.params["w"], att.weights
         u = np.tanh(h @ w.T + att.params["b"])
-        assert max_relative_error(att._u, u) <= 1e-12
+        assert max_relative_error(cached_u, u) <= 1e-12
         dalpha = np.einsum("bh,blh->bl", grad_context, h)
         dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=1, keepdims=True))
         da = dscores[:, :, None] * (1.0 - u ** 2)
@@ -475,7 +477,8 @@ class TestBackwardConsumesTheCache:
     @pytest.mark.parametrize("make_block, shape, name", [
         (lambda: Lstm(3, 4), (2, 5, 3), "Lstm"),
         (lambda: BatchNorm(3, activation="leaky-relu"), (4, 5, 3), "BatchNorm"),
-    ], ids=["lstm", "batchnorm"])
+        (lambda: Attention(3), (4, 5, 3), "Attention"),
+    ], ids=["lstm", "batchnorm", "attention"])
     def test_second_backward_without_a_forward_raises_naming_the_block(self, make_block,
                                                                        shape, name):
         block = make_block()
@@ -488,6 +491,13 @@ class TestBackwardConsumesTheCache:
             block.backward(np.ones_like(y))
         block.forward(x)
         block.backward(np.ones_like(y))
+
+    def test_attention_weights_outlive_the_backward(self):
+        att = Attention(3, rng=np.random.default_rng(21))
+        att.forward(np.random.default_rng(22).standard_normal((4, 5, 3)))
+        weights = att.weights.copy()
+        att.backward(np.ones((4, 3)))
+        assert att.weights.tobytes() == weights.tobytes()
 
 
 class TestBackwardOverwrites:
