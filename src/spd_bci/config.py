@@ -13,13 +13,13 @@ model's keys are the fields of :class:`spd_bci.model.ModelSettings`, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .errors import ConfigError
 from .filters import BandSpec, seed_rhythm_bands, uniform_bands
-from .geometry import tangent_dimension
 from .model import VARIANTS, ModelSettings, check_head_outputs
 
 
@@ -138,15 +138,19 @@ class PipelineConfig(ModelSettings):
                 raise ConfigError(
                     f"unknown ablate_variants label {label!r}; choose one of {list(VARIANTS)}"
                 )
-        # Written ``not x >= low`` so that NaN fails too. The 1 s floor on
-        # trial_seconds is one analysis window; the seed feeds numpy's
-        # generators, which take no negative seed.
+        # Written ``not low <= x < inf`` so that NaN and infinity fail too. The
+        # 1 s floor on trial_seconds is one analysis window; the seed feeds
+        # numpy's generators, which take no negative seed.
         for key, low in (("filter_order", 1), ("trial_seconds", 1), ("seed", 0)):
-            if not getattr(self, key) >= low:
-                raise ConfigError(f"key {key!r} must be at least {low}, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if not low <= value < math.inf:
+                need = "finite" if value == math.inf else f"at least {low}"
+                raise ConfigError(f"key {key!r} must be {need}, got {value}")
         for key in ("fs", "broadband_low", "notch_hz"):
-            if not getattr(self, key) > 0:
-                raise ConfigError(f"key {key!r} must be greater than 0, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if not 0 < value < math.inf:
+                need = "finite" if value == math.inf else "greater than 0"
+                raise ConfigError(f"key {key!r} must be {need}, got {value}")
         if not self.broadband_low < self.broadband_high:
             raise ConfigError(
                 f"key 'broadband_low' must be below broadband_high = {self.broadband_high}, "
@@ -162,17 +166,6 @@ class PipelineConfig(ModelSettings):
             )
         if self.notch_hz >= self.fs / 2:
             raise ConfigError(f"notch {self.notch_hz} Hz is not below Nyquist {self.fs / 2} Hz")
-
-    @property
-    def n_bands(self) -> int:
-        return len(self.bands)
-
-    @property
-    def temporal_feature_dim(self) -> int:
-        return 2 * self.n_bands * self.n_channels
-
-    def spatial_feature_dim(self, rank: int | None = None) -> int:
-        return self.n_bands * tangent_dimension(self.rank if rank is None else rank)
 
     @property
     def n_outputs(self) -> int:

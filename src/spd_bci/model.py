@@ -44,6 +44,12 @@ attention and batch-norm backward passes free as they read them. Neither
 stream computes the gradient with respect to its input, which nothing
 reads. An epoch makes one forward pass over the training set: the
 log's metric comes from the same training-mode predictions as its loss.
+
+The model keeps the blocks' one cache rule: a training forward caches
+what ``backward`` reads (the fusion keeps the embeddings and their
+scales), ``backward`` consumes it, and an inference forward caches
+nothing. So ``predict_scores``, which ``evaluate``, ``ablate`` and grid
+validation run, leaves no activations on the model.
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .nnet import (
     Dense,
     Dropout,
     Lstm,
+    _consume_cache,
     adam_init,
     adam_step,
     backward_chain,
@@ -240,6 +247,7 @@ class TwoStreamModel:
             "fusion_fc": dense(sum(dims.values()), config.fusion_hidden, "leaky-relu"),
             "head": dense(config.fusion_hidden, config.n_outputs, "identity"),
         })
+        self._alpha = self._cache = None
 
     def _chain(self, named: dict) -> list:
         """Register blocks under their checkpoint names; returns them as a chain."""
@@ -315,9 +323,10 @@ class TwoStreamModel:
 
     def forward(self, xt, xs, train=True, rng=None) -> np.ndarray:
         inputs = {"temporal": xt, "spatial": xs}
-        self._embeds = embeds = [
+        embeds = [
             forward_chain(chain, inputs[name], train, rng) for name, chain in self.streams.items()
         ]
+        alpha = scale = None
         if self.encoders:
             scores = np.concatenate(
                 [forward_chain(enc, e, train) for enc, e in zip(self.encoders.values(), embeds)],
@@ -325,24 +334,27 @@ class TwoStreamModel:
             )
             variant = self.config.variant
             if variant == "independent-sigmoid":
-                self._alpha = sigmoid(scores)
+                self._alpha = alpha = sigmoid(scores)
             else:
-                self._alpha = stable_softmax(scores, axis=1)
-            self._scale = (0.0 if variant == "soft-attention" else 1.0) + self._alpha
-            embeds = [self._scale[:, k:k + 1] * e for k, e in enumerate(embeds)]
+                self._alpha = alpha = stable_softmax(scores, axis=1)
+            scale = (0.0 if variant == "soft-attention" else 1.0) + alpha
+        self._cache = (embeds, alpha, scale) if train else None
+        if scale is not None:
+            embeds = [scale[:, k:k + 1] * e for k, e in enumerate(embeds)]
         return forward_chain(self.top, np.concatenate(embeds, axis=1), train)
 
     @property
-    def fusion_weights(self) -> np.ndarray:
-        """Stream weights (batch, 2) from the last fused forward pass."""
+    def fusion_weights(self) -> np.ndarray | None:
+        """Stream weights (batch, 2) from the last forward pass; None for a variant that
+        does not score its embeddings, and before the first forward."""
         return self._alpha
 
     def backward(self, grad_logits):
+        embeds, alpha, scale = _consume_cache(self)
         grad = backward_chain(self.top, grad_logits)
-        grads = np.split(grad, np.cumsum([e.shape[1] for e in self._embeds])[:-1], axis=1)
+        grads = np.split(grad, np.cumsum([e.shape[1] for e in embeds])[:-1], axis=1)
         if self.encoders:
-            alpha, scale = self._alpha, self._scale
-            dalpha = np.stack([np.sum(g * e, axis=1) for g, e in zip(grads, self._embeds)], axis=1)
+            dalpha = np.stack([np.sum(g * e, axis=1) for g, e in zip(grads, embeds)], axis=1)
             if self.config.variant == "independent-sigmoid":
                 dscores = dalpha * alpha * (1.0 - alpha)
             else:

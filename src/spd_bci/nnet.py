@@ -1,15 +1,18 @@
 """Trainable building blocks in plain numpy: dense, LSTM, attention, batch norm, losses, Adam.
 
 Every layer keeps its parameters and gradient buffers in name-keyed
-dicts of float64 arrays and caches its forward activations on the
-instance, so a full backward pass runs without an autodiff framework.
-The LSTM, attention and batch norm, whose activations are the bulk of a
-training step's memory, cache only what their backward cannot rebuild
-bit for bit, and the backward consumes that cache as it reads it: each
-of their backward passes needs its own forward pass, and a second one
-without it raises RuntimeError. All gradients are hand-derived; the
-test suite checks each block and the composed model against central
-finite differences.
+dicts of float64 arrays, so a full backward pass runs without an
+autodiff framework. One rule covers the activations: a training forward
+(``train=True``) caches what its backward reads, the backward consumes
+that cache, and an inference forward (``train=False``) caches nothing
+and drops any cache left by an earlier one. So each backward needs a
+training forward of its own; one after an inference forward, after
+another backward or before any forward raises RuntimeError naming the
+block. The LSTM, attention and batch norm, whose activations are the
+bulk of a training step's memory, cache only what their backward cannot
+rebuild bit for bit. All gradients are hand-derived; the test suite
+checks each block and the composed model against central finite
+differences.
 
 Conventions: batch-first arrays; dense weights are (out, in); batch norm
 takes the last axis as the features and pools the others; LSTM gate
@@ -68,12 +71,12 @@ def _unset(**shapes) -> dict[str, np.ndarray]:
 
 
 def _consume_cache(block) -> tuple:
-    """The activations ``block``'s last forward cached, handed to its backward once."""
+    """The activations ``block``'s last training forward cached, handed to its backward once."""
     cache = block._cache
     if cache is None:
         raise RuntimeError(
-            f"{type(block).__name__}.backward needs a forward pass first: each backward "
-            "consumes the activations its forward cached"
+            f"{type(block).__name__}.backward needs a training forward pass first: each "
+            "backward consumes the activations that forward(train=True) cached"
         )
     block._cache = None
     return cache
@@ -149,16 +152,18 @@ class Dense:
         else:
             self.params = _unset(w=(out_dim, in_dim), b=(out_dim,))
         self.grads = {key: np.zeros(arr.shape) for key, arr in self.params.items()}
+        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        self._x = x
-        self._y = _activate(x @ self.params["w"].T + self.params["b"], self.activation)
-        return self._y
+        y = _activate(x @ self.params["w"].T + self.params["b"], self.activation)
+        self._cache = (x, y) if train else None
+        return y
 
     def backward(self, grad_y: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        dz = _activate_backward(grad_y, self._y, self.activation)
-        np.matmul(dz.T, self._x, out=self.grads["w"])
+        x, y = _consume_cache(self)
+        dz = _activate_backward(grad_y, y, self.activation)
+        np.matmul(dz.T, x, out=self.grads["w"])
         np.sum(dz, axis=0, out=self.grads["b"])
         return dz @ self.params["w"] if input_grad else None
 
@@ -173,9 +178,9 @@ class Lstm:
     The one (4H, in + H) weight is used as two blocks: the input
     projection x_t W_x^T + b of every step is one matmul before the time
     loop, so only h_{t-1} W_h^T recurs, and one sigmoid call covers the
-    stacked input/forget/output gates. The forward caches the input, the
-    activated gates, the cells and the outputs; tanh(c_t) lives in one
-    step buffer. Backward keeps only dh_{t-1} = da_t W_h and dc in its
+    stacked input/forget/output gates. A training forward caches the
+    input, the activated gates, the cells and the outputs; tanh(c_t) lives
+    in one step buffer. Backward keeps only dh_{t-1} = da_t W_h and dc in its
     loop: it recomputes tanh(c_t) and o*(1 - tanh^2 c_t) from the cached
     cell, forms the step's products, then overwrites the step's gate slab
     with the local derivatives times them, so the gates become the gate
@@ -225,7 +230,7 @@ class Lstm:
             cells[:, t + 1] = f * cells[:, t] + i * g
             np.tanh(cells[:, t + 1], out=tanh_c)
             np.multiply(o, tanh_c, out=outputs[:, t])
-        self._cache = (x, gates, cells, outputs)
+        self._cache = (x, gates, cells, outputs) if train else None
         return outputs
 
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -284,9 +289,10 @@ class Attention:
 
     Scores each step through u_t = tanh(W h_t + b) with a square W; the
     scalar score of a step is the sum of u_t's components, softmax-normalized
-    over time, and the context is the weighted sum of hidden states. The
-    forward caches the hidden states and the tanh scores, which the
-    backward consumes; the weights stay readable through ``weights``.
+    over time, and the context is the weighted sum of hidden states. A
+    training forward caches the hidden states and the tanh scores, which
+    the backward consumes; the weights of any forward stay readable
+    through ``weights``.
     """
 
     def __init__(self, hidden: int, rng: np.random.Generator | None = None,
@@ -314,7 +320,7 @@ class Attention:
         u += self.params["b"]
         u = np.tanh(u, out=u).reshape(h_seq.shape)
         self._alpha = stable_softmax(u.sum(axis=2), axis=1)  # (batch, length)
-        self._cache = (h_seq, u)
+        self._cache = (h_seq, u) if train else None
         return np.einsum("bl,blh->bh", self._alpha, h_seq)
 
     @property
@@ -377,10 +383,10 @@ class BatchNorm:
     over batch and time, and comes back in its own shape. ``activation``
     takes the names :class:`Dense` does. The running stats are
     ``buffers``: a checkpoint saves them, the optimizer never sees them.
-    The forward caches its input, the mean and 1/std and the output, which
-    the backward consumes; the backward rebuilds x̂ from them with the
-    forward's two operations, and its batch-statistics tail runs in place
-    in the formula's order.
+    A training forward caches its input, the batch mean and 1/std and the
+    output, which the backward consumes; the backward rebuilds x̂ from
+    them with the forward's two operations, and its batch-statistics tail
+    runs in place in the formula's order.
     """
 
     def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5,
@@ -419,11 +425,11 @@ class BatchNorm:
         z *= self.params["gamma"]
         z += self.params["beta"]
         y = _activate(z, self.activation)
-        self._cache = (train, flat, mean, inv_std, y)
+        self._cache = (flat, mean, inv_std, y) if train else None
         return y.reshape(x.shape)
 
     def backward(self, grad_y: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        train, flat, mean, inv_std, y = _consume_cache(self)
+        flat, mean, inv_std, y = _consume_cache(self)
         dz = _activate_backward(grad_y.reshape(-1, grad_y.shape[-1]), y, self.activation)
         del y
         xhat = flat - mean
@@ -435,9 +441,6 @@ class BatchNorm:
             return None
         dxhat = np.multiply(dz, self.params["gamma"], out=prod)
         del dz, prod
-        if not train:
-            dxhat *= inv_std
-            return dxhat.reshape(grad_y.shape)
         # Batch statistics depend on x, so fold their gradients back in:
         # (inv_std / n) * (n * dxhat - sum(dxhat) - xhat * sum(dxhat * xhat)).
         n = dxhat.shape[0]

@@ -262,13 +262,7 @@ def run_features(config: PipelineConfig) -> dict:
         # One filter-bank pass per trial feeds both streams.
         for segment in _load_split_segments(config, split):
             band_segments = filter_bank_decompose(segment, bank)
-            features = build_feature_sequence(band_segments, bases, plan)
-            if features.values.shape != (plan.n_windows, config.temporal_feature_dim):
-                raise DataError(
-                    f"temporal features have shape {features.values.shape}, profile "
-                    f"expects ({plan.n_windows}, {config.temporal_feature_dim})"
-                )
-            temporal.append(features.values)
+            temporal.append(build_feature_sequence(band_segments, bases, plan).values)
             band_scms = [scm(band.samples) for band in band_segments]
             if config.scm_ridge:
                 band_scms = [ridge_regularize(c) for c in band_scms]
@@ -294,14 +288,9 @@ def run_features(config: PipelineConfig) -> dict:
     splits["test"]["spatial"] = spatial_features_for(
         splits["test"]["scms"], config.bands, filters, None if recentre else references
     )
-    expected_dim = config.spatial_feature_dim()
     info = {}
     for split, bundle in splits.items():
         spatial = bundle["spatial"]
-        if spatial.shape[1] != expected_dim:
-            raise DataError(
-                f"spatial features have length {spatial.shape[1]}, profile expects {expected_dim}"
-            )
         dataio.write_tensors(
             out_dir / f"{split}.spdt",
             {

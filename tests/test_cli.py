@@ -18,6 +18,7 @@ from spd_bci.cli import main
 from spd_bci.config import PROFILES, load_config, parse_config_text
 from spd_bci.data import SynthSpec, read_segment, synth_spd_classes, write_segment
 from spd_bci.errors import ConfigError
+from spd_bci.geometry import tangent_dimension
 from spd_bci.model import VARIANTS
 
 BASE_CONFIG = """
@@ -96,18 +97,18 @@ def workspace(tmp_path_factory):
 class TestConfigParsing:
     def test_profile_table(self):
         config = parse_config_text("profile = seed\nraw_train_dir = raw\n")
-        assert config.n_bands == 5
+        assert len(config.bands) == 5
         assert config.n_channels == 62
         assert config.rank == 48
-        assert config.temporal_feature_dim == 620
-        assert config.spatial_feature_dim() == 5880
+        assert 2 * len(config.bands) * config.n_channels == 620  # temporal feature size
+        assert len(config.bands) * tangent_dimension(config.rank) == 5880  # spatial size
         assert config.loss == "cross-entropy"
 
     def test_fine_band_profiles(self):
         for name in ("seed-vig", "bci2a", "bci2b"):
             config = parse_config_text(f"profile = {name}\n")
-            assert config.n_bands == 25
-        assert parse_config_text("profile = bci2b\n").spatial_feature_dim() == 150
+            assert len(config.bands) == 25
+        assert len(config.bands) * tangent_dimension(config.rank) == 150  # bci2b, rank 3
 
     def test_locked_keys_cannot_be_overridden(self):
         with pytest.raises(ConfigError, match="fixed"):

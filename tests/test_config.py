@@ -120,8 +120,8 @@ def test_named_profile_fixes_band_table_synthetic_does_not():
     with pytest.raises(ConfigError, match="'bands' is fixed by profile 'seed'"):
         parse_config_text("profile = seed\nbands = 4-8\n")
     # Restating the profile's own table is not a contradiction.
-    assert parse_config_text("profile = seed\nbands = 1-3,4-7,8-13,14-30,31-50\n").n_bands == 5
-    assert parse_config_text("profile = synthetic\nbands = 4-8\n").n_bands == 1
+    assert len(parse_config_text("profile = seed\nbands = 1-3,4-7,8-13,14-30,31-50\n").bands) == 5
+    assert len(parse_config_text("profile = synthetic\nbands = 4-8\n").bands) == 1
     default = parse_config_text("profile = synthetic\n").bands
     assert default == [BandSpec(8.0, 16.0), BandSpec(16.0, 24.0)]
 
@@ -216,8 +216,10 @@ PIPELINE_OUT_OF_RANGE = [
     ("filter_order = 0", "filter_order", "0"),
     ("trial_seconds = 0", "trial_seconds", "0"),
     ("trial_seconds = 0.5", "trial_seconds", "0.5"),
+    ("trial_seconds = inf", "trial_seconds", "inf"),
     ("fs = 0", "fs", "0"),
     ("fs = nan", "fs", "nan"),
+    ("fs = inf", "fs", "inf"),
     ("broadband_low = 30\nbroadband_high = 20", "broadband_low", "30"),
     ("broadband_low = -1", "broadband_low", "-1"),
     ("notch_hz = 0", "notch_hz", "0"),

@@ -236,6 +236,31 @@ class TestFusion:
         model.forward(xt, xs, train=False)
         assert not np.allclose(model.fusion_weights, baseline, atol=1e-6)
 
+    @pytest.mark.parametrize("variant", ["temporal", "spatial", "concatenation", "fused"])
+    def test_fusion_weights_are_none_where_nothing_scores_the_embeddings(self, variant):
+        model = tiny_model(variant=variant)
+        assert model.fusion_weights is None  # before the first forward
+        model.forward(*tiny_batch(np.random.default_rng(11)), train=False)
+        assert (model.fusion_weights is None) == (variant != "fused")
+
+
+class TestBackwardNeedsATrainingForward:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_backward_after_an_inference_forward_or_none_raises(self, variant):
+        model = tiny_model(variant=variant)
+        xt, xs = tiny_batch(np.random.default_rng(12))
+        message = "^TwoStreamModel.backward needs a training forward"
+        with pytest.raises(RuntimeError, match=message):
+            model.backward(np.ones((4, 2)))
+        logits = model.forward(xt, xs, train=True, rng=np.random.default_rng(13))
+        model.forward(xt, xs, train=False)  # drops the training forward's cache
+        with pytest.raises(RuntimeError, match=message):
+            model.backward(np.ones_like(logits))
+        model.forward(xt, xs, train=True, rng=np.random.default_rng(13))
+        model.backward(np.ones_like(logits))
+        with pytest.raises(RuntimeError, match=message):
+            model.backward(np.ones_like(logits))
+
 
 class TestEndToEndGradients:
     # The ids name the fusion rule; "fused" is the weighted (1 + weight) rule.
@@ -419,6 +444,35 @@ class TestTrainingMemory:
         finally:
             tracemalloc.stop()
         bound = 4 * param_bytes + activations + workspace + 2 ** 20
+        assert peak < bound, f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
+
+
+class TestInferenceMemory:
+    def test_predict_scores_keeps_nothing_and_peaks_at_one_lstm_layer(self):
+        # The lstm-train model: 3 x 256 LSTM with batch norm, fused, regression head, on
+        # 64 trials x 15 windows of 64 features. Scoring holds at most one LSTM layer's
+        # forward at a time (its input, the pre-activations twice, as the matmul and the
+        # bias sum, its cells and its outputs), and nothing once it returns.
+        import tracemalloc
+
+        batch, length, in_dim, hidden = 64, 15, 64, 256
+        cfg = ArchitectureConfig(temporal_input_dim=in_dim, spatial_input_dim=144,
+                                 n_outputs=1, output_activation="sigmoid", loss="mse")
+        model = TwoStreamModel(cfg, seed=0)
+        rng = np.random.default_rng(31)
+        xt = rng.standard_normal((batch, length, in_dim))
+        xs = rng.standard_normal((batch, 144))
+        tracemalloc.start()
+        try:
+            scores = model.predict_scores(xt, xs)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held -= scores.nbytes
+        blh = batch * length * hidden
+        layer = 8 * (blh + 2 * 4 * blh + batch * (length + 1) * hidden + blh)
+        assert held < 2 ** 20, f"held {held / 2 ** 20:.2f} MiB"
+        bound = layer + 2 ** 20
         assert peak < bound, f"peak {peak / 2 ** 20:.2f} MiB, bound {bound / 2 ** 20:.2f} MiB"
 
 

@@ -394,6 +394,10 @@ class TestBatchNorm:
             z = reference.forward(x.reshape(-1, 3), train=train)
             expected = np.where(z > 0.0, z, LEAKY_SLOPE * z).reshape(x.shape)
             assert y.shape == x.shape and y.tobytes() == expected.tobytes()
+            if not train:  # an inference forward caches nothing to backpropagate
+                with pytest.raises(RuntimeError, match="^BatchNorm.backward needs a training"):
+                    block.backward(grad)
+                continue
             dx = block.backward(grad)
             slope = np.where(z > 0.0, 1.0, LEAKY_SLOPE)
             expected = reference.backward(grad.reshape(-1, 3) * slope).reshape(x.shape)
@@ -409,6 +413,7 @@ class TestBatchNorm:
 
         The plain expressions, with the leaky ReLU and its slope taken from z by
         ``np.where``; the cached-output, in-place block must match them bit for bit.
+        An inference forward has no backward, so its dx is None.
         """
         flat = x.reshape(-1, x.shape[-1])
         if train:
@@ -427,13 +432,12 @@ class TestBatchNorm:
         dgamma = np.sum(dz * xhat, axis=0)
         dbeta = np.sum(dz, axis=0)
         dxhat = dz * bn.params["gamma"]
-        if train:
-            n = dz.shape[0]
-            dx = (inv_std / n) * (
-                n * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
-            )
-        else:
-            dx = dxhat * inv_std
+        if not train:
+            return y.reshape(x.shape), None, dgamma, dbeta
+        n = dz.shape[0]
+        dx = (inv_std / n) * (
+            n * dxhat - np.sum(dxhat, axis=0) - xhat * np.sum(dxhat * xhat, axis=0)
+        )
         return y.reshape(x.shape), dx.reshape(x.shape), dgamma, dbeta
 
     @pytest.mark.parametrize("shape", [(6, 3), (4, 5, 3), (32, 15, 256)])
@@ -448,9 +452,14 @@ class TestBatchNorm:
             grad = rng.standard_normal(shape)
             expected = self.full_size_reference(bn, x, grad, train)
             y = bn.forward(x, train=train)
+            assert y.shape == shape and y.tobytes() == expected[0].tobytes(), (train, "y")
+            if not train:  # an inference forward caches nothing to backpropagate
+                with pytest.raises(RuntimeError, match="^BatchNorm.backward needs a training"):
+                    bn.backward(grad)
+                continue
             dx = bn.backward(grad)
-            got = (y, dx, bn.grads["gamma"], bn.grads["beta"])
-            for name, a, b in zip(("y", "dx", "dgamma", "dbeta"), got, expected):
+            got = (dx, bn.grads["gamma"], bn.grads["beta"])
+            for name, a, b in zip(("dx", "dgamma", "dbeta"), got, expected[1:]):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes(), (train, name)
 
 
@@ -473,24 +482,44 @@ class TestLeakyRelu:
         assert dz.tobytes() == (grad * np.where(z > 0.0, 1.0, LEAKY_SLOPE)).tobytes()
 
 
+CACHING_BLOCKS = pytest.mark.parametrize("make_block, shape, name", [
+    (lambda: Lstm(3, 4), (2, 5, 3), "Lstm"),
+    (lambda: BatchNorm(3, activation="leaky-relu"), (4, 5, 3), "BatchNorm"),
+    (lambda: Attention(3), (4, 5, 3), "Attention"),
+    (lambda: Dense(3, 2, "tanh"), (4, 3), "Dense"),
+], ids=["lstm", "batchnorm", "attention", "dense"])
+
+
 class TestBackwardConsumesTheCache:
-    @pytest.mark.parametrize("make_block, shape, name", [
-        (lambda: Lstm(3, 4), (2, 5, 3), "Lstm"),
-        (lambda: BatchNorm(3, activation="leaky-relu"), (4, 5, 3), "BatchNorm"),
-        (lambda: Attention(3), (4, 5, 3), "Attention"),
-    ], ids=["lstm", "batchnorm", "attention"])
+    @CACHING_BLOCKS
     def test_second_backward_without_a_forward_raises_naming_the_block(self, make_block,
                                                                        shape, name):
         block = make_block()
-        with pytest.raises(RuntimeError, match=f"^{name}.backward needs a forward pass"):
+        with pytest.raises(RuntimeError, match=f"^{name}.backward needs a training forward"):
             block.backward(np.ones(shape))
         x = np.random.default_rng(19).standard_normal(shape)
         y = block.forward(x)
         block.backward(np.ones_like(y))
-        with pytest.raises(RuntimeError, match=f"^{name}.backward needs a forward pass"):
+        with pytest.raises(RuntimeError, match=f"^{name}.backward needs a training forward"):
             block.backward(np.ones_like(y))
         block.forward(x)
         block.backward(np.ones_like(y))
+
+    @CACHING_BLOCKS
+    def test_inference_forward_caches_nothing_and_drops_a_training_cache(self, make_block,
+                                                                         shape, name):
+        block = make_block()
+        x = np.random.default_rng(20).standard_normal(shape)
+        y = block.forward(x, train=False)
+        assert block._cache is None
+        with pytest.raises(RuntimeError, match=f"^{name}.backward needs a training forward"):
+            block.backward(np.ones_like(y))
+        # A training forward's unused cache goes with the next inference forward.
+        block.forward(x, train=True)
+        block.forward(x, train=False)
+        assert block._cache is None
+        with pytest.raises(RuntimeError, match=f"^{name}.backward needs a training forward"):
+            block.backward(np.ones_like(y))
 
     def test_attention_weights_outlive_the_backward(self):
         att = Attention(3, rng=np.random.default_rng(21))
@@ -536,7 +565,11 @@ def test_every_block_class_runs_in_a_chain():
     for train in (True, False):
         y = forward_chain(chain, x, train=train, rng=np.random.default_rng(13))
         assert y.shape == (5, 3) and np.all(np.isfinite(y))
-        assert backward_chain(chain, np.ones_like(y)).shape == x.shape
+        if train:
+            assert backward_chain(chain, np.ones_like(y)).shape == x.shape
+        else:  # an inference forward caches nothing, so the chain has no backward
+            with pytest.raises(RuntimeError, match="^BatchNorm.backward needs a training"):
+                backward_chain(chain, np.ones_like(y))
 
 
 class TestLosses:
