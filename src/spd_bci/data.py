@@ -77,7 +77,7 @@ def read_segment(path) -> EegSegment:
     """Read one trial; the payload is read straight into a new (channels, samples) array.
 
     The payload size is checked against the file size before the array is
-    allocated.
+    allocated. A class label must be integral and a real label finite.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -101,12 +101,13 @@ def read_segment(path) -> EegSegment:
             )
     if kind == _LABEL_NONE:
         label = None
-    elif kind == _LABEL_CLASS:
-        label = int(value)
-    elif kind == _LABEL_REAL:
-        label = float(value)
-    else:
+    elif kind not in (_LABEL_CLASS, _LABEL_REAL):
         raise DataError(f"{path}: unknown label kind {kind} at offset {_HEADER.size - 9}")
+    elif not math.isfinite(value) or (kind == _LABEL_CLASS and not value.is_integer()):
+        need = "an integral class index" if kind == _LABEL_CLASS else "a finite real target"
+        raise DataError(f"{path}: label {value!r} at offset {_HEADER.size - 8} is not {need}")
+    else:
+        label = int(value) if kind == _LABEL_CLASS else value
     try:
         return EegSegment(samples, fs, label)  # its checks make the one finiteness pass
     except ValueError as exc:  # header shape or rate out of range, or a non-finite sample

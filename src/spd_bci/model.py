@@ -8,7 +8,8 @@ attention, and projects to an embedding. The spatial stream maps the
 concatenated tangent-space vector through two dense layers with dropout.
 Fusion scores each embedding with a small encoder, normalizes the two
 scalar scores, rescales each embedding by (1 + weight), and feeds the
-concatenation through a dense layer into the task head.
+concatenation through a dense layer into the task head. The weights,
+the head's scores and their derivatives come from ``nnet``'s activation table.
 
 One label from :data:`VARIANTS` names the model. ``fused`` is the model
 above; ``temporal`` and ``spatial`` keep one stream; ``concatenation``
@@ -68,6 +69,8 @@ from .nnet import (
     Dense,
     Dropout,
     Lstm,
+    _activate,
+    _activate_backward,
     _consume_cache,
     adam_init,
     adam_step,
@@ -77,9 +80,7 @@ from .nnet import (
     clip_scale,
     forward_chain,
     mean_squared_error,
-    sigmoid,
     softmax_cross_entropy_with_logits,
-    stable_softmax,
 )
 
 # Model labels; the order is the ``meta.variant`` code stored in checkpoints.
@@ -247,6 +248,10 @@ class TwoStreamModel:
             "fusion_fc": dense(sum(dims.values()), config.fusion_hidden, "leaky-relu"),
             "head": dense(config.fusion_hidden, config.n_outputs, "identity"),
         })
+        # The nnet activations of the fusion weights and of the head's scores.
+        self._fusion = "sigmoid" if config.variant == "independent-sigmoid" else "softmax"
+        self._head = {"linear": "identity"}.get(config.output_activation,
+                                                config.output_activation)
         self._alpha = self._cache = None
 
     def _chain(self, named: dict) -> list:
@@ -332,12 +337,8 @@ class TwoStreamModel:
                 [forward_chain(enc, e, train) for enc, e in zip(self.encoders.values(), embeds)],
                 axis=1,
             )
-            variant = self.config.variant
-            if variant == "independent-sigmoid":
-                self._alpha = alpha = sigmoid(scores)
-            else:
-                self._alpha = alpha = stable_softmax(scores, axis=1)
-            scale = (0.0 if variant == "soft-attention" else 1.0) + alpha
+            self._alpha = alpha = _activate(scores, self._fusion)
+            scale = (0.0 if self.config.variant == "soft-attention" else 1.0) + alpha
         self._cache = (embeds, alpha, scale) if train else None
         if scale is not None:
             embeds = [scale[:, k:k + 1] * e for k, e in enumerate(embeds)]
@@ -355,10 +356,7 @@ class TwoStreamModel:
         grads = np.split(grad, np.cumsum([e.shape[1] for e in embeds])[:-1], axis=1)
         if self.encoders:
             dalpha = np.stack([np.sum(g * e, axis=1) for g, e in zip(grads, embeds)], axis=1)
-            if self.config.variant == "independent-sigmoid":
-                dscores = dalpha * alpha * (1.0 - alpha)
-            else:
-                dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=1, keepdims=True))
+            dscores = _activate_backward(dalpha, alpha, self._fusion)
             grads = [
                 scale[:, k:k + 1] * g + backward_chain(enc, dscores[:, k:k + 1])
                 for k, (g, enc) in enumerate(zip(grads, self.encoders.values()))
@@ -369,25 +367,17 @@ class TwoStreamModel:
     # -- task head ------------------------------------------------------------
 
     def loss_and_grad(self, logits, targets):
-        cfg = self.config
-        if cfg.loss == "cross-entropy":
+        if self.config.loss == "cross-entropy":
             return softmax_cross_entropy_with_logits(logits, targets)
-        if cfg.loss == "bce":
+        if self.config.loss == "bce":
             return binary_cross_entropy_with_logits(logits, targets)
-        # mse with sigmoid or linear output
-        if cfg.output_activation == "sigmoid":
-            p = sigmoid(logits)
-            loss, dp = mean_squared_error(p, targets)
-            return loss, dp * p * (1.0 - p)
-        return mean_squared_error(logits, targets)
+        scores = self.activate(logits)  # mse on the head's probability or value
+        loss, grad = mean_squared_error(scores, targets)
+        return loss, _activate_backward(grad, scores, self._head)
 
     def activate(self, logits) -> np.ndarray:
         """Head scores from logits: class probabilities, a probability, or the value."""
-        if self.config.output_activation == "softmax":
-            return stable_softmax(logits, axis=1)
-        if self.config.output_activation == "sigmoid":
-            return sigmoid(logits)
-        return logits
+        return _activate(logits, self._head)
 
     def decide(self, scores) -> np.ndarray:
         """Predictions from head scores: the class, 0/1 at 0.5, or the regression value."""

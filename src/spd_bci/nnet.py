@@ -33,19 +33,23 @@ caller that installs fitted arrays in their place (see
 
 The training step is kept lean: the LSTM projects its inputs for all
 time steps in one matmul and runs one sigmoid per step over the stacked
-input/forget/output gates, the LSTM and attention weight gradients are
+input/forget/output gates, the LSTM and dense weight gradients are
 matmuls over the flattened batch·time axis with no transposed copies,
 and ``sigmoid`` is branch-free. Each ``backward`` writes over its
 block's ``grads`` (``out=``), so nothing zeroes them and no weight
 gradient is a new array; ``adam_step`` applies the clip factor and
-updates in place block by block without full-size temporaries. The
-LSTM, attention and batch-norm backward passes build their derivatives
-in buffers they already hold: the LSTM turns its cached gates into the
-gate gradients step by step, and attention its tanh scores into theirs.
-What is not cached is recomputed with the forward's own operations on
-the same arrays: tanh(c_t) from the cached cells, x̂ from batch norm's
-input and mean. Each product keeps the two factors it has in the plain
-expression, so the results are the same bits.
+updates in place block by block without full-size temporaries. Every
+affine map adds its bias in place, and ``_activate``, the one table of
+nonlinearities (attention scores through a dense tanh block, and the
+model's fusion weights and head use it too), writes identity, tanh and
+leaky ReLU into the pre-activation. The backward passes build their
+derivatives in buffers they already hold: the LSTM turns its cached
+gates into the gate gradients step by step, and a tanh block its cached
+output into its derivative. What is not cached is recomputed with the
+forward's own operations on the same arrays: tanh(c_t) from the cached
+cells, x̂ from batch norm's input and mean. Each product keeps the two
+factors it has in the plain expression, so the results are the same
+bits.
 """
 
 from __future__ import annotations
@@ -104,26 +108,30 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """``kind`` applied to the pre-activation ``z``; identity, tanh and leaky ReLU write into z."""
     if kind == "identity":
         return z
     if kind == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=z)
     if kind == "sigmoid":
         return sigmoid(z)
     if kind == "leaky-relu":
         # The bits of where(z > 0, z, slope * z), signed zeros included, with no mask.
-        return np.maximum(z, LEAKY_SLOPE * z)
+        return np.maximum(z, LEAKY_SLOPE * z, out=z)
     if kind == "softmax":
         return stable_softmax(z, axis=-1)
     raise ValueError(f"unknown activation {kind!r}")
 
 
 def _activate_backward(grad_y: np.ndarray, y: np.ndarray, kind: str) -> np.ndarray:
-    """The gradient wrt the pre-activation, from the activation's output ``y`` alone."""
+    """The gradient wrt the pre-activation from the output ``y`` alone; tanh's is built in y."""
     if kind == "identity":
         return grad_y
     if kind == "tanh":
-        return grad_y * (1.0 - y ** 2)
+        dz = np.square(y, out=y)
+        np.subtract(1.0, dz, out=dz)
+        dz *= grad_y
+        return dz
     if kind == "sigmoid":
         return grad_y * y * (1.0 - y)
     if kind == "leaky-relu":
@@ -156,7 +164,9 @@ class Dense:
 
     def forward(self, x: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
-        y = _activate(x @ self.params["w"].T + self.params["b"], self.activation)
+        z = x @ self.params["w"].T
+        z += self.params["b"]
+        y = _activate(z, self.activation)
         self._cache = (x, y) if train else None
         return y
 
@@ -215,7 +225,8 @@ class Lstm:
         nh, w = self.hidden, self.params["w"]
         w_h_t = w[:, self.in_dim:].T
         # Pre-activations of all steps from the input; activated in place below.
-        gates = x.reshape(-1, self.in_dim) @ w[:, :self.in_dim].T + self.params["b"]
+        gates = x.reshape(-1, self.in_dim) @ w[:, :self.in_dim].T
+        gates += self.params["b"]
         gates = gates.reshape(batch, length, 4 * nh)
         cells = np.zeros((batch, length + 1, nh))  # cells[:, t] is c_{t-1}
         tanh_c = np.empty((batch, nh))  # tanh(c_t) of one step; the backward recomputes it
@@ -287,26 +298,19 @@ class Lstm:
 class Attention:
     """Soft attention over a hidden-state sequence.
 
-    Scores each step through u_t = tanh(W h_t + b) with a square W; the
-    scalar score of a step is the sum of u_t's components, softmax-normalized
-    over time, and the context is the weighted sum of hidden states. A
-    training forward caches the hidden states and the tanh scores, which
-    the backward consumes; the weights of any forward stay readable
-    through ``weights``.
+    A square ``Dense(hidden, hidden, "tanh")``, the block's ``scorer``, maps
+    each step to u_t = tanh(W h_t + b); ``params`` and ``grads`` are its. A
+    step's score is the sum of u_t's components, softmax-normalized over
+    time, and the context is the weighted sum of hidden states. A training
+    forward caches the hidden states for the backward; the weights of any
+    forward stay readable through ``weights``.
     """
 
     def __init__(self, hidden: int, rng: np.random.Generator | None = None,
                  *, init: bool = True):
         self.hidden = hidden
-        if init:
-            rng = rng or np.random.default_rng(0)
-            self.params = {
-                "w": glorot_uniform(rng, (hidden, hidden), hidden, hidden),
-                "b": np.zeros(hidden),
-            }
-        else:
-            self.params = _unset(w=(hidden, hidden), b=(hidden,))
-        self.grads = {key: np.zeros(arr.shape) for key, arr in self.params.items()}
+        self.scorer = Dense(hidden, hidden, "tanh", rng=rng, init=init)
+        self.params, self.grads = self.scorer.params, self.scorer.grads
         self._cache = None
 
     def forward(self, h_seq: np.ndarray, train: bool = True,
@@ -316,11 +320,9 @@ class Attention:
                 f"expected (batch, length, {self.hidden}) hidden sequence, got {h_seq.shape}"
             )
         # One gemm on the (batch * length, H) view, not one per batch row.
-        u = h_seq.reshape(-1, self.hidden) @ self.params["w"].T
-        u += self.params["b"]
-        u = np.tanh(u, out=u).reshape(h_seq.shape)
-        self._alpha = stable_softmax(u.sum(axis=2), axis=1)  # (batch, length)
-        self._cache = (h_seq, u) if train else None
+        u = self.scorer.forward(h_seq.reshape(-1, self.hidden), train)
+        self._alpha = _activate(u.reshape(h_seq.shape).sum(axis=2), "softmax")  # (batch, length)
+        self._cache = (h_seq,) if train else None
         return np.einsum("bl,blh->bh", self._alpha, h_seq)
 
     @property
@@ -329,22 +331,15 @@ class Attention:
         return self._alpha
 
     def backward(self, grad_context: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        h, u = _consume_cache(self)
+        (h,) = _consume_cache(self)
         alpha = self._alpha
-        dalpha = np.einsum("bh,blh->bl", grad_context, h)
-        dscores = alpha * (dalpha - np.sum(dalpha * alpha, axis=1, keepdims=True))
-        # Each component of u_t adds to the score, so all share its gradient; u's
-        # buffer becomes dscores * (1 - u^2).
-        da = np.square(u, out=u)
-        np.subtract(1.0, da, out=da)
-        np.multiply(dscores[:, :, None], da, out=da)
-        da_flat = da.reshape(-1, self.hidden)
-        np.matmul(da_flat.T, h.reshape(-1, self.hidden), out=self.grads["w"])
-        np.sum(da, axis=(0, 1), out=self.grads["b"])
+        dscores = _activate_backward(np.einsum("bh,blh->bl", grad_context, h), alpha, "softmax")
+        # Each component of u_t adds to the score, so all share its gradient.
+        dh_flat = self.scorer.backward(dscores.reshape(-1, 1), input_grad)
         if not input_grad:
             return None
         dh = alpha[:, :, None] * grad_context[:, None, :]
-        dh += (da_flat @ self.params["w"]).reshape(dh.shape)
+        dh += dh_flat.reshape(dh.shape)
         return dh
 
 
@@ -357,22 +352,24 @@ class Dropout:
         self.rate = rate
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self._mask = None
+        self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
         if not train or self.rate == 0.0:
-            self._mask = None
+            self._cache = (None,) if train else None  # a training forward's mask is None
             return x
         if rng is None:
             raise ValueError("training-mode dropout needs an rng")
-        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * self._mask
+        mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        self._cache = (mask,)
+        return x * mask
 
     def backward(self, grad_y: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        (mask,) = _consume_cache(self)
         if not input_grad:
             return None
-        return grad_y if self._mask is None else grad_y * self._mask
+        return grad_y if mask is None else grad_y * mask
 
 
 class BatchNorm:

@@ -117,9 +117,16 @@ def run_preprocess(config: PipelineConfig) -> dict:
 
 
 def _load_split_segments(config: PipelineConfig, split: str):
+    """The split's preprocessed trials, read and checked one at a time.
+
+    A trial whose rate, channel count or length is not the profile's is a
+    DataError naming its file, and so is a trial without a label or, for
+    classification, with a label outside [0, n_classes). ``read_segment``
+    has already rejected a non-finite label.
+    """
     in_dir = config.work_dir / "preprocessed" / split
-    segments = []
     expected_samples = int(round(config.trial_seconds * config.fs))
+    classes = range(config.n_classes) if config.task == "classification" else None
     for path in _segment_files(in_dir):
         segment = dataio.read_segment(path)
         if segment.fs != config.fs:
@@ -134,8 +141,13 @@ def _load_split_segments(config: PipelineConfig, split: str):
             raise DataError(
                 f"{path}: {segment.n_samples} samples, profile expects {expected_samples}"
             )
-        segments.append(segment)
-    return segments
+        if segment.label is None:
+            raise DataError(f"{path}: trial has no label")
+        if classes is not None and segment.label not in classes:
+            raise DataError(
+                f"{path}: label {segment.label} is not a class in [0, {config.n_classes})"
+            )
+        yield segment
 
 
 def _usable_cpus() -> int:
@@ -267,7 +279,7 @@ def run_features(config: PipelineConfig) -> dict:
             if config.scm_ridge:
                 band_scms = [ridge_regularize(c) for c in band_scms]
             scms.append(band_scms)
-            labels.append(np.nan if segment.label is None else float(segment.label))
+            labels.append(float(segment.label))
         splits[split] = {
             "temporal": np.stack(temporal),
             "labels": np.asarray(labels),
@@ -336,8 +348,6 @@ def run_train(config: PipelineConfig, jobs: int = 1) -> dict:
     """Train the configured variant, or sweep the retained rank in grid mode."""
     train = _load_features(config, "train")
     labels = train["labels"]
-    if np.any(np.isnan(labels)):
-        raise DataError("training segments are missing labels")
     if config.rank_mode == "grid":
         return _run_rank_grid(config, train, jobs=jobs)
 
@@ -444,10 +454,7 @@ def _evaluate_variant(config: PipelineConfig, label: str, test: dict) -> dict:
         model.load_params(tensors)
     except ValueError as exc:
         raise ConfigError(f"checkpoint {path} does not match this profile: {exc}") from exc
-    labels = test["labels"]
-    if np.any(np.isnan(labels)):
-        raise DataError("test segments are missing labels")
-    metrics = evaluate_model(model, test["temporal"], test["spatial"], labels)
+    metrics = evaluate_model(model, test["temporal"], test["spatial"], test["labels"])
     undefined = [key for key, value in metrics.items() if value is None]
     if undefined:
         raise NumericalError(f"{', '.join(undefined)} undefined on the test split ({path})")

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ from spd_bci.cli import main
 from spd_bci.config import PROFILES, load_config, parse_config_text
 from spd_bci.data import SynthSpec, read_segment, synth_spd_classes, write_segment
 from spd_bci.errors import ConfigError
+from spd_bci.filters import EegSegment
 from spd_bci.geometry import tangent_dimension
 from spd_bci.model import VARIANTS
 
@@ -388,6 +390,23 @@ class TestPipelineRun:
         err = capsys.readouterr().err
         assert str(bad) in err and "sampling rate must be positive" in err
 
+    @pytest.mark.parametrize("kind, label", [
+        (1, np.inf), (1, np.nan), (1, 2.5), (2, np.inf), (2, np.nan),
+    ], ids=["class-inf", "class-nan", "class-2.5", "real-inf", "real-nan"])
+    def test_preprocess_bad_label_exits_2_naming_file(self, tmp_path, capsys, kind, label):
+        # Header offset 28 holds the label kind (1 class, 2 real), offset 29 the label.
+        out = tmp_path / "raw" / "train"
+        out.mkdir(parents=True)
+        bad = out / "seg_000.eegs"
+        write_segment(bad, EegSegment(np.random.default_rng(0).standard_normal((4, 400)), 200.0))
+        raw = bytearray(bad.read_bytes())
+        raw[28:37] = bytes([kind]) + np.array([label], dtype="<f8").tobytes()
+        bad.write_bytes(bytes(raw))
+        config = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: label {label!r} at offset 29" in err and "Traceback" not in err
+
     def _write_constant_channel_file(self, root):
         bad = root / "raw" / "train" / "seg_007.eegs"
         segment = read_segment(bad)
@@ -458,6 +477,24 @@ class TestPipelineRun:
         config = tmp_path / "bad.cfg"
         config.write_text("profile = synthetic\nmystery = 1\n", encoding="utf-8")
         assert main(["preprocess", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize("label", [5, -1, None], ids=["above", "negative", "missing"])
+    def test_test_trial_label_outside_the_task_exits_2_at_features(self, tmp_path, capsys,
+                                                                   label):
+        # Unchecked, a class 5 made evaluate fail on an index, and a class -1 was counted
+        # in class 1's confusion row.
+        write_synthetic_dataset(tmp_path)
+        bad = tmp_path / "raw" / "test" / "seg_000.eegs"
+        segment = read_segment(bad)
+        write_segment(bad, EegSegment(segment.samples, segment.fs, label))
+        config = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config)]) == 0
+        capsys.readouterr()
+        assert main(["features", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert str(tmp_path / "work" / "preprocessed" / "test" / bad.name) in err
+        assert ("no label" if label is None else f"label {label} is not a class in [0, 2)") in err
+        assert not (tmp_path / "work" / "features" / "test.spdt").exists()
 
 
 # A value other than BASE_CONFIG's for every ModelSettings field, all in range.
@@ -660,6 +697,24 @@ class TestSinglePassFeatures:
         assert sorted(got) == sorted(want)
         for key, value in want.items():
             np.testing.assert_allclose(got[key], value, rtol=1e-10, atol=1e-10, err_msg=key)
+
+    def test_features_holds_at_most_two_raw_trials(self, workspace, monkeypatch):
+        # Each trial is read when the loop reaches it: the one being read and the one
+        # before it, which the loop still names, are the only ones alive.
+        from spd_bci import data as dataio
+
+        read, alive, most = dataio.read_segment, [], 0
+
+        def counting_read(path):
+            nonlocal most
+            segment = read(path)
+            alive[:] = [ref for ref in alive if ref() is not None] + [weakref.ref(segment)]
+            most = max(most, len(alive))
+            return segment
+
+        monkeypatch.setattr(dataio, "read_segment", counting_read)
+        assert main(["features", "--config", str(write_config(workspace))]) == 0
+        assert 1 <= most <= 2
 
 
 class TestFiltersDesignedOncePerRun:

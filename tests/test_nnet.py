@@ -293,7 +293,8 @@ class TestAttention:
         h = rng.standard_normal((batch, length, hidden))
         grad_context = rng.standard_normal((batch, hidden))
         att.forward(h)
-        u = att._cache[1].copy()  # the forward's tanh scores; the backward reuses their buffer
+        # The scorer's cached tanh scores; its backward reuses their buffer.
+        u = att.scorer._cache[1].reshape(h.shape).copy()
         att.backward(grad_context)
         alpha = att.weights
         dalpha = np.einsum("bh,blh->bl", grad_context, h)
@@ -312,7 +313,7 @@ class TestAttention:
         h = rng.standard_normal((batch, length, hidden))
         grad_context = rng.standard_normal((batch, hidden))
         att.forward(h)
-        cached_u = att._cache[1].copy()  # the backward reuses this buffer
+        cached_u = att.scorer._cache[1].reshape(h.shape).copy()  # the backward reuses it
         dh = att.backward(grad_context)
         w, alpha = att.params["w"], att.weights
         u = np.tanh(h @ w.T + att.params["b"])
@@ -470,7 +471,7 @@ class TestLeakyRelu:
 
     def test_maximum_form_is_bit_identical_to_where_form(self):
         z = np.concatenate([self.VALUES, np.random.default_rng(18).standard_normal(1000)])
-        y = _activate(z, "leaky-relu")
+        y = _activate(z.copy(), "leaky-relu")  # it writes into its input
         assert y.tobytes() == np.where(z > 0.0, z, LEAKY_SLOPE * z).tobytes()
         # -0.0 stays -0.0, and the smallest negative subnormal rounds to -0.0 in both forms.
         assert np.signbit(y[1]) and y[3] == 0.0 and np.signbit(y[3])
@@ -478,7 +479,7 @@ class TestLeakyRelu:
     def test_slope_from_the_output_equals_slope_from_the_input(self):
         z = np.concatenate([self.VALUES, np.random.default_rng(19).standard_normal(1000)])
         grad = np.random.default_rng(20).standard_normal(z.shape)
-        dz = _activate_backward(grad, _activate(z, "leaky-relu"), "leaky-relu")
+        dz = _activate_backward(grad, _activate(z.copy(), "leaky-relu"), "leaky-relu")
         assert dz.tobytes() == (grad * np.where(z > 0.0, 1.0, LEAKY_SLOPE)).tobytes()
 
 
@@ -487,7 +488,9 @@ CACHING_BLOCKS = pytest.mark.parametrize("make_block, shape, name", [
     (lambda: BatchNorm(3, activation="leaky-relu"), (4, 5, 3), "BatchNorm"),
     (lambda: Attention(3), (4, 5, 3), "Attention"),
     (lambda: Dense(3, 2, "tanh"), (4, 3), "Dense"),
-], ids=["lstm", "batchnorm", "attention", "dense"])
+    (lambda: Dropout(0.5), (4, 3), "Dropout"),
+    (lambda: Dropout(0.0), (4, 3), "Dropout"),
+], ids=["lstm", "batchnorm", "attention", "dense", "dropout", "dropout-rate-0"])
 
 
 class TestBackwardConsumesTheCache:
@@ -498,11 +501,12 @@ class TestBackwardConsumesTheCache:
         with pytest.raises(RuntimeError, match=f"^{name}.backward needs a training forward"):
             block.backward(np.ones(shape))
         x = np.random.default_rng(19).standard_normal(shape)
-        y = block.forward(x)
+        rng = np.random.default_rng(0)  # only dropout draws from it
+        y = block.forward(x, rng=rng)
         block.backward(np.ones_like(y))
         with pytest.raises(RuntimeError, match=f"^{name}.backward needs a training forward"):
             block.backward(np.ones_like(y))
-        block.forward(x)
+        block.forward(x, rng=rng)
         block.backward(np.ones_like(y))
 
     @CACHING_BLOCKS
@@ -515,7 +519,7 @@ class TestBackwardConsumesTheCache:
         with pytest.raises(RuntimeError, match=f"^{name}.backward needs a training forward"):
             block.backward(np.ones_like(y))
         # A training forward's unused cache goes with the next inference forward.
-        block.forward(x, train=True)
+        block.forward(x, train=True, rng=np.random.default_rng(0))
         block.forward(x, train=False)
         assert block._cache is None
         with pytest.raises(RuntimeError, match=f"^{name}.backward needs a training forward"):
@@ -568,7 +572,7 @@ def test_every_block_class_runs_in_a_chain():
         if train:
             assert backward_chain(chain, np.ones_like(y)).shape == x.shape
         else:  # an inference forward caches nothing, so the chain has no backward
-            with pytest.raises(RuntimeError, match="^BatchNorm.backward needs a training"):
+            with pytest.raises(RuntimeError, match="^Dropout.backward needs a training"):
                 backward_chain(chain, np.ones_like(y))
 
 
