@@ -2,7 +2,8 @@
 
 Exit codes are a stable contract: 0 success, 1 usage or configuration
 error, 2 data error, 3 numerical failure. The SPD_BCI_LOG environment
-variable sets the log level.
+variable sets the log level. The pipeline's worker threads follow the
+CPUs the process may use, so ``taskset`` bounds them.
 
 Before it runs a step, ``main`` sets glibc's allocator policy for the
 process: blocks up to 32 MiB come from the heap instead of a mapping of
@@ -13,10 +14,10 @@ threads allocate from that one heap rather than from arenas of their own
 threshold it raises only as larger blocks are freed) and unmaps it on
 free, so each filter block, band signal, LSTM step and Adam block was
 faulted in again, page by page, on the next call; with the policy the
-next allocation reuses the memory. Without the arena cap, each worker
-thread of the per-band pool in ``features`` fills an arena of its own
-with geometry temporaries, and that memory stays mapped beside the heap
-through the later steps of the process. Blocks above 32 MiB still map and
+next allocation reuses the memory. Without the arena cap, each thread of
+the pipeline's pool (bands, and ranks in grid mode) fills an arena of its
+own with temporaries, which stays mapped beside the heap through the later
+steps of the process. Blocks above 32 MiB still map and
 unmap. The policy applies to the CLI only (a library caller that imports
 ``spd_bci`` keeps its allocator as it is) and only where the C library
 has ``mallopt``; elsewhere it is a no-op.
@@ -58,7 +59,6 @@ def _build_parser() -> _Parser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the pipeline config file")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--jobs", type=int, default=1, help="parallel workers for grid mode")
     return parser
 
 
@@ -99,8 +99,6 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             config.seed = args.seed
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
 
         _keep_freed_memory()
 
@@ -116,7 +114,7 @@ def main(argv=None) -> int:
                     f"temporal dim {stats['temporal_dim']}, spatial dim {stats['spatial_dim']}"
                 )
         elif args.command == "train":
-            result = run_train(config, jobs=args.jobs)
+            result = run_train(config)
             if "rows" in result:
                 for row in result["rows"]:
                     print(json.dumps(row, sort_keys=True))

@@ -77,6 +77,12 @@ class PipelineConfig(ModelSettings):
     the value.
     """
 
+    _CHOICES = {
+        **ModelSettings._CHOICES, "reference_policy": ("test-mean", "train-mean"),
+        "rank_mode": ("fixed", "grid"), "constant_channel": ("error", "zero"),
+        "task": ("classification", "regression"),
+    }
+
     profile: str
     fs: float
     trial_seconds: float
@@ -91,8 +97,8 @@ class PipelineConfig(ModelSettings):
     work_dir: Path = Path("work")
 
     seed: int = 0
-    reference_policy: str = "test-mean"  # or "train-mean"
-    rank_mode: str = "fixed"  # or "grid"
+    reference_policy: str = "test-mean"
+    rank_mode: str = "fixed"
     broadband_low: float = 0.5
     broadband_high: float = 70.0
     notch_hz: float = 50.0
@@ -104,17 +110,6 @@ class PipelineConfig(ModelSettings):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.reference_policy not in ("test-mean", "train-mean"):
-            raise ConfigError(
-                f"unknown reference_policy {self.reference_policy!r}; "
-                "choose one of ['test-mean', 'train-mean']"
-            )
-        if self.rank_mode not in ("fixed", "grid"):
-            raise ConfigError(f"unknown rank mode {self.rank_mode!r}")
-        if self.constant_channel not in ("error", "zero"):
-            raise ConfigError(f"unknown constant_channel mode {self.constant_channel!r}")
-        if self.task not in ("classification", "regression"):
-            raise ConfigError(f"unknown task {self.task!r}")
         try:
             check_head_outputs(
                 self.loss, self.n_outputs,

@@ -398,10 +398,11 @@ def ingest_csv(csv_path, manifest) -> list[EegSegment]:
     factor = _manifest_number(manifest, "decimate", int, origin) if "decimate" in manifest else 1
     label_column = manifest.get("label_column")
 
-    lines = [ln for ln in Path(csv_path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    text = Path(csv_path).read_text(encoding="utf-8")
+    lines = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if len(lines) < 2:
         raise DataError(f"{csv_path}: need a header row and at least one data row")
-    header = [c.strip() for c in lines[0].split(",")]
+    header = [c.strip() for c in lines[0][1].split(",")]
     if label_column is not None and label_column not in header:
         raise DataError(f"{csv_path}: label column {label_column!r} not in header {header}")
     if "channels" in manifest:
@@ -416,7 +417,7 @@ def ingest_csv(csv_path, manifest) -> list[EegSegment]:
 
     rows = []
     labels = []
-    for lineno, line in enumerate(lines[1:], 2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split(",")]
         if len(cells) != len(header):
             raise DataError(
@@ -445,6 +446,9 @@ def ingest_csv(csv_path, manifest) -> list[EegSegment]:
     for k in range(n_segments):
         chunk = recording.samples[:, k * seg_len:(k + 1) * seg_len]
         # The label is read at the segment's first row of the original file.
-        label = labels[k * seg_len * factor] if label_idx is not None else None
-        segments.append(EegSegment(chunk, recording.fs, label))
+        row = k * seg_len * factor
+        try:
+            segments.append(EegSegment(chunk, recording.fs, labels[row] if labels else None))
+        except ValueError as exc:  # a label that is not finite
+            raise DataError(f"{csv_path}:{lines[1 + row][0]}: {exc}") from exc
     return segments

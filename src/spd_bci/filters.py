@@ -33,7 +33,7 @@ class EegSegment:
     fs : float
         Sampling rate in Hz.
     label : int | float | None
-        Optional class index or real-valued target.
+        Optional class index or finite real-valued target.
     """
 
     samples: np.ndarray
@@ -55,6 +55,8 @@ class EegSegment:
             raise ValueError(f"sampling rate must be positive, got {self.fs}")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples contain non-finite values")
+        if isinstance(self.label, (float, np.floating)) and not np.isfinite(self.label):
+            raise ValueError(f"label {self.label!r} is not a finite real target")
 
     @property
     def n_channels(self) -> int:

@@ -143,10 +143,14 @@ class ModelSettings:
     class. A bad value raises ValueError naming the key and the value.
     """
 
+    # Each enumerated key and its choices, checked in one loop; PipelineConfig extends it.
+    _CHOICES = {"output_activation": OUTPUT_ACTIVATIONS,
+                "temporal_regularizer": ("batchnorm", "dropout"), "variant": VARIANTS}
+
     output_activation: str = "softmax"
     loss: str = "cross-entropy"
-    temporal_regularizer: str = "batchnorm"  # "batchnorm" or "dropout"
-    variant: str = "fused"  # a label from VARIANTS
+    temporal_regularizer: str = "batchnorm"
+    variant: str = "fused"
     lstm_layers: int = 3
     lstm_hidden: int = 256
     temporal_embedding_dim: int = 64
@@ -159,16 +163,12 @@ class ModelSettings:
     learning_rate: float = 0.001
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; choose one of {list(VARIANTS)}")
-        if self.temporal_regularizer not in ("batchnorm", "dropout"):
-            raise ValueError(f"unknown temporal_regularizer {self.temporal_regularizer!r}")
-        allowed = LOSS_FOR_ACTIVATION.get(self.output_activation)
-        if allowed is None:
-            raise ValueError(
-                f"unknown output_activation {self.output_activation!r}; "
-                f"choose one of {sorted(LOSS_FOR_ACTIVATION)}"
-            )
+        for key, choices in self._CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ValueError(
+                    f"unknown {key} {getattr(self, key)!r}; choose one of {list(choices)}"
+                )
+        allowed = LOSS_FOR_ACTIVATION[self.output_activation]
         if self.loss not in allowed:
             raise ValueError(
                 f"loss {self.loss!r} cannot pair with output_activation "

@@ -4,11 +4,11 @@ Every step reads and writes only deterministic artifacts (binary tensor
 bundles, sorted-key JSON, CSV), so rerunning with the same config and
 seed reproduces outputs byte for byte.
 
-``features`` runs each band's spatial geometry (PCA on the training
-SCMs, congruence reduction, Karcher mean and tangent vectors) as one task
-on a thread pool of min(bands, usable CPUs) workers, with the OpenBLAS
-that numpy loaded held at one thread meanwhile. A band's numbers then do
-not depend on the worker count, so neither do the feature files.
+One parallel map runs each band's spatial geometry (PCA on the training
+SCMs, congruence reduction, Karcher mean and tangent vectors) and each
+rank of grid mode as one task on a thread pool of min(items, usable CPUs)
+workers, with the OpenBLAS that numpy loaded held at one thread. So the
+feature files and ``grid_metrics.json`` do not depend on the CPU count.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import functools
 import json
 import logging
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import fields
@@ -195,19 +196,34 @@ def _one_blas_thread(controls):
         setter(previous)
 
 
-def _map_bands(func, bands: list, per_band: list) -> list:
-    """``func(*args)`` for each band's args, results in band order.
+_pool_thread = threading.local()  # ``active`` is set in the threads of _parallel_map's pool
 
-    Bands run on a thread pool of min(bands, usable CPUs) workers with
-    OpenBLAS held at one thread, so each band's numbers do not depend on
-    the worker count. Without a thread control, or with one usable CPU,
-    they run in a loop at the library's own thread count. Either way a
-    failure is that of the first failing band in band order, raised as a
-    :class:`NumericalError` naming its index and its Hz edges in ``bands``.
+
+def _parallel_map(func, items) -> list:
+    """``func(item)`` for each item, results in item order.
+
+    Items run on a thread pool of min(items, usable CPUs) workers with
+    OpenBLAS held at one thread, also on one CPU, so an item's numbers do
+    not depend on the worker or CPU count. Called from a pool thread, the
+    map runs its items in a loop there, so a process holds one pool at
+    most. Without a thread control the items run in a loop at the
+    library's thread count. A failure is the first failing item's.
     """
-    workers = min(len(per_band), _usable_cpus())
-    controls = _openblas_thread_controls() if workers > 1 else None
+    controls = _openblas_thread_controls()
+    if controls is None or getattr(_pool_thread, "active", False):
+        return [func(item) for item in items]
+    workers = min(len(items), _usable_cpus())
+    with _one_blas_thread(controls), ThreadPoolExecutor(
+        workers, initializer=setattr, initargs=(_pool_thread, "active", True)
+    ) as pool:
+        return list(pool.map(func, items))
 
+
+def _map_bands(func, bands: list, per_band: list) -> list:
+    """``func(*args)`` for each band's args, through :func:`_parallel_map`.
+
+    A failure raises a :class:`NumericalError` naming the band's index and Hz edges.
+    """
     def run(b: int):
         try:
             return func(*per_band[b])
@@ -215,10 +231,7 @@ def _map_bands(func, bands: list, per_band: list) -> list:
             band = bands[b]
             raise NumericalError(f"band {b} ({band.low_hz:g}-{band.high_hz:g} Hz): {exc}") from exc
 
-    if controls is None:
-        return [run(b) for b in range(len(per_band))]
-    with _one_blas_thread(controls), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, range(len(per_band))))
+    return _parallel_map(run, range(len(per_band)))
 
 
 def _fit_band(band_scms: np.ndarray, rank: int):
@@ -344,12 +357,11 @@ def _checkpoint_path(config: PipelineConfig, label: str) -> Path:
     return config.work_dir / "model" / f"model_{label}.ckpt"
 
 
-def run_train(config: PipelineConfig, jobs: int = 1) -> dict:
+def run_train(config: PipelineConfig) -> dict:
     """Train the configured variant, or sweep the retained rank in grid mode."""
     train = _load_features(config, "train")
-    labels = train["labels"]
     if config.rank_mode == "grid":
-        return _run_rank_grid(config, train, jobs=jobs)
+        return _run_rank_grid(config, train)
 
     label = config.variant
     arch = _architecture(config, label, train["temporal"].shape[2], train["spatial"].shape[1])
@@ -357,7 +369,7 @@ def run_train(config: PipelineConfig, jobs: int = 1) -> dict:
     model_dir = config.work_dir / "model"
     model_dir.mkdir(parents=True, exist_ok=True)
     history = train_model(
-        model, train["temporal"], train["spatial"], labels,
+        model, train["temporal"], train["spatial"], train["labels"],
         seed=config.seed,
         log_path=model_dir / f"train_log_{label}.jsonl",
     )
@@ -365,9 +377,9 @@ def run_train(config: PipelineConfig, jobs: int = 1) -> dict:
     return {"variant": label, "epochs": len(history), "final_loss": history[-1]["loss"]}
 
 
-def _grid_point(payload) -> dict:
-    """Train and score one rank candidate; module-level so executors can pickle it."""
-    (config, rank, fit_idx, val_idx, temporal, scms, labels) = payload
+def _grid_point(config: PipelineConfig, train: dict, fit_idx, val_idx, rank: int) -> dict:
+    """Train on the fit trials at ``rank`` and score the validation trials."""
+    temporal, scms, labels = train["temporal"], train["scms"], train["labels"]
     try:
         filters, references, spatial_fit = fit_spatial_reducers(scms[fit_idx], config.bands, rank)
         spatial_val = spatial_features_for(scms[val_idx], config.bands, filters, references)
@@ -403,34 +415,22 @@ def _validation_split(labels: np.ndarray, classification: bool, seed: int):
     return order[is_val[order]], order[~is_val[order]]
 
 
-def _run_rank_grid(config: PipelineConfig, train: dict, jobs: int = 1) -> dict:
+def _run_rank_grid(config: PipelineConfig, train: dict) -> dict:
     """Sweep R over [1, N-1] on a 90/10 split of the training data.
 
     A kappa or PCC that the validation split leaves undefined is written
     as null. ``best_rank`` is the lowest rank with the highest defined
     score, accuracy or PCC (null if no score is defined). A rank whose
     geometry fails is a row with its band's ``error`` and null scores;
-    if every rank fails, the first one's error is raised.
+    if every rank fails, the first one's error is raised. The ranks run
+    through :func:`_parallel_map`, each band of a rank in its thread.
     """
-    labels = train["labels"]
     classification = config.task == "classification"
-    val_idx, fit_idx = _validation_split(labels, classification, config.seed)
+    val_idx, fit_idx = _validation_split(train["labels"], classification, config.seed)
     ranks = list(range(1, config.n_channels))
     if not ranks:
         raise ConfigError("grid mode needs at least two channels")
-    payloads = [
-        (config, rank, fit_idx, val_idx, train["temporal"], train["scms"], labels)
-        for rank in ranks
-    ]
-    if jobs > 1:
-        # Imported here: no other step pays for loading the process pool.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_grid_point, payloads))
-    else:
-        rows = [_grid_point(p) for p in payloads]
-    rows.sort(key=lambda r: r["rank"])
+    rows = _parallel_map(functools.partial(_grid_point, config, train, fit_idx, val_idx), ranks)
     if all("error" in r for r in rows):
         raise NumericalError(rows[0]["error"])
     score_key = "accuracy" if classification else "pcc"

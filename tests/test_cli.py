@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 import weakref
 from pathlib import Path
@@ -179,16 +180,48 @@ class TestCliErrors:
         config.write_text("profile = synthetic\nmystery = 1\n", encoding="utf-8")
         assert main(["preprocess", "--config", str(config)]) == 1
 
-    @pytest.mark.parametrize("flag", ["--seed", "--jobs"])
-    def test_negative_flag_exits_1_naming_the_flag(self, tmp_path, capsys, flag):
+    def test_negative_seed_exits_1_naming_the_flag(self, tmp_path, capsys):
         # Checked before any step runs: a negative seed would otherwise fail
         # only inside numpy, with no flag named.
         write_synthetic_dataset(tmp_path)
         config = write_config(tmp_path)
-        assert main(["preprocess", "--config", str(config), flag, "-1"]) == 1
+        assert main(["preprocess", "--config", str(config), "--seed", "-1"]) == 1
         err = capsys.readouterr().err
-        assert f"{flag} must be" in err and "got -1" in err
+        assert "--seed must be" in err and "got -1" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "work").exists()
+
+    def test_jobs_flag_is_unknown_and_exits_1_with_usage(self, tmp_path):
+        # The usable CPUs set the workers; there is no flag for them.
+        write_synthetic_dataset(tmp_path)
+        config = write_config(tmp_path, extra="rank_mode = grid\n")
+        proc = subprocess.run(
+            [*CLI, "train", "--config", str(config), "--jobs", "2"],
+            env=package_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("usage: spd-bci"), proc.stderr
+        assert "unrecognized arguments: --jobs 2" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("key, choices", [
+        ("rank_mode", ["fixed", "grid"]),
+        ("task", ["classification", "regression"]),
+        ("temporal_regularizer", ["batchnorm", "dropout"]),
+        ("constant_channel", ["error", "zero"]),
+        ("reference_policy", ["test-mean", "train-mean"]),
+        ("variant", list(VARIANTS)),
+        ("output_activation", ["softmax", "sigmoid", "linear"]),
+    ])
+    def test_unknown_enumerated_value_exits_1_naming_key_and_choices(
+        self, tmp_path, capsys, key, choices
+    ):
+        write_synthetic_dataset(tmp_path)
+        config = write_config(tmp_path, extra=f"{key} = sweep\n")
+        assert main(["preprocess", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"{config}: unknown {key} 'sweep'; choose one of {choices}" in err, err
         assert not (tmp_path / "work").exists()
 
     def test_unpaired_head_exits_1_at_preprocess_naming_file_and_keys(self, tmp_path, capsys):
@@ -432,16 +465,28 @@ class TestPipelineRun:
         assert len(list(out_dir.glob("*.eegs"))) == 39
         assert not (out_dir / bad.name).exists()
 
-    def test_grid_mode_with_parallel_jobs_matches_sequential(self, workspace):
+    def test_grid_mode_on_two_and_three_workers_matches_one_worker(self, workspace, monkeypatch):
+        # Three workers (one per rank) on a short switch interval: more threads than
+        # cores, switching often, so state shared between ranks would show.
+        from spd_bci import pipeline
+
         config = write_config(
             workspace,
             extra="rank_mode = grid\nvariant = spatial\nepochs = 6\n",
         )
         grid_path = workspace / "work" / "grid_metrics.json"
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
         assert main(["train", "--config", str(config)]) == 0
-        sequential = grid_path.read_bytes()
-        assert main(["train", "--config", str(config), "--jobs", "2"]) == 0
-        assert grid_path.read_bytes() == sequential
+        one_worker = grid_path.read_bytes()
+        interval = sys.getswitchinterval()
+        try:
+            sys.setswitchinterval(1e-5)
+            for cpus in (2, 3):
+                monkeypatch.setattr(pipeline, "_usable_cpus", lambda n=cpus: n)
+                assert main(["train", "--config", str(config)]) == 0
+                assert grid_path.read_bytes() == one_worker, cpus
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_numerical_failure_exits_3(self, monkeypatch, tmp_path):
         from spd_bci.errors import NumericalError
@@ -802,11 +847,17 @@ def features_in_subprocess(root, command, threads):
 
 
 CLI = [sys.executable, "-m", "spd_bci.cli"]
-# The CLI with the band pool cut to one worker.
-ONE_WORKER_CLI = [sys.executable, "-c", (
-    "import sys\nfrom spd_bci import cli, pipeline\n"
-    "pipeline._usable_cpus = lambda: 1\nsys.exit(cli.main(sys.argv[1:]))\n"
-)]
+
+
+def cli_on_cpus(n):
+    """The CLI with the pool's usable CPUs set to ``n``."""
+    return [sys.executable, "-c", (
+        "import sys\nfrom spd_bci import cli, pipeline\n"
+        f"pipeline._usable_cpus = lambda: {n}\nsys.exit(cli.main(sys.argv[1:]))\n"
+    )]
+
+
+ONE_WORKER_CLI = cli_on_cpus(1)
 
 
 class TestFeaturesIndependentOfBlasThreads:
@@ -1021,14 +1072,23 @@ class TestLazyScipyImport:
         assert proc.stdout.strip().splitlines()[-1] == "ok"
 
 
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
+def usable_cpus(request, monkeypatch):
+    """The pool's usable CPUs, 1 or 2, whatever the machine has."""
+    from spd_bci import pipeline
+
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: request.param)
+    return request.param
+
+
 class TestRankGridSplits:
-    def test_small_parallel_grid_writes_metrics(self, tmp_path):
+    def test_small_parallel_grid_writes_metrics(self, tmp_path, usable_cpus):
         # 16 trials: a 10% split of the whole set would be one trial, of one class.
         write_synthetic_dataset(tmp_path, train_per_class=8)
         config = write_config(tmp_path, extra="rank_mode = grid\nepochs = 3\n")
         assert main(["preprocess", "--config", str(config)]) == 0
         assert main(["features", "--config", str(config)]) == 0
-        assert main(["train", "--config", str(config), "--jobs", "2"]) == 0
+        assert main(["train", "--config", str(config)]) == 0
         grid = json.loads((tmp_path / "work" / "grid_metrics.json").read_text())
         assert [row["rank"] for row in grid["rows"]] == [1, 2, 3]
         assert all(row["kappa"] is not None for row in grid["rows"])
@@ -1049,12 +1109,12 @@ class TestRankGridSplits:
         assert main(["features", "--config", str(config)]) == 0
         return config
 
-    @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_band_failure_is_an_error_row_naming_the_band(self, rank2_config, jobs):
-        # Across a process boundary the error must come back whole, not break the pool,
-        # and the feasible ranks keep their rows.
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_band_failure_is_an_error_row_naming_the_band(self, rank2_config, cpus):
+        # On a pool thread the error must come back whole, not break the pool, and
+        # the feasible ranks keep their rows.
         proc = subprocess.run(
-            [*CLI, "train", "--config", str(rank2_config), "--jobs", jobs],
+            [*cli_on_cpus(cpus), "train", "--config", str(rank2_config)],
             env=package_env(), capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
@@ -1105,13 +1165,15 @@ class TestRankGridSplits:
         val, fit = _validation_split(np.linspace(0, 1, 50), classification=False, seed=4)
         assert len(val) == 5 and len(fit) == 45
 
-    def test_undefined_scores_are_null_and_skipped_for_best_rank(self, tmp_path, monkeypatch):
+    def test_undefined_scores_are_null_and_skipped_for_best_rank(
+        self, tmp_path, monkeypatch, usable_cpus
+    ):
         from spd_bci import pipeline
 
         pccs = {1: 0.4, 2: None, 3: 0.2}
         monkeypatch.setattr(
             pipeline, "_grid_point",
-            lambda payload: {"rank": payload[1], "rmse": 0.1, "pcc": pccs[payload[1]]},
+            lambda config, train, fit, val, rank: {"rank": rank, "rmse": 0.1, "pcc": pccs[rank]},
         )
         config = parse_config_text(
             "profile = synthetic\ntask = regression\nn_classes = 1\n"
@@ -1125,20 +1187,102 @@ class TestRankGridSplits:
         grid = json.loads((tmp_path / "grid_metrics.json").read_text())
         assert grid["best_rank"] is None and grid["rows"][1]["pcc"] is None
 
-
-    def test_tied_scores_go_to_the_lowest_rank(self, tmp_path, monkeypatch):
+    def test_tied_scores_go_to_the_lowest_rank(self, tmp_path, monkeypatch, usable_cpus):
         from spd_bci import pipeline
 
         accuracies = {1: 0.5, 2: 0.9, 3: 0.9}
         monkeypatch.setattr(
             pipeline, "_grid_point",
-            lambda payload: {"rank": payload[1], "accuracy": accuracies[payload[1]]},
+            lambda config, train, fit, val, rank: {"rank": rank, "accuracy": accuracies[rank]},
         )
         config = parse_config_text(f"profile = synthetic\nrank_mode = grid\nwork_dir = {tmp_path}\n")
         train = {"labels": np.repeat([0.0, 1.0], 10), "temporal": None, "scms": None}
         assert pipeline._run_rank_grid(config, train)["best_rank"] == 2
         accuracies[1] = 0.9
         assert pipeline._run_rank_grid(config, train)["best_rank"] == 1
+
+
+REGRESSION_GRID_CONFIG = """
+profile = synthetic
+fs = 200
+trial_seconds = 8
+n_channels = 4
+rank = 2
+bands = 8-16,16-24
+task = regression
+n_classes = 1
+output_activation = sigmoid
+loss = mse
+rank_mode = grid
+raw_train_dir = raw/train
+raw_test_dir = raw/test
+work_dir = work
+epochs = 1
+lstm_layers = 1
+lstm_hidden = 64
+"""
+
+
+class TestOnePool:
+    """Bands and grid ranks share one map: one pool, at one BLAS thread."""
+
+    def test_regression_grid_is_the_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
+        # 29 fit trials x 15 windows: at two BLAS threads, an LSTM product of this
+        # grid's training splits over both threads and its bits move.
+        from spd_bci import pipeline
+
+        if pipeline._openblas_thread_controls() is None:
+            pytest.skip("numpy's BLAS exposes no OpenBLAS thread control")
+        rng = np.random.default_rng(3)
+        ends = [np.eye(4) + 0.2 * rng.standard_normal((4, 4)) for _ in range(2)]
+        for split, count in (("train", 32), ("test", 4)):
+            out = tmp_path / "raw" / split
+            out.mkdir(parents=True)
+            for i in range(count):
+                target = float(rng.uniform(0.05, 0.95))
+                mixer = (1 - target) * ends[0] + target * ends[1]
+                samples = mixer @ rng.standard_normal((4, 1600))
+                write_segment(out / f"seg_{i:03d}.eegs", EegSegment(samples, 200.0, target))
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(REGRESSION_GRID_CONFIG, encoding="utf-8")
+        assert main(["preprocess", "--config", str(config)]) == 0
+        assert main(["features", "--config", str(config)]) == 0
+        grids = []
+        for command, threads in ((CLI, "1"), (CLI, "2"), (ONE_WORKER_CLI, "2")):
+            proc = subprocess.run(
+                [*command, "train", "--config", str(config)],
+                env={**package_env(), "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            grids.append((tmp_path / "work" / "grid_metrics.json").read_bytes())
+        assert grids[1] == grids[0]
+        assert grids[2] == grids[0]
+
+    def test_a_grid_never_holds_more_pool_threads_than_usable_cpus(self, tmp_path, monkeypatch):
+        # Each rank's bands run as a loop in its pool thread, not on a pool of their own.
+        from spd_bci import pipeline
+
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        write_synthetic_dataset(tmp_path, train_per_class=8)
+        config = write_config(tmp_path, extra="rank_mode = grid\nepochs = 1\n")
+        assert main(["preprocess", "--config", str(config)]) == 0
+        assert main(["features", "--config", str(config)]) == 0
+        alive = []
+
+        def counting(func):
+            def run(*args):
+                alive.append(sum(
+                    t.name.startswith("ThreadPoolExecutor") for t in threading.enumerate()
+                ))
+                return func(*args)
+            return run
+
+        for name in ("_fit_band", "_band_features"):
+            monkeypatch.setattr(pipeline, name, counting(getattr(pipeline, name)))
+        assert main(["train", "--config", str(config)]) == 0
+        assert len(alive) == 2 * 3 * 2  # fit and validation, 3 ranks, 2 bands
+        assert max(alive) <= 2, alive
 
 class TestCheckpointMismatch:
     def test_batchnorm_checkpoint_under_dropout_config_exits_1(self, workspace, capsys):

@@ -1,5 +1,6 @@
 """Data-layer tests: binary round trips, synthetic generators, CSV ingestion."""
 
+import re
 import struct
 
 import numpy as np
@@ -38,6 +39,13 @@ class TestSegmentFile:
         assert loaded.fs == segment.fs
         assert loaded.label == segment.label
         assert type(loaded.label) is type(segment.label)
+
+    @pytest.mark.parametrize("label", [float("nan"), float("inf"), -np.inf])
+    def test_non_finite_real_label_fails_where_the_segment_is_made(self, tmp_path, label):
+        # Not at read, after a write that would have succeeded.
+        with pytest.raises(ValueError, match=f"label {label!r} is not a finite real target"):
+            write_segment(tmp_path / "trial.eegs", EegSegment(np.ones((2, 50)), FS, label))
+        assert not (tmp_path / "trial.eegs").exists()
 
     def test_truncated_payload_names_byte_counts(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -401,10 +409,20 @@ class TestCsvIngestion:
         )
         assert [s.label for s in segments] == [0.0, 1.0]
 
+    def test_non_finite_label_names_the_file_and_the_labels_line(self, tmp_path):
+        csv_path = tmp_path / "labeled.csv"
+        labels = [0] * 200 + ["nan"] * 200
+        self.write_csv(csv_path, np.ones((1, 400)), ["c1", "y"], labels=labels)
+        # A blank line after the header: the second segment's label is on line 203.
+        csv_path.write_text(csv_path.read_text().replace("\n", "\n\n", 1), encoding="utf-8")
+        want = f"{csv_path}:203: label nan is not a finite real target"
+        with pytest.raises(DataError, match=re.escape(want)):
+            ingest_csv(csv_path, {"fs": "200", "segment_seconds": "1", "label_column": "y"})
+
     def test_ragged_row_rejected(self, tmp_path):
         csv_path = tmp_path / "ragged.csv"
-        csv_path.write_text("a,b\n1.0,2.0\n3.0\n", encoding="utf-8")
-        with pytest.raises(DataError, match="ragged"):
+        csv_path.write_text("a,b\n\n1.0,2.0\n3.0\n", encoding="utf-8")  # blank lines count
+        with pytest.raises(DataError, match=re.escape(f"{csv_path}:4: ragged row")):
             ingest_csv(csv_path, {"fs": "200", "segment_seconds": "1"})
 
     def test_non_numeric_cell_rejected(self, tmp_path):
