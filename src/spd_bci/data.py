@@ -39,7 +39,12 @@ import numpy as np
 
 from .config import parse_key_values
 from .errors import ConfigError, DataError
-from .filters import EegSegment, apply_filter_zero_phase, design_butterworth_lowpass
+from .filters import (
+    EegSegment,
+    apply_filter_zero_phase,
+    design_butterworth_lowpass,
+    zero_phase_sos,
+)
 
 SEGMENT_MAGIC = b"EEGS"
 TENSOR_MAGIC = b"SPDT"
@@ -360,8 +365,8 @@ def decimate_segment(segment: EegSegment, factor: int) -> EegSegment:
         return segment
     new_fs = segment.fs / factor
     cutoff = 0.8 * new_fs / 2.0
-    sos = design_butterworth_lowpass(cutoff, 8, segment.fs)
-    filtered = apply_filter_zero_phase(sos, segment).samples
+    lowpass = zero_phase_sos(design_butterworth_lowpass(cutoff, 8, segment.fs))
+    filtered = apply_filter_zero_phase(lowpass, segment.samples)
     return EegSegment(filtered[:, ::factor], new_fs, segment.label)
 
 

@@ -1,10 +1,14 @@
 """Filtering, normalization, and filter-bank decomposition of multichannel EEG.
 
-All operations are pure: they take an :class:`EegSegment` and return a new
-one, so they are safe to run concurrently across segments. Band-pass
-filters are Butterworth designs (analog prototype + bilinear transform)
-realized as second-order sections and applied forward-backward for zero
-phase, with odd reflection padding of three filter orders at the edges.
+The kernels take and return arrays: a (channels, samples) float64 array
+in, a new array out, so they are pure and safe to run concurrently across
+trials. :class:`EegSegment` is the record of one trial that the files and
+generators hold (samples, rate and label); of the kernels only
+:func:`filter_bank_decompose` reads one, to check its rate against the
+bank's. Band-pass filters are Butterworth designs (analog prototype +
+bilinear transform) realized as second-order sections and applied
+forward-backward for zero phase, with odd reflection padding of three
+filter orders at the edges.
 
 Everything here is numpy: the designs follow scipy's zero-pole-gain route
 and the zero-phase passes take the same steps as ``sosfiltfilt`` and
@@ -24,7 +28,7 @@ import numpy as np
 
 @dataclass
 class EegSegment:
-    """One multichannel EEG trial.
+    """One multichannel EEG trial, as the files and the generators hold it.
 
     Parameters
     ----------
@@ -74,17 +78,6 @@ class EegSegment:
     def with_samples(self, samples: np.ndarray) -> "EegSegment":
         """New segment with the same rate and label but different samples."""
         return EegSegment(samples, self.fs, self.label)
-
-    def _filtered(self, samples: np.ndarray) -> "EegSegment":
-        """:meth:`with_samples` for a filter's output, which skips the checks.
-
-        A stable filter maps this checked segment to a float64 array of the
-        same shape and finite values, so only the I/O and user boundary pays
-        the full-size ``isfinite`` pass.
-        """
-        out = object.__new__(EegSegment)
-        out.samples, out.fs, out.label = samples, self.fs, self.label
-        return out
 
 
 @dataclass(frozen=True)
@@ -332,41 +325,40 @@ def _odd_extend(x: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate((left, x, right), axis=1)
 
 
-def apply_filter_zero_phase(filt, segment: EegSegment) -> EegSegment:
-    """Forward-backward filter a segment: zero phase shift, same shape.
+def apply_filter_zero_phase(filt: ZeroPhaseFilter, x: np.ndarray) -> np.ndarray:
+    """Forward-backward filter a (channels, samples) array: zero phase shift, same shape.
 
-    ``filt`` is a :class:`ZeroPhaseFilter` designed once per run, or bare
-    second-order sections for a one-off call. Edges are handled with odd
-    reflection padding of three filter orders; the segment must be longer
-    than that padding. Each pass starts in the steady state of its first
-    sample, as ``sosfiltfilt``/``filtfilt`` do.
+    ``filt`` is designed once with :func:`zero_phase_sos`. Edges are
+    handled with odd reflection padding of three filter orders; the array
+    must be longer than that padding. Each pass starts in the steady state
+    of its first sample, as ``sosfiltfilt``/``filtfilt`` do. A stable
+    filter maps finite samples to finite samples, so the output is not
+    checked again.
     """
-    if not isinstance(filt, ZeroPhaseFilter):
-        filt = zero_phase_sos(filt)
     n = filt.padlen
-    if segment.n_samples <= n:
+    if x.shape[1] <= n:
         raise ValueError(
-            f"segment too short for zero-phase filtering: {segment.n_samples} samples, "
+            f"segment too short for zero-phase filtering: {x.shape[1]} samples, "
             f"need more than {n}"
         )
-    ext = _odd_extend(segment.samples, n)
+    ext = _odd_extend(x, n)
     y = filt.run(ext, ext[:, :1] * filt.zi)
     y = filt.run(y[:, ::-1], y[:, -1:] * filt.zi)
-    return segment._filtered(y[:, ::-1][:, n:-n])
+    return y[:, ::-1][:, n:-n]
 
 
-def notch_filter(segment: EegSegment, f0: float = 50.0, quality: float = 30.0) -> EegSegment:
+def notch_filter(x: np.ndarray, fs: float, f0: float = 50.0, quality: float = 30.0) -> np.ndarray:
     """Suppress one mains frequency with a zero-phase second-order notch.
 
     The notch is >= 30 dB deep at ``f0`` while neighbors 5 Hz away lose
     less than 3 dB. This designs the notch for one call; a run that
-    filters many segments designs it once with :func:`design_notch`.
+    filters many trials designs it once with :func:`design_notch`.
     """
-    return apply_filter_zero_phase(design_notch(segment.fs, f0, quality), segment)
+    return apply_filter_zero_phase(design_notch(fs, f0, quality), x)
 
 
-def minmax_normalize(segment: EegSegment, constant_channel: str = "error") -> EegSegment:
-    """Rescale each channel affinely to [-1, 1].
+def minmax_normalize(x: np.ndarray, constant_channel: str = "error") -> np.ndarray:
+    """Rescale each channel (row) affinely to [-1, 1].
 
     The per-channel minimum maps to -1 and the maximum to +1. A constant
     channel has no well-defined scale; with ``constant_channel="error"``
@@ -374,7 +366,6 @@ def minmax_normalize(segment: EegSegment, constant_channel: str = "error") -> Ee
     """
     if constant_channel not in ("error", "zero"):
         raise ValueError(f"unknown constant_channel mode {constant_channel!r}")
-    x = segment.samples
     lo = x.min(axis=1, keepdims=True)
     hi = x.max(axis=1, keepdims=True)
     span = hi - lo
@@ -387,7 +378,7 @@ def minmax_normalize(segment: EegSegment, constant_channel: str = "error") -> Ee
     out = -1.0 + 2.0 * (x - lo) / span
     if np.any(degenerate):
         out[degenerate, :] = 0.0
-    return segment.with_samples(out)
+    return out
 
 
 def design_filter_bank(bands, fs) -> FilterBank:
@@ -412,20 +403,22 @@ def design_filter_bank(bands, fs) -> FilterBank:
     return FilterBank(bands=specs, fs=fs, filters=filters)
 
 
-def filter_bank_decompose(segment: EegSegment, bank: FilterBank) -> list[EegSegment]:
-    """Band-limited copies of a segment, one per bank band, each in C order.
+def filter_bank_decompose(segment: EegSegment, bank: FilterBank) -> np.ndarray:
+    """The segment's band-limited copies, one per bank band, as one (H, N, T) array.
 
     The zero-phase pass returns a time-reversed view. The SCMs and spectra
     read every band whole, and ``x @ x.T`` on that view takes a slower BLAS
     path whose last bits depend on the BLAS thread count, so each band is
-    copied once here.
+    written once into the C-ordered result.
     """
     if segment.fs != bank.fs:
         raise ValueError(
             f"segment rate {segment.fs} Hz does not match bank rate {bank.fs} Hz"
         )
-    bands = [apply_filter_zero_phase(filt, segment) for filt in bank.filters]
-    return [segment._filtered(np.ascontiguousarray(band.samples)) for band in bands]
+    out = np.empty((bank.n_bands, *segment.samples.shape))
+    for band, filt in zip(out, bank.filters):
+        band[...] = apply_filter_zero_phase(filt, segment.samples)
+    return out
 
 
 def seed_rhythm_bands(order: int = 5) -> list[BandSpec]:

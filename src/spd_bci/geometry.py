@@ -116,15 +116,13 @@ def _sqrtm_pair(mat: np.ndarray, what: str):
     return _from_eigh(sqrt_vals, eigvecs), _from_eigh(1.0 / sqrt_vals, eigvecs)
 
 
-def scm(samples) -> np.ndarray:
-    """Spatial covariance matrix C = X X^T / (T - 1) of one trial.
+def scm(samples: np.ndarray) -> np.ndarray:
+    """Spatial covariance matrix C = X X^T / (T - 1) of one (n_channels, n_samples) trial.
 
-    Accepts an (n_channels, n_samples) array or an object exposing
-    ``.samples`` with that shape. The result is symmetric positive
-    semi-definite; it is strictly positive definite only when the trial
-    has full channel rank.
+    The result is symmetric positive semi-definite; it is strictly
+    positive definite only when the trial has full channel rank.
     """
-    x = np.asarray(getattr(samples, "samples", samples), dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"expected a channels x samples matrix, got shape {x.shape}")
     if x.shape[1] < 2:

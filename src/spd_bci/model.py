@@ -189,7 +189,6 @@ class ArchitectureConfig(ModelSettings):
     spatial_input_dim: int
     n_outputs: int
     spatial_dropout: float = 0.5
-    grad_clip: float = 5.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -461,7 +460,7 @@ def train_model(
                 predictions.append(model.decide(model.activate(logits)))
             model.backward(dlogits)
             grads = model.grads()
-            scale = clip_scale(clip_global_norm(grads), cfg.grad_clip)
+            scale = clip_scale(clip_global_norm(grads))
             adam_step(optimizer, model.params(), grads, scale)
             epoch_loss += loss * len(batch)
         record = {"epoch": epoch, "loss": epoch_loss / n}

@@ -100,9 +100,10 @@ def run_preprocess(config: PipelineConfig) -> dict:
                         f"profile rate {config.fs} Hz"
                     )
                 try:
-                    segment = apply_filter_zero_phase(broadband, segment)
-                    segment = apply_filter_zero_phase(notch, segment)
-                    segment = minmax_normalize(segment, constant_channel=config.constant_channel)
+                    x = apply_filter_zero_phase(broadband, segment.samples)
+                    x = apply_filter_zero_phase(notch, x)
+                    x = minmax_normalize(x, constant_channel=config.constant_channel)
+                    segment = segment.with_samples(x)
                 except ValueError as exc:
                     raise DataError(f"{path}: {exc}") from exc
                 dataio.write_segment(out_dir / path.name, segment)
@@ -286,9 +287,9 @@ def run_features(config: PipelineConfig) -> dict:
         temporal, scms, labels = [], [], []
         # One filter-bank pass per trial feeds both streams.
         for segment in _load_split_segments(config, split):
-            band_segments = filter_bank_decompose(segment, bank)
-            temporal.append(build_feature_sequence(band_segments, bases, plan).values)
-            band_scms = [scm(band.samples) for band in band_segments]
+            band_signals = filter_bank_decompose(segment, bank)
+            temporal.append(build_feature_sequence(band_signals, bases, plan).values)
+            band_scms = [scm(x) for x in band_signals]
             if config.scm_ridge:
                 band_scms = [ridge_regularize(c) for c in band_scms]
             scms.append(band_scms)

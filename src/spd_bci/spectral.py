@@ -14,6 +14,10 @@ band's :class:`BandBasis`, the cosine and sine columns of its in-band
 bins with the Hann window folded in. A run builds each band's basis once
 with :func:`band_basis`. :func:`periodogram` and :func:`band_power`
 compute the same quantity for a single frame with ``rfft``.
+
+The features take (channels, samples) arrays of one band, as
+:func:`~spd_bci.filters.filter_bank_decompose` returns them stacked;
+:class:`~spd_bci.filters.EegSegment` stays the file and generator record.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .filters import BandSpec, EegSegment
+from .filters import BandSpec
 
 HALF_LN_2PI_E = 0.5 * math.log(2.0 * math.pi * math.e)
 POWER_FLOOR = 1e-10
@@ -55,7 +59,6 @@ class FeatureSequence:
     values: np.ndarray
     n_bands: int
     n_channels: int
-    label: float | int | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -148,13 +151,6 @@ def band_power(freqs: np.ndarray, psd: np.ndarray, low_hz: float, high_hz: float
     return float(np.sum(psd[mask]) * df)
 
 
-def _band_edges(band) -> tuple[float, float]:
-    if isinstance(band, BandSpec):
-        return band.low_hz, band.high_hz
-    low, high = band[0], band[1]
-    return float(low), float(high)
-
-
 @dataclass(frozen=True)
 class BandBasis:
     """The in-band DFT of one band for one STFT plan.
@@ -171,9 +167,9 @@ class BandBasis:
     weights: np.ndarray
 
 
-def band_basis(plan: StftPlan, band) -> BandBasis:
-    """Build the :class:`BandBasis` of one band (a :class:`BandSpec` or a (low, high) pair)."""
-    low, high = _band_edges(band)
+def band_basis(plan: StftPlan, band: BandSpec) -> BandBasis:
+    """Build the :class:`BandBasis` of one band."""
+    low, high = band.low_hz, band.high_hz
     n = plan.window_length
     freqs = np.fft.rfftfreq(n, d=1.0 / plan.fs)
     bins = np.flatnonzero((freqs >= low) & (freqs <= high))
@@ -187,75 +183,63 @@ def band_basis(plan: StftPlan, band) -> BandBasis:
     return BandBasis(matrix, np.concatenate((weights, weights)))
 
 
-def _window_band_powers(segment: EegSegment, plan: StftPlan, band) -> np.ndarray:
-    """In-band periodogram power per window per channel, shape (L, N), as :func:`band_power`.
-
-    ``band`` is a :class:`BandBasis` built once per run, or a band spec
-    for a one-off call.
-    """
-    basis = band if isinstance(band, BandBasis) else band_basis(plan, band)
+def _window_band_powers(x: np.ndarray, plan: StftPlan, basis: BandBasis) -> np.ndarray:
+    """In-band periodogram power per window per channel, shape (L, N), as :func:`band_power`."""
     # One (L, n) @ (n, 2K) product per channel. Each is small enough that
     # OpenBLAS runs it on one thread: one (N*L, n) product is not, and at two
     # threads on two cores it sometimes stalls a whole process for ~8 ms a call.
-    frames = np.ascontiguousarray(frame_signal(segment.samples, plan))  # (N, L, n)
+    frames = np.ascontiguousarray(frame_signal(x, plan))  # (N, L, n)
     powers = np.square(frames @ basis.matrix) @ basis.weights  # (N, L)
     return powers.T
 
 
-def log_psd_feature(segment: EegSegment, plan: StftPlan, band) -> np.ndarray:
-    """Natural log of in-band power per window per channel, shape (L, N).
-
-    ``band`` is a band spec or its :class:`BandBasis`.
-    """
-    powers = _window_band_powers(segment, plan, band)
+def log_psd_feature(x: np.ndarray, plan: StftPlan, basis: BandBasis) -> np.ndarray:
+    """Natural log of in-band power per window per channel of ``x``, shape (L, N)."""
+    powers = _window_band_powers(x, plan, basis)
     return np.log(np.maximum(powers, POWER_FLOOR))
 
 
-def de_feature(segment: EegSegment, plan: StftPlan, band, estimator: str = "periodogram") -> np.ndarray:
-    """Differential entropy 0.5*ln(2*pi*e*var) per window per channel, shape (L, N).
+def de_feature(x: np.ndarray, plan: StftPlan, basis: BandBasis,
+               estimator: str = "periodogram") -> np.ndarray:
+    """Differential entropy 0.5*ln(2*pi*e*var) per window per channel of ``x``, shape (L, N).
 
     With the default estimator the variance is the in-band power from the
     Hanning periodogram; ``estimator="time"`` uses the plain sample
-    variance of each window instead (ablation aid). ``band`` is a band
-    spec or its :class:`BandBasis`.
+    variance of each window instead (ablation aid).
     """
     if estimator == "periodogram":
-        variances = _window_band_powers(segment, plan, band)
+        variances = _window_band_powers(x, plan, basis)
     elif estimator == "time":
-        variances = frame_signal(segment.samples, plan).var(axis=-1).T
+        variances = frame_signal(x, plan).var(axis=-1).T
     else:
         raise ValueError(f"unknown variance estimator {estimator!r}")
     return HALF_LN_2PI_E + 0.5 * np.log(np.maximum(variances, POWER_FLOOR))
 
 
 def build_feature_sequence(
-    band_segments: list[EegSegment],
-    bands,
+    band_signals: np.ndarray,
+    bases: list[BandBasis],
     plan: StftPlan,
 ) -> FeatureSequence:
-    """Assemble the L x (2*H*N) feature matrix from band-limited segments.
+    """Assemble the L x (2*H*N) feature matrix from band-limited signals.
 
-    Per window the layout is [DE(band 1, ch 1..N), ..., DE(band H, ch 1..N),
-    logPSD(band 1, ch 1..N), ..., logPSD(band H, ch 1..N)]. ``bands`` are
-    band specs, or the :class:`BandBasis` of each built once per run.
+    ``band_signals`` is the (H, N, T) array of
+    :func:`~spd_bci.filters.filter_bank_decompose`, and ``bases`` the
+    :class:`BandBasis` of each band, built once per run. Per window the
+    layout is [DE(band 1, ch 1..N), ..., DE(band H, ch 1..N),
+    logPSD(band 1, ch 1..N), ..., logPSD(band H, ch 1..N)].
     """
-    if len(band_segments) != len(bands):
+    if len(band_signals) != len(bases):
         raise ValueError(
-            f"{len(band_segments)} band segments do not match {len(bands)} band specs"
+            f"{len(band_signals)} band signals do not match {len(bases)} band bases"
         )
-    if not band_segments:
+    if not len(band_signals):
         raise ValueError("need at least one band")
-    n_channels = band_segments[0].n_channels
-    label = band_segments[0].label
     de_blocks = []
     psd_blocks = []
-    for seg, band in zip(band_segments, bands):
-        if seg.n_channels != n_channels:
-            raise ValueError("band segments disagree on channel count")
-        log_power = log_psd_feature(seg, plan, band)
+    for x, basis in zip(band_signals, bases):
+        log_power = log_psd_feature(x, plan, basis)
         psd_blocks.append(log_power)
         de_blocks.append(HALF_LN_2PI_E + 0.5 * log_power)
     values = np.concatenate(de_blocks + psd_blocks, axis=1)
-    return FeatureSequence(
-        values=values, n_bands=len(bands), n_channels=n_channels, label=label
-    )
+    return FeatureSequence(values=values, n_bands=len(bases), n_channels=band_signals[0].shape[0])

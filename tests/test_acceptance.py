@@ -42,7 +42,7 @@ from spd_bci.model import (
 )
 from spd_bci.nnet import Attention, BatchNorm, Dense, Lstm
 from spd_bci.pipeline import fit_spatial_reducers, spatial_features_for
-from spd_bci.spectral import HALF_LN_2PI_E, build_feature_sequence, de_feature, plan_stft
+from spd_bci.spectral import HALF_LN_2PI_E, band_basis, build_feature_sequence, de_feature, plan_stft
 
 
 def report(number, name, started):
@@ -149,17 +149,22 @@ def test_criterion_4_feature_correctness():
     assert round(HALF_LN_2PI_E, 5) == 1.41894
 
     # Empirical DE on band-limited unit-variance noise, 100-window average.
-    from spd_bci.filters import EegSegment, apply_filter_zero_phase, design_butterworth_bandpass
+    from spd_bci.filters import (
+        BandSpec,
+        EegSegment,
+        apply_filter_zero_phase,
+        design_butterworth_bandpass,
+        zero_phase_sos,
+    )
 
     fs = 200.0
     rng = np.random.default_rng(1004)
-    sos = design_butterworth_bandpass(8.0, 13.0, 5, fs)
-    raw = EegSegment(rng.standard_normal((1, int(51 * fs))), fs)
-    filtered = apply_filter_zero_phase(sos, raw)
-    scaled = EegSegment(filtered.samples / filtered.samples.std(), fs)
+    filt = zero_phase_sos(design_butterworth_bandpass(8.0, 13.0, 5, fs))
+    filtered = apply_filter_zero_phase(filt, rng.standard_normal((1, int(51 * fs))))
+    scaled = filtered / filtered.std()
     plan = plan_stft(51.0, fs)
     assert plan.n_windows == 101
-    de = de_feature(scaled, plan, (7.0, 14.0))
+    de = de_feature(scaled, plan, band_basis(plan, BandSpec(7.0, 14.0)))
     assert de.mean() == pytest.approx(HALF_LN_2PI_E, abs=0.1)
 
     # Window-count rule.
@@ -172,8 +177,9 @@ def test_criterion_4_feature_correctness():
         [(1.0, 3.0), (4.0, 7.0), (8.0, 13.0), (14.0, 30.0), (31.0, 50.0)], fs
     )
     segment = EegSegment(rng.standard_normal((62, int(8 * fs))), fs)
+    plan = plan_stft(8.0, fs)
     features = build_feature_sequence(
-        filter_bank_decompose(segment, bank), bank.bands, plan_stft(8.0, fs)
+        filter_bank_decompose(segment, bank), [band_basis(plan, b) for b in bank.bands], plan
     )
     assert features.values.shape == (15, 620)
 
@@ -283,10 +289,11 @@ MIXED_BANDS = [(8.0, 13.0), (14.0, 20.0)]
 def _sequence_features(segments, bands, fs):
     bank = design_filter_bank(bands, fs)
     plan = plan_stft(segments[0].duration, fs)
+    bases = [band_basis(plan, b) for b in bank.bands]
     xt = np.stack(
         [
             build_feature_sequence(
-                filter_bank_decompose(seg, bank), bank.bands, plan
+                filter_bank_decompose(seg, bank), bases, plan
             ).values
             for seg in segments
         ]

@@ -687,18 +687,19 @@ def two_pass_train_features(config):
         scm,
         tangent_vectorize,
     )
-    from spd_bci.spectral import build_feature_sequence, plan_stft
+    from spd_bci.spectral import band_basis, build_feature_sequence, plan_stft
 
     bank = design_filter_bank(config.bands, config.fs)
     plan = plan_stft(config.trial_seconds, config.fs)
+    bases = [band_basis(plan, band) for band in bank.bands]
     paths = sorted((config.work_dir / "preprocessed" / "train").glob("*.eegs"))
     segments = [read_segment(path) for path in paths]
     temporal = np.stack([
-        build_feature_sequence(filter_bank_decompose(s, bank), bank.bands, plan).values
+        build_feature_sequence(filter_bank_decompose(s, bank), bases, plan).values
         for s in segments
     ])
     scms = np.stack([
-        np.stack([scm(band.samples) for band in filter_bank_decompose(s, bank)])
+        np.stack([scm(band) for band in filter_bank_decompose(s, bank)])
         for s in segments
     ])
     filters, references = [], []

@@ -20,9 +20,9 @@ from spd_bci.data import (
     write_tensors,
 )
 from spd_bci.errors import DataError
-from spd_bci.filters import EegSegment
+from spd_bci.filters import BandSpec, EegSegment
 from spd_bci.geometry import scm
-from spd_bci.spectral import de_feature, plan_stft
+from spd_bci.spectral import band_basis, de_feature, plan_stft
 
 FS = 200.0
 
@@ -273,10 +273,12 @@ class TestSynthSpdClasses:
 def de_coordinates(segments):
     """Per-segment mean DE in the alpha and beta bands (the two cue axes)."""
     plan = plan_stft(segments[0].duration, segments[0].fs)
+    alpha_basis = band_basis(plan, BandSpec(8.0, 13.0))
+    beta_basis = band_basis(plan, BandSpec(18.0, 22.0))
     coords = []
     for seg in segments:
-        alpha = de_feature(seg, plan, (8.0, 13.0)).mean()
-        beta = de_feature(seg, plan, (18.0, 22.0)).mean()
+        alpha = de_feature(seg.samples, plan, alpha_basis).mean()
+        beta = de_feature(seg.samples, plan, beta_basis).mean()
         coords.append([alpha, beta])
     return np.asarray(coords)
 
@@ -340,9 +342,10 @@ class TestSynthMixedTask:
         # whole-segment tone energy, so mean band power matches across classes.
         segments = synth_mixed_task(n_segments=300, seed=13, corr_sigma=0.0, corr_mean=0.0)
         plan = plan_stft(2.0, 128.0)
+        basis = band_basis(plan, BandSpec(8.0, 13.0))
         labels = np.array([s.label for s in segments])
         powers = np.array(
-            [de_feature(s, plan, (8.0, 13.0)).mean() for s in segments]
+            [de_feature(s.samples, plan, basis).mean() for s in segments]
         )
         gap = abs(powers[labels == 0].mean() - powers[labels == 1].mean())
         spread = powers.std()

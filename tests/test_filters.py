@@ -23,12 +23,18 @@ from spd_bci.filters import (
     uniform_bands,
     zero_phase_sos,
 )
+from spd_bci.spectral import band_basis, build_feature_sequence, plan_stft
 
 FS = 200.0
 
 
 def make_segment(samples, fs=FS, label=None):
-    return EegSegment(np.atleast_2d(np.asarray(samples, dtype=float)), fs, label)
+    return EegSegment(as_signal(samples), fs, label)
+
+
+def as_signal(samples):
+    """A (channels, samples) float array, the kernels' one input form."""
+    return np.atleast_2d(np.asarray(samples, dtype=float))
 
 
 def sinusoid(freq, fs=FS, seconds=10.0, amp=1.0, phase=0.0):
@@ -68,10 +74,10 @@ class TestButterworthDesign:
 
     def test_dc_is_rejected(self):
         sos = design_butterworth_bandpass(8.0, 13.0, 5, FS)
-        segment = make_segment(np.ones(2000))
-        out = apply_filter_zero_phase(sos, segment)
-        in_power = np.mean(segment.samples**2)
-        out_power = np.mean(out.samples**2)
+        x = as_signal(np.ones(2000))
+        out = apply_filter_zero_phase(zero_phase_sos(sos), x)
+        in_power = np.mean(x**2)
+        out_power = np.mean(out**2)
         assert out_power < 1e-6 * in_power
 
     @pytest.mark.parametrize(
@@ -125,30 +131,29 @@ class TestZeroPhaseFiltering:
     def test_band_center_sinusoid_keeps_phase(self):
         sos = design_butterworth_bandpass(8.0, 13.0, 5, FS)
         freq = np.sqrt(8.0 * 13.0)
-        segment = make_segment(sinusoid(freq, seconds=20.0))
-        out = apply_filter_zero_phase(sos, segment)
+        x = as_signal(sinusoid(freq, seconds=20.0))
+        out = apply_filter_zero_phase(zero_phase_sos(sos), x)
         # Complex demodulation over the central half avoids edge transients.
-        n = segment.n_samples
+        n = x.shape[1]
         sl = slice(n // 4, 3 * n // 4)
         t = np.arange(n) / FS
         probe = np.exp(-2j * np.pi * freq * t[sl])
-        phase_in = np.angle(np.sum(segment.samples[0, sl] * probe))
-        phase_out = np.angle(np.sum(out.samples[0, sl] * probe))
+        phase_in = np.angle(np.sum(x[0, sl] * probe))
+        phase_out = np.angle(np.sum(out[0, sl] * probe))
         delta = (phase_out - phase_in + np.pi) % (2 * np.pi) - np.pi
         assert abs(delta) < 1e-3
 
     def test_zero_input_gives_zero_output(self):
         sos = design_butterworth_bandpass(8.0, 13.0, 5, FS)
-        segment = make_segment(np.zeros((3, 500)))
-        out = apply_filter_zero_phase(sos, segment)
-        np.testing.assert_array_equal(out.samples, 0.0)
+        out = apply_filter_zero_phase(zero_phase_sos(sos), np.zeros((3, 500)))
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_white_noise_power_concentrates_in_band(self):
         # Oracle: DFT power ratio of the filtered output.
         rng = np.random.default_rng(7)
         sos = design_butterworth_bandpass(8.0, 13.0, 5, FS)
-        segment = make_segment(rng.standard_normal(int(60 * FS)))
-        out = apply_filter_zero_phase(sos, segment).samples[0]
+        x = as_signal(rng.standard_normal(int(60 * FS)))
+        out = apply_filter_zero_phase(zero_phase_sos(sos), x)[0]
         spectrum = np.abs(np.fft.rfft(out)) ** 2
         freqs = np.fft.rfftfreq(out.size, d=1.0 / FS)
         in_band = (freqs >= 7.0) & (freqs <= 14.0)
@@ -157,17 +162,17 @@ class TestZeroPhaseFiltering:
     def test_short_segment_raises(self):
         sos = design_butterworth_bandpass(8.0, 13.0, 5, FS)
         with pytest.raises(ValueError, match="too short"):
-            apply_filter_zero_phase(sos, make_segment(np.zeros((1, 20))))
+            apply_filter_zero_phase(zero_phase_sos(sos), np.zeros((1, 20)))
 
     def test_linearity(self):
         rng = np.random.default_rng(11)
-        sos = design_butterworth_bandpass(8.0, 13.0, 5, FS)
-        x = make_segment(rng.standard_normal((2, 1000)))
-        y = make_segment(rng.standard_normal((2, 1000)))
+        filt = zero_phase_sos(design_butterworth_bandpass(8.0, 13.0, 5, FS))
+        x = rng.standard_normal((2, 1000))
+        y = rng.standard_normal((2, 1000))
         a, b = 1.7, -0.4
-        combined = apply_filter_zero_phase(sos, make_segment(a * x.samples + b * y.samples))
-        separate = a * apply_filter_zero_phase(sos, x).samples + b * apply_filter_zero_phase(sos, y).samples
-        err = np.linalg.norm(combined.samples - separate) / np.linalg.norm(separate)
+        combined = apply_filter_zero_phase(filt, a * x + b * y)
+        separate = a * apply_filter_zero_phase(filt, x) + b * apply_filter_zero_phase(filt, y)
+        err = np.linalg.norm(combined - separate) / np.linalg.norm(separate)
         assert err < 1e-10
 
 
@@ -186,8 +191,7 @@ class TestDesignedOnce:
         for n in (designed.padlen + 1, designed.padlen + 2, 1000):
             x = 40.0 * rng.standard_normal((3, n))
             want = sosfiltfilt(scipy_sos, x, axis=1, padtype="odd", padlen=designed.padlen)
-            assert_close_to_peak(apply_filter_zero_phase(designed, make_segment(x, fs)).samples, want)
-            assert_close_to_peak(apply_filter_zero_phase(sos, make_segment(x, fs)).samples, want)
+            assert_close_to_peak(apply_filter_zero_phase(designed, x), want)
 
     @pytest.mark.parametrize("fs", [200.0, 250.0])
     def test_notch_matches_filtfilt_bit_for_bit(self, fs):
@@ -200,8 +204,8 @@ class TestDesignedOnce:
         for n in (7, 8, 1000):
             x = rng.standard_normal((4, n))
             want = filtfilt(b, a, x, axis=1, padtype="odd", padlen=6)
-            assert_close_to_peak(apply_filter_zero_phase(notch, make_segment(x, fs)).samples, want)
-            assert_close_to_peak(notch_filter(make_segment(x, fs), 50.0).samples, want)
+            assert_close_to_peak(apply_filter_zero_phase(notch, x), want)
+            assert_close_to_peak(notch_filter(x, fs, 50.0), want)
 
     def test_lengths_around_block_edges_match_sosfiltfilt(self):
         # Padded lengths one short of, at and one past 1, 2 and 3 blocks.
@@ -217,7 +221,7 @@ class TestDesignedOnce:
                     continue
                 x = rng.standard_normal((2, n))
                 want = sosfiltfilt(sos, x, axis=1, padtype="odd", padlen=designed.padlen)
-                assert_close_to_peak(apply_filter_zero_phase(designed, make_segment(x)).samples, want)
+                assert_close_to_peak(apply_filter_zero_phase(designed, x), want)
 
     def test_bank_holds_one_designed_filter_per_band(self):
         from scipy.signal import sosfilt_zi
@@ -237,19 +241,19 @@ class TestNotchFilter:
         # left after filtering a pure tone is the edge transient of the
         # forward-backward pass, whose RMS share shrinks as 1/sqrt(duration).
         # A 60 s tone keeps it well under the 30 dB target.
-        segment = make_segment(sinusoid(50.0, seconds=60.0))
-        out = notch_filter(segment, 50.0)
-        rms_in = np.sqrt(np.mean(segment.samples**2))
-        rms_out = np.sqrt(np.mean(out.samples**2))
+        x = as_signal(sinusoid(50.0, seconds=60.0))
+        out = notch_filter(x, FS, 50.0)
+        rms_in = np.sqrt(np.mean(x**2))
+        rms_out = np.sqrt(np.mean(out**2))
         assert rms_out < 0.032 * rms_in
 
     def test_mains_component_removed_at_trial_scale(self):
         # On an 8 s trial, check the 50 Hz DFT component itself: > 30 dB down.
-        segment = make_segment(sinusoid(50.0, seconds=8.0) + sinusoid(10.0, seconds=8.0))
-        out = notch_filter(segment, 50.0)
-        spectrum_in = np.abs(np.fft.rfft(segment.samples[0]))
-        spectrum_out = np.abs(np.fft.rfft(out.samples[0]))
-        freqs = np.fft.rfftfreq(segment.n_samples, d=1.0 / FS)
+        x = as_signal(sinusoid(50.0, seconds=8.0) + sinusoid(10.0, seconds=8.0))
+        out = notch_filter(x, FS, 50.0)
+        spectrum_in = np.abs(np.fft.rfft(x[0]))
+        spectrum_out = np.abs(np.fft.rfft(out[0]))
+        freqs = np.fft.rfftfreq(x.shape[1], d=1.0 / FS)
         bin_50 = np.argmin(np.abs(freqs - 50.0))
         assert spectrum_out[bin_50] < 0.032 * spectrum_in[bin_50]
         bin_10 = np.argmin(np.abs(freqs - 10.0))
@@ -257,18 +261,18 @@ class TestNotchFilter:
 
     def test_neighbors_keep_most_power(self):
         for freq in (45.0, 55.0):
-            segment = make_segment(sinusoid(freq, seconds=10.0))
-            out = notch_filter(segment, 50.0)
-            ratio = np.sqrt(np.mean(out.samples**2) / np.mean(segment.samples**2))
+            x = as_signal(sinusoid(freq, seconds=10.0))
+            out = notch_filter(x, FS, 50.0)
+            ratio = np.sqrt(np.mean(out**2) / np.mean(x**2))
             assert ratio > 10 ** (-3.0 / 20.0)  # less than 3 dB down
 
     def test_distant_sinusoid_passes(self):
         # Oracle: the designed filter's own response at 10 Hz (applied twice).
         from scipy.signal import freqz, iirnotch
 
-        segment = make_segment(sinusoid(10.0, seconds=10.0))
-        out = notch_filter(segment, 50.0)
-        measured = np.sqrt(np.mean(out.samples**2) / np.mean(segment.samples**2))
+        x = as_signal(sinusoid(10.0, seconds=10.0))
+        out = notch_filter(x, FS, 50.0)
+        measured = np.sqrt(np.mean(out**2) / np.mean(x**2))
         b, a = iirnotch(50.0, 30.0, fs=FS)
         _, h = freqz(b, a, worN=[10.0], fs=FS)
         predicted = np.abs(h[0]) ** 2  # forward-backward pass squares the gain
@@ -276,30 +280,30 @@ class TestNotchFilter:
         assert measured == pytest.approx(1.0, abs=0.05)
 
     def test_zero_input_zero_output(self):
-        out = notch_filter(make_segment(np.zeros((2, 400))), 50.0)
-        np.testing.assert_array_equal(out.samples, 0.0)
+        out = notch_filter(np.zeros((2, 400)), FS, 50.0)
+        np.testing.assert_array_equal(out, 0.0)
 
     def test_notch_at_or_above_nyquist_raises(self):
         with pytest.raises(ValueError):
-            notch_filter(make_segment(np.zeros((1, 400))), 100.0)
+            notch_filter(np.zeros((1, 400)), FS, 100.0)
 
 
 class TestMinmaxNormalize:
     def test_three_point_channel(self):
-        out = minmax_normalize(make_segment([0.0, 5.0, 10.0]))
-        np.testing.assert_allclose(out.samples[0], [-1.0, 0.0, 1.0])
+        out = minmax_normalize(as_signal([0.0, 5.0, 10.0]))
+        np.testing.assert_allclose(out[0], [-1.0, 0.0, 1.0])
 
     def test_already_normalized_channel_unchanged(self):
-        out = minmax_normalize(make_segment([-1.0, 1.0]))
-        np.testing.assert_array_equal(out.samples[0], [-1.0, 1.0])
+        out = minmax_normalize(as_signal([-1.0, 1.0]))
+        np.testing.assert_array_equal(out[0], [-1.0, 1.0])
 
     def test_constant_channel_raises_by_default(self):
         with pytest.raises(ValueError, match="constant channel"):
-            minmax_normalize(make_segment([2.0, 2.0, 2.0]))
+            minmax_normalize(as_signal([2.0, 2.0, 2.0]))
 
     def test_constant_channel_maps_to_zero_when_enabled(self):
-        out = minmax_normalize(make_segment([2.0, 2.0, 2.0]), constant_channel="zero")
-        np.testing.assert_array_equal(out.samples[0], 0.0)
+        out = minmax_normalize(as_signal([2.0, 2.0, 2.0]), constant_channel="zero")
+        np.testing.assert_array_equal(out[0], 0.0)
 
     @given(
         st.lists(
@@ -312,15 +316,15 @@ class TestMinmaxNormalize:
     def test_idempotent(self, values):
         if max(values) == min(values):
             return
-        once = minmax_normalize(make_segment(values))
+        once = minmax_normalize(as_signal(values))
         twice = minmax_normalize(once)
-        np.testing.assert_array_equal(once.samples, twice.samples)
+        np.testing.assert_array_equal(once, twice)
 
     def test_range_endpoints(self):
         rng = np.random.default_rng(3)
-        out = minmax_normalize(make_segment(rng.standard_normal((4, 100))))
-        np.testing.assert_allclose(out.samples.min(axis=1), -1.0)
-        np.testing.assert_allclose(out.samples.max(axis=1), 1.0)
+        out = minmax_normalize(as_signal(rng.standard_normal((4, 100))))
+        np.testing.assert_allclose(out.min(axis=1), -1.0)
+        np.testing.assert_allclose(out.max(axis=1), 1.0)
 
 
 class TestFilterBank:
@@ -329,9 +333,9 @@ class TestFilterBank:
         segment = make_segment(np.random.default_rng(0).standard_normal((2, 1600)))
         outputs = filter_bank_decompose(segment, bank)
         assert len(outputs) == 5
-        assert all(o.samples.shape == segment.samples.shape for o in outputs)
+        assert all(o.shape == segment.samples.shape for o in outputs)
         # The SCMs and spectra read each band whole, from C-ordered memory.
-        assert all(o.samples.flags.c_contiguous for o in outputs)
+        assert all(o.flags.c_contiguous for o in outputs)
 
     def test_fine_resolution_bank_has_25_bands(self):
         bands = uniform_bands(0.5, 50.5, 2.0)
@@ -345,7 +349,7 @@ class TestFilterBank:
         mixture = component_10 + sinusoid(20.0, seconds=10.0)
         bank = design_filter_bank([(8.0, 13.0), (18.0, 22.0)], FS)
         outputs = filter_bank_decompose(make_segment(mixture), bank)
-        out = outputs[0].samples[0]
+        out = outputs[0][0]
         corr = np.corrcoef(out, component_10)[0, 1]
         assert corr > 0.99
 
@@ -359,8 +363,8 @@ class TestFilterBank:
         segment = make_segment(rng.standard_normal(int(30 * FS)))
         bank = design_filter_bank(seed_rhythm_bands(), FS)
         for band, out in zip(bank.bands, filter_bank_decompose(segment, bank)):
-            spectrum = np.abs(np.fft.rfft(out.samples[0])) ** 2
-            freqs = np.fft.rfftfreq(out.n_samples, d=1.0 / FS)
+            spectrum = np.abs(np.fft.rfft(out[0])) ** 2
+            freqs = np.fft.rfftfreq(out.shape[1], d=1.0 / FS)
             inside = (freqs >= band.low_hz - 1.0) & (freqs <= band.high_hz + 1.0)
             assert spectrum[~inside].sum() < 0.05 * spectrum.sum()
 
@@ -374,18 +378,31 @@ class TestEegSegment:
         with pytest.raises(ValueError, match="non-finite"):
             make_segment([1.0, 2.0, 3.0]).with_samples(np.array([[1.0, np.inf, 2.0]]))
 
-    def test_filter_outputs_are_not_checked_again(self, monkeypatch):
-        # A checked segment through a stable filter stays finite, so the
-        # filters build their outputs without another full-size isfinite pass.
+    def test_kernels_build_no_segment(self, monkeypatch):
+        # The filter and spectral kernels take and return arrays: no kernel
+        # builds a segment, so none pays its full-size isfinite pass, and the
+        # bank's bands come back in one C-ordered (H, N, T) array.
         segment = make_segment(np.random.default_rng(1).standard_normal((2, 400)))
+        x = segment.samples
+        bank = design_filter_bank(seed_rhythm_bands(), FS)
+        plan = plan_stft(2.0, FS)
+        bases = [band_basis(plan, band) for band in bank.bands]
         checks = []
         original = EegSegment.__post_init__
         monkeypatch.setattr(EegSegment, "__post_init__", lambda self: checks.append(original(self)))
-        bank = design_filter_bank(seed_rhythm_bands(), FS)
-        outputs = [notch_filter(segment), *filter_bank_decompose(segment, bank)]
+        outputs = [
+            apply_filter_zero_phase(bank.filters[0], x),
+            notch_filter(x, FS),
+            minmax_normalize(x),
+        ]
+        bands = filter_bank_decompose(segment, bank)
+        features = build_feature_sequence(bands, bases, plan)
         assert not checks
-        assert all(o.fs == FS and o.label is None for o in outputs)
-        assert all(np.all(np.isfinite(o.samples)) for o in outputs)
+        assert all(np.all(np.isfinite(o)) for o in [*outputs, bands, features.values])
+        assert isinstance(bands, np.ndarray) and bands.dtype == np.float64
+        assert bands.shape == (bank.n_bands, *x.shape) and bands.flags.c_contiguous
+        for band, filt in zip(bands, bank.filters):
+            np.testing.assert_array_equal(band, apply_filter_zero_phase(filt, x))
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from spd_bci.config import PROFILES
-from spd_bci.filters import EegSegment, apply_filter_zero_phase, design_butterworth_bandpass
+from types import SimpleNamespace
+
+from spd_bci.filters import BandSpec, apply_filter_zero_phase, design_butterworth_bandpass, zero_phase_sos
 from spd_bci.spectral import (
     HALF_LN_2PI_E,
     POWER_FLOOR,
@@ -22,6 +24,17 @@ from spd_bci.spectral import (
 )
 
 FS = 200.0
+
+
+def basis_of(plan, band):
+    """The BandBasis of (low, high) Hz edges.
+
+    A BandSpec starts above DC, so a band with a DC edge, which only these
+    tests build, passes its edges as a bare record.
+    """
+    low, high = band
+    spec = BandSpec(low, high) if low > 0 else SimpleNamespace(low_hz=low, high_hz=high)
+    return band_basis(plan, spec)
 
 
 def oracle_psd(frame, fs, window):
@@ -114,33 +127,34 @@ class TestPeriodogram:
         assert total == pytest.approx(compensated, rel=1e-10)
 
 
-def band_limited_segment(rng, low, high, seconds, target_variance, n_channels=1):
-    sos = design_butterworth_bandpass(low, high, 5, FS)
-    raw = EegSegment(rng.standard_normal((n_channels, int(seconds * FS))), FS)
-    filtered = apply_filter_zero_phase(sos, raw)
-    scale = np.sqrt(target_variance / filtered.samples.var(axis=1, keepdims=True))
-    return EegSegment(filtered.samples * scale, FS)
+def band_limited_signal(rng, low, high, seconds, target_variance, n_channels=1):
+    filt = zero_phase_sos(design_butterworth_bandpass(low, high, 5, FS))
+    filtered = apply_filter_zero_phase(filt, rng.standard_normal((n_channels, int(seconds * FS))))
+    scale = np.sqrt(target_variance / filtered.var(axis=1, keepdims=True))
+    return filtered * scale
 
 
 class TestLogPsdFeature:
     def test_unit_band_power_gives_zero(self):
         # Sinusoid of amplitude sqrt(2) carries band power 1.
         t = np.arange(int(4 * FS)) / FS
-        seg = EegSegment(np.sqrt(2.0) * np.sin(2 * np.pi * 10.0 * t)[None, :], FS)
-        values = log_psd_feature(seg, plan_stft(4.0, FS), (8.0, 13.0))
+        x = np.sqrt(2.0) * np.sin(2 * np.pi * 10.0 * t)[None, :]
+        plan = plan_stft(4.0, FS)
+        values = log_psd_feature(x, plan, basis_of(plan, (8.0, 13.0)))
         assert values.shape == (7, 1)
         np.testing.assert_allclose(values, 0.0, atol=0.05)
 
     def test_band_power_e_gives_one(self):
         t = np.arange(int(4 * FS)) / FS
         amp = np.sqrt(2.0 * np.e)
-        seg = EegSegment(amp * np.sin(2 * np.pi * 10.0 * t)[None, :], FS)
-        values = log_psd_feature(seg, plan_stft(4.0, FS), (8.0, 13.0))
+        x = amp * np.sin(2 * np.pi * 10.0 * t)[None, :]
+        plan = plan_stft(4.0, FS)
+        values = log_psd_feature(x, plan, basis_of(plan, (8.0, 13.0)))
         np.testing.assert_allclose(values, 1.0, atol=0.05)
 
     def test_zero_signal_hits_floor(self):
-        seg = EegSegment(np.zeros((2, int(2 * FS))), FS)
-        values = log_psd_feature(seg, plan_stft(2.0, FS), (8.0, 13.0))
+        plan = plan_stft(2.0, FS)
+        values = log_psd_feature(np.zeros((2, int(2 * FS))), plan, basis_of(plan, (8.0, 13.0)))
         np.testing.assert_allclose(values, np.log(POWER_FLOOR))
         assert values == pytest.approx(-23.026, abs=1e-3)
 
@@ -153,45 +167,48 @@ class TestDeFeature:
     def test_unit_variance_value(self):
         # Variance 1 in band -> DE = 0.5*ln(2*pi*e) exactly by the formula.
         t = np.arange(int(4 * FS)) / FS
-        seg = EegSegment(np.sqrt(2.0) * np.sin(2 * np.pi * 10.0 * t)[None, :], FS)
-        values = de_feature(seg, plan_stft(4.0, FS), (8.0, 13.0))
+        x = np.sqrt(2.0) * np.sin(2 * np.pi * 10.0 * t)[None, :]
+        plan = plan_stft(4.0, FS)
+        values = de_feature(x, plan, basis_of(plan, (8.0, 13.0)))
         np.testing.assert_allclose(values, 1.41894, atol=0.03)
 
     def test_variance_two_value(self):
         t = np.arange(int(4 * FS)) / FS
-        seg = EegSegment(2.0 * np.sin(2 * np.pi * 10.0 * t)[None, :], FS)
-        values = de_feature(seg, plan_stft(4.0, FS), (8.0, 13.0))
+        x = 2.0 * np.sin(2 * np.pi * 10.0 * t)[None, :]
+        plan = plan_stft(4.0, FS)
+        values = de_feature(x, plan, basis_of(plan, (8.0, 13.0)))
         np.testing.assert_allclose(values, 1.76551, atol=0.03)
 
     def test_band_limited_noise_matches_sample_variance_oracle(self):
         # Oracle: the sample variance of the filtered signal (scaled to 4).
         rng = np.random.default_rng(12)
-        seg = band_limited_segment(rng, 8.0, 13.0, seconds=51.0, target_variance=4.0)
-        oracle_variance = seg.samples.var()
+        x = band_limited_signal(rng, 8.0, 13.0, seconds=51.0, target_variance=4.0)
+        oracle_variance = x.var()
         assert oracle_variance == pytest.approx(4.0, rel=1e-12)
         plan = plan_stft(51.0, FS)
         assert plan.n_windows == 101
         # A 1 Hz margin captures the filter's transition skirts.
-        values = de_feature(seg, plan, (7.0, 14.0))
+        values = de_feature(x, plan, basis_of(plan, (7.0, 14.0)))
         expected = 0.5 * np.log(2 * np.pi * np.e * oracle_variance)
         assert expected == pytest.approx(2.11209, abs=1e-5)
         assert values.mean() == pytest.approx(expected, abs=0.1)
 
     def test_time_domain_estimator_agrees_on_band_limited_noise(self):
         rng = np.random.default_rng(21)
-        seg = band_limited_segment(rng, 8.0, 13.0, seconds=21.0, target_variance=1.0)
+        x = band_limited_signal(rng, 8.0, 13.0, seconds=21.0, target_variance=1.0)
         plan = plan_stft(21.0, FS)
-        spectral_de = de_feature(seg, plan, (7.0, 14.0)).mean()
-        time_de = de_feature(seg, plan, (7.0, 14.0), estimator="time").mean()
+        basis = basis_of(plan, (7.0, 14.0))
+        spectral_de = de_feature(x, plan, basis).mean()
+        time_de = de_feature(x, plan, basis, estimator="time").mean()
         assert spectral_de == pytest.approx(time_de, abs=0.1)
 
 
 class TestFeatureSequence:
     def _noise_bands(self, rng, n_channels, bands, seconds):
-        seg = EegSegment(rng.standard_normal((n_channels, int(seconds * FS))), FS)
+        x = rng.standard_normal((n_channels, int(seconds * FS)))
         return [
             apply_filter_zero_phase(
-                design_butterworth_bandpass(low, high, 5, FS), seg
+                zero_phase_sos(design_butterworth_bandpass(low, high, 5, FS)), x
             )
             for low, high in bands
         ]
@@ -200,35 +217,39 @@ class TestFeatureSequence:
         # Five rhythms, 62 channels: 620 features per window, 15 windows at 8 s.
         rng = np.random.default_rng(0)
         bands = [(1.0, 3.0), (4.0, 7.0), (8.0, 13.0), (14.0, 30.0), (31.0, 50.0)]
-        band_segments = self._noise_bands(rng, 62, bands, 8.0)
-        features = build_feature_sequence(band_segments, bands, plan_stft(8.0, FS))
+        band_signals = self._noise_bands(rng, 62, bands, 8.0)
+        plan = plan_stft(8.0, FS)
+        features = build_feature_sequence(band_signals, [basis_of(plan, b) for b in bands], plan)
         assert features.values.shape == (15, 620)
 
     def test_minimal_dimensions(self):
         rng = np.random.default_rng(1)
         bands = [(8.0, 13.0)]
+        plan = plan_stft(2.0, FS)
         features = build_feature_sequence(
-            self._noise_bands(rng, 1, bands, 2.0), bands, plan_stft(2.0, FS)
+            self._noise_bands(rng, 1, bands, 2.0), [basis_of(plan, b) for b in bands], plan
         )
         assert features.values.shape == (3, 2)
 
     def test_layout_de_block_then_log_psd_block(self):
         rng = np.random.default_rng(2)
         bands = [(8.0, 13.0), (18.0, 22.0)]
-        band_segments = self._noise_bands(rng, 3, bands, 2.0)
+        band_signals = self._noise_bands(rng, 3, bands, 2.0)
         plan = plan_stft(2.0, FS)
-        features = build_feature_sequence(band_segments, bands, plan)
-        de_b0 = de_feature(band_segments[0], plan, bands[0])
-        psd_b1 = log_psd_feature(band_segments[1], plan, bands[1])
+        bases = [basis_of(plan, b) for b in bands]
+        features = build_feature_sequence(band_signals, bases, plan)
+        de_b0 = de_feature(band_signals[0], plan, bases[0])
+        psd_b1 = log_psd_feature(band_signals[1], plan, bases[1])
         np.testing.assert_allclose(features.values[:, 0:3], de_b0)
         np.testing.assert_allclose(features.values[:, 9:12], psd_b1)
 
     def test_band_channel_mismatch_raises(self):
         rng = np.random.default_rng(3)
         bands = [(8.0, 13.0), (18.0, 22.0)]
-        segments = self._noise_bands(rng, 2, bands, 2.0)
+        signals = self._noise_bands(rng, 2, bands, 2.0)
+        plan = plan_stft(2.0, FS)
         with pytest.raises(ValueError, match="band"):
-            build_feature_sequence(segments[:1], bands, plan_stft(2.0, FS))
+            build_feature_sequence(signals[:1], [basis_of(plan, b) for b in bands], plan)
 
     def test_rejects_non_finite_values(self):
         with pytest.raises(ValueError, match="finite"):
@@ -240,10 +261,11 @@ class TestFeatureInvariants:
         # Both features come from the same band-power estimate, so
         # DE - 0.5 * logPSD is the Gaussian entropy constant.
         rng = np.random.default_rng(4)
-        seg = EegSegment(rng.standard_normal((2, int(3 * FS))), FS)
+        x = rng.standard_normal((2, int(3 * FS)))
         plan = plan_stft(3.0, FS)
-        de = de_feature(seg, plan, (8.0, 13.0))
-        log_psd = log_psd_feature(seg, plan, (8.0, 13.0))
+        basis = basis_of(plan, (8.0, 13.0))
+        de = de_feature(x, plan, basis)
+        log_psd = log_psd_feature(x, plan, basis)
         np.testing.assert_allclose(de - 0.5 * log_psd, HALF_LN_2PI_E, atol=1e-12)
 
     def test_amplitude_scaling_shifts(self):
@@ -253,9 +275,9 @@ class TestFeatureInvariants:
         base = rng.standard_normal((2, int(3 * FS)))
         a = 3.7
         plan = plan_stft(3.0, FS)
-        seg1, seg2 = EegSegment(base, FS), EegSegment(a * base, FS)
-        psd_shift = log_psd_feature(seg2, plan, (8.0, 13.0)) - log_psd_feature(seg1, plan, (8.0, 13.0))
-        de_shift = de_feature(seg2, plan, (8.0, 13.0)) - de_feature(seg1, plan, (8.0, 13.0))
+        basis = basis_of(plan, (8.0, 13.0))
+        psd_shift = log_psd_feature(a * base, plan, basis) - log_psd_feature(base, plan, basis)
+        de_shift = de_feature(a * base, plan, basis) - de_feature(base, plan, basis)
         np.testing.assert_allclose(psd_shift, np.log(a**2), atol=1e-8)
         np.testing.assert_allclose(de_shift, 0.5 * np.log(a**2), atol=1e-8)
 
@@ -263,10 +285,8 @@ class TestFeatureInvariants:
         rng = np.random.default_rng(6)
         wild = rng.standard_normal((2, int(2 * FS))) * np.array([[1e-30], [1e12]])
         wild[0, :50] = 0.0
-        seg = EegSegment(wild, FS)
         plan = plan_stft(2.0, FS)
-        bands = [(8.0, 13.0)]
-        features = build_feature_sequence([seg], bands, plan)
+        features = build_feature_sequence([wild], [basis_of(plan, (8.0, 13.0))], plan)
         assert np.all(np.isfinite(features.values))
 
 
@@ -298,10 +318,10 @@ class TestVectorizedBandPowers:
     """The in-band DFT kernel against a per-frame periodogram + band_power loop."""
 
     @staticmethod
-    def frame_loop(segment, plan, low, high):
-        powers = np.empty((plan.n_windows, segment.n_channels))
-        for ch in range(segment.n_channels):
-            for w, frame in enumerate(frame_signal(segment.samples[ch], plan)):
+    def frame_loop(x, plan, low, high):
+        powers = np.empty((plan.n_windows, x.shape[0]))
+        for ch in range(x.shape[0]):
+            for w, frame in enumerate(frame_signal(x[ch], plan)):
                 freqs, psd = periodogram(frame, plan.fs, plan.window)
                 powers[w, ch] = band_power(freqs, psd, low, high)
         return powers
@@ -309,15 +329,12 @@ class TestVectorizedBandPowers:
     @pytest.mark.parametrize("fs,band", EDGE_CASES + PROFILE_BAND_CASES)
     def test_matches_per_frame_oracle(self, fs, band):
         rng = np.random.default_rng(40)
-        segment = EegSegment(rng.standard_normal((3, int(3.5 * fs))), fs)
+        x = rng.standard_normal((3, int(3.5 * fs)))
         plan = plan_stft(3.5, fs)
-        got = _window_band_powers(segment, plan, band)
+        got = _window_band_powers(x, plan, basis_of(plan, band))
         assert got.shape == (plan.n_windows, 3)
-        np.testing.assert_allclose(got, self.frame_loop(segment, plan, *band), rtol=1e-12)
-        # A basis built once and reused gives the same bits as a one-off call.
-        np.testing.assert_array_equal(_window_band_powers(segment, plan, band_basis(plan, band)), got)
+        np.testing.assert_allclose(got, self.frame_loop(x, plan, *band), rtol=1e-12)
 
     def test_empty_band_raises(self):
-        segment = EegSegment(np.ones((1, 400)), FS)
         with pytest.raises(ValueError, match="no PSD bins"):
-            _window_band_powers(segment, plan_stft(2.0, FS), (10.2, 10.8))
+            basis_of(plan_stft(2.0, FS), (10.2, 10.8))
