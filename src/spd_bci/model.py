@@ -30,15 +30,19 @@ names and shapes leave open (variant, output count, activation, loss).
 ``seed=None`` builds the same chains without an initialisation, for a
 fitted model: ``load_params`` then checks a checkpoint against
 ``state()`` and installs its arrays, with no draw and no copy, which is
-how ``evaluate`` and ``ablate`` load. :class:`ModelSettings` declares the
-sizes, regularizer, head and schedule once, with their checks.
+how ``evaluate`` and ``ablate`` load. No block makes gradient buffers
+before its first backward, so a fitted model holds the checkpoint's
+arrays only, and ``grads()`` is empty until a training step.
+:class:`ModelSettings` declares the sizes, regularizer, head and
+schedule once, with their checks.
 
 Training is plain mini-batch Adam with global-norm gradient clipping, on
 the model config's schedule; everything is deterministic given the seed.
 The per-step cost sits in ``nnet``: time-batched LSTM input projections,
 one sigmoid call on the stacked gates, weight gradients that each backward
-writes over the last ones, and an in-place Adam update that applies the
-clip factor; the step holds params, grads and two moments plus the part
+writes over the last ones (the first backward makes them), and an
+in-place Adam update that applies the clip factor (its first step makes
+the moments); the step holds params, grads and two moments plus the part
 of one forward pass's activations that no backward can rebuild bit for
 bit (no tanh(c), x̂ or separate gate gradients), which the LSTM,
 attention and batch-norm backward passes free as they read them. Neither

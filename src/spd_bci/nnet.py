@@ -2,17 +2,19 @@
 
 Every layer keeps its parameters and gradient buffers in name-keyed
 dicts of float64 arrays, so a full backward pass runs without an
-autodiff framework. One rule covers the activations: a training forward
-(``train=True``) caches what its backward reads, the backward consumes
-that cache, and an inference forward (``train=False``) caches nothing
-and drops any cache left by an earlier one. So each backward needs a
-training forward of its own; one after an inference forward, after
-another backward or before any forward raises RuntimeError naming the
-block. The LSTM, attention and batch norm, whose activations are the
-bulk of a training step's memory, cache only what their backward cannot
-rebuild bit for bit. All gradients are hand-derived; the test suite
-checks each block and the composed model against central finite
-differences.
+autodiff framework. A block's ``grads`` is empty until its first
+backward makes the buffers, so a block that only runs inference holds
+its parameters and nothing else. One rule covers the activations: a
+training forward (``train=True``) caches what its backward reads, the
+backward consumes that cache, and an inference forward (``train=False``)
+caches nothing and drops any cache left by an earlier one. So each
+backward needs a training forward of its own; one after an inference
+forward, after another backward or before any forward raises
+RuntimeError naming the block. The LSTM, attention and batch norm, whose
+activations are the bulk of a training step's memory, cache only what
+their backward cannot rebuild bit for bit. All gradients are
+hand-derived; the test suite checks each block and the composed model
+against central finite differences.
 
 Conventions: batch-first arrays; dense weights are (out, in); batch norm
 takes the last axis as the features and pools the others; LSTM gate
@@ -35,21 +37,22 @@ The training step is kept lean: the LSTM projects its inputs for all
 time steps in one matmul and runs one sigmoid per step over the stacked
 input/forget/output gates, the LSTM and dense weight gradients are
 matmuls over the flattened batch·time axis with no transposed copies,
-and ``sigmoid`` is branch-free. Each ``backward`` writes over its
-block's ``grads`` (``out=``), so nothing zeroes them and no weight
-gradient is a new array; ``adam_step`` applies the clip factor and
-updates in place block by block without full-size temporaries. Every
-affine map adds its bias in place, and ``_activate``, the one table of
-nonlinearities (attention scores through a dense tanh block, and the
-model's fusion weights and head use it too), writes identity, tanh and
-leaky ReLU into the pre-activation. The backward passes build their
-derivatives in buffers they already hold: the LSTM turns its cached
-gates into the gate gradients step by step, and a tanh block its cached
-output into its derivative. What is not cached is recomputed with the
-forward's own operations on the same arrays: tanh(c_t) from the cached
-cells, x̂ from batch norm's input and mean. Each product keeps the two
-factors it has in the plain expression, so the results are the same
-bits.
+and ``sigmoid`` is branch-free. Each ``backward`` writes over all of its
+block's ``grads`` (``out=``), so the first one makes them with
+``np.empty``, nothing zeroes them and no weight gradient is a new array.
+``adam_step`` makes each tensor's moments at the first step, which
+writes them whole, then applies the clip factor and updates in place
+block by block without full-size temporaries. Every affine map adds its
+bias in place, and ``_activate``, the one table of nonlinearities
+(attention scores through a dense tanh block, and the model's fusion
+weights and head use it too), writes identity, tanh and leaky ReLU into
+the pre-activation. The backward passes build their derivatives in
+buffers they already hold: the LSTM turns its cached gates into the gate
+gradients step by step, and a tanh block its cached output into its
+derivative. What is not cached is recomputed with the forward's own
+operations on the same arrays: tanh(c_t) from the cached cells, x̂ from
+batch norm's input and mean. Each product keeps the two factors it has
+in the plain expression, so the results are the same bits.
 """
 
 from __future__ import annotations
@@ -72,6 +75,14 @@ def glorot_uniform(rng: np.random.Generator, shape, fan_in: int, fan_out: int) -
 def _unset(**shapes) -> dict[str, np.ndarray]:
     """Parameters of a block built to be loaded: read-only NaN views that allocate nothing."""
     return {key: np.broadcast_to(np.nan, shape) for key, shape in shapes.items()}
+
+
+def _grads_of(block) -> dict[str, np.ndarray]:
+    """``block.grads``; its first backward fills the dict in place with uninitialised buffers
+    of the parameters' shapes, which every backward then writes over in full."""
+    if not block.grads:
+        block.grads.update({key: np.empty(p.shape) for key, p in block.params.items()})
+    return block.grads
 
 
 def _consume_cache(block) -> tuple:
@@ -159,7 +170,7 @@ class Dense:
             }
         else:
             self.params = _unset(w=(out_dim, in_dim), b=(out_dim,))
-        self.grads = {key: np.zeros(arr.shape) for key, arr in self.params.items()}
+        self.grads: dict[str, np.ndarray] = {}  # made by the first backward
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = True,
@@ -173,8 +184,9 @@ class Dense:
     def backward(self, grad_y: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         x, y = _consume_cache(self)
         dz = _activate_backward(grad_y, y, self.activation)
-        np.matmul(dz.T, x, out=self.grads["w"])
-        np.sum(dz, axis=0, out=self.grads["b"])
+        grads = _grads_of(self)
+        np.matmul(dz.T, x, out=grads["w"])
+        np.sum(dz, axis=0, out=grads["b"])
         return dz @ self.params["w"] if input_grad else None
 
 
@@ -212,7 +224,7 @@ class Lstm:
             self.params = {"w": w, "b": b}
         else:
             self.params = _unset(w=(4 * hidden, in_dim + hidden), b=(4 * hidden,))
-        self.grads = {key: np.zeros(arr.shape) for key, arr in self.params.items()}
+        self.grads: dict[str, np.ndarray] = {}  # made by the first backward
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = True,
@@ -228,7 +240,8 @@ class Lstm:
         gates = x.reshape(-1, self.in_dim) @ w[:, :self.in_dim].T
         gates += self.params["b"]
         gates = gates.reshape(batch, length, 4 * nh)
-        cells = np.zeros((batch, length + 1, nh))  # cells[:, t] is c_{t-1}
+        cells = np.empty((batch, length + 1, nh))  # cells[:, t] is c_{t-1}
+        cells[:, 0] = 0.0
         tanh_c = np.empty((batch, nh))  # tanh(c_t) of one step; the backward recomputes it
         outputs = np.empty((batch, length, nh))
         for t in range(length):
@@ -247,7 +260,7 @@ class Lstm:
     def backward(self, grad_out: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         x, gates, cells, h = _consume_cache(self)
         batch, length, _ = grad_out.shape
-        nh, w, w_grad = self.hidden, self.params["w"], self.grads["w"]
+        nh, w, grads = self.hidden, self.params["w"], _grads_of(self)
         w_h = w[:, self.in_dim:]
         # One step's buffers: tanh(c_t) and o * (1 - tanh(c_t)^2), rebuilt with the
         # forward's operations; the products dc*g, dc*c_{t-1}, dh*tanh(c_t), dc*i; 1 - sig.
@@ -282,14 +295,15 @@ class Lstm:
         del cells  # the time loop was its last reader
         flat = gates.reshape(-1, 4 * nh)
         # Step t's gates read h_{t-1}, zero at step 0: h shifted one step makes this one matmul.
-        h_prev = np.zeros_like(h)
+        h_prev = np.empty_like(h)
+        h_prev[:, 0] = 0.0
         h_prev[:, 1:] = h[:, :-1]
         del h
-        np.matmul(flat.T, x.reshape(-1, self.in_dim), out=w_grad[:, :self.in_dim])
+        np.matmul(flat.T, x.reshape(-1, self.in_dim), out=grads["w"][:, :self.in_dim])
         del x
-        np.matmul(flat.T, h_prev.reshape(-1, nh), out=w_grad[:, self.in_dim:])
+        np.matmul(flat.T, h_prev.reshape(-1, nh), out=grads["w"][:, self.in_dim:])
         del h_prev
-        np.sum(flat, axis=0, out=self.grads["b"])
+        np.sum(flat, axis=0, out=grads["b"])
         if not input_grad:
             return None
         return (flat @ w[:, :self.in_dim]).reshape(batch, length, self.in_dim)
@@ -299,11 +313,13 @@ class Attention:
     """Soft attention over a hidden-state sequence.
 
     A square ``Dense(hidden, hidden, "tanh")``, the block's ``scorer``, maps
-    each step to u_t = tanh(W h_t + b); ``params`` and ``grads`` are its. A
-    step's score is the sum of u_t's components, softmax-normalized over
-    time, and the context is the weighted sum of hidden states. A training
-    forward caches the hidden states for the backward; the weights of any
-    forward stay readable through ``weights``.
+    each step to u_t = tanh(W h_t + b); ``params`` and ``grads`` are its
+    dicts, not copies, so the scorer's first backward fills this block's
+    ``grads`` too. A step's score is the sum of u_t's components,
+    softmax-normalized over time, and the context is the weighted sum of
+    hidden states. A training forward caches the hidden states for the
+    backward; the weights of any forward stay readable through ``weights``,
+    which is None before the first.
     """
 
     def __init__(self, hidden: int, rng: np.random.Generator | None = None,
@@ -311,7 +327,7 @@ class Attention:
         self.hidden = hidden
         self.scorer = Dense(hidden, hidden, "tanh", rng=rng, init=init)
         self.params, self.grads = self.scorer.params, self.scorer.grads
-        self._cache = None
+        self._alpha = self._cache = None
 
     def forward(self, h_seq: np.ndarray, train: bool = True,
                 rng: np.random.Generator | None = None) -> np.ndarray:
@@ -326,8 +342,8 @@ class Attention:
         return np.einsum("bl,blh->bh", self._alpha, h_seq)
 
     @property
-    def weights(self) -> np.ndarray:
-        """Attention weights from the last forward pass."""
+    def weights(self) -> np.ndarray | None:
+        """Attention weights (batch, length) from the last forward pass; None before the first."""
         return self._alpha
 
     def backward(self, grad_context: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
@@ -392,7 +408,7 @@ class BatchNorm:
         self.momentum = momentum
         self.activation = activation
         self.params = {"gamma": np.ones(dim), "beta": np.zeros(dim)}
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self.grads: dict[str, np.ndarray] = {}  # made by the first backward
         self.buffers = {"running_mean": np.zeros(dim), "running_var": np.ones(dim)}
         self._cache = None
 
@@ -432,8 +448,9 @@ class BatchNorm:
         xhat = flat - mean
         xhat *= inv_std
         prod = dz * xhat
-        np.sum(prod, axis=0, out=self.grads["gamma"])
-        np.sum(dz, axis=0, out=self.grads["beta"])
+        grads = _grads_of(self)
+        np.sum(prod, axis=0, out=grads["gamma"])
+        np.sum(dz, axis=0, out=grads["beta"])
         if not input_grad:
             return None
         dxhat = np.multiply(dz, self.params["gamma"], out=prod)
@@ -515,7 +532,8 @@ def mean_squared_error(pred: np.ndarray, y: np.ndarray):
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators plus the step counter; a tensor's moments are
+    made by the first :func:`adam_step` that updates it."""
 
     lr: float = 0.001
     beta1: float = 0.9
@@ -527,10 +545,8 @@ class AdamState:
 
 
 def adam_init(params: dict[str, np.ndarray], lr: float = 0.001) -> AdamState:
-    state = AdamState(lr=lr)
-    state.m = {k: np.zeros(p.shape) for k, p in params.items()}
-    state.v = {k: np.zeros(p.shape) for k, p in params.items()}
-    return state
+    """An optimizer for ``params`` at learning rate ``lr``; it holds no arrays yet."""
+    return AdamState(lr=lr)
 
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
@@ -543,6 +559,8 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
     textbook formula's operations run in its order (m = b1*m + (1-b1)*g,
     v = b2*v + (1-b2)*g**2, p -= lr*(m/bias1) / (sqrt(v/bias2) + eps)),
     so the result is bit-identical to scaling the grads, then that step.
+    A tensor's first step starts from m = v = 0, so it makes the moments
+    with ``np.empty`` and writes b1*0 + s as s + 0.0, the same bits.
     """
     state.step += 1
     b1, b2 = state.beta1, state.beta2
@@ -551,7 +569,12 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
     size = min(ADAM_BLOCK, max((p.size for p in params.values()), default=0))
     buf1, buf2 = np.empty(size), np.empty(size)
     for key, p in params.items():
-        p_flat, m_flat, v_flat = (_flat_view(a, key) for a in (p, state.m[key], state.v[key]))
+        if not p.flags.c_contiguous:
+            raise ValueError(f"Adam updates {key!r} in place and needs C-contiguous arrays")
+        first = key not in state.m
+        if first:
+            state.m[key], state.v[key] = np.empty(p.shape), np.empty(p.shape)
+        p_flat, m_flat, v_flat = (a.reshape(-1) for a in (p, state.m[key], state.v[key]))
         g_flat = grads[key].reshape(-1)
         for lo in range(0, p_flat.size, ADAM_BLOCK):
             hi = min(lo + ADAM_BLOCK, p_flat.size)
@@ -559,13 +582,21 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
             s1, s2 = buf1[:hi - lo], buf2[:hi - lo]
             if scale != 1.0:  # s2 holds the scaled block until g's last use
                 g = np.multiply(g, scale, out=s2)
-            m *= b1
-            np.multiply(1.0 - b1, g, out=s1)
-            m += s1
-            v *= b2
-            np.square(g, out=s1)
-            s1 *= 1.0 - b2
-            v += s1
+            if first:
+                # + 0.0 turns a -0.0 into +0.0 as the sum with b1*0 does; (1-b2)*g**2
+                # is never -0.0, so v's sum with b2*0 changes no bit.
+                np.multiply(1.0 - b1, g, out=m)
+                m += 0.0
+                np.square(g, out=v)
+                v *= 1.0 - b2
+            else:
+                m *= b1
+                np.multiply(1.0 - b1, g, out=s1)
+                m += s1
+                v *= b2
+                np.square(g, out=s1)
+                s1 *= 1.0 - b2
+                v += s1
             np.divide(m, bias1, out=s1)
             s1 *= state.lr
             np.divide(v, bias2, out=s2)
@@ -574,13 +605,6 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
             s1 /= s2
             p_flat[lo:hi] -= s1
     return params
-
-
-def _flat_view(array: np.ndarray, key: str) -> np.ndarray:
-    """A 1-d view of ``array`` that writes through to it."""
-    if not array.flags.c_contiguous:
-        raise ValueError(f"Adam updates {key!r} in place and needs C-contiguous arrays")
-    return array.reshape(-1)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray]) -> float:

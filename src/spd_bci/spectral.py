@@ -159,8 +159,9 @@ class BandBasis:
     each of the band's K bins, times the Hann window, so a frame times
     ``matrix`` is the real and imaginary parts of those bins. ``weights``
     (2K,) turns their squares into band power as :func:`band_power` does:
-    one-sided doubling except at DC and Nyquist, bin width, and the
-    window-energy scale of :func:`periodogram`.
+    one-sided doubling except at Nyquist, bin width, and the window-energy
+    scale of :func:`periodogram`. A :class:`BandSpec` starts above 0 Hz, so
+    no band holds the DC bin.
     """
 
     matrix: np.ndarray
@@ -175,7 +176,7 @@ def band_basis(plan: StftPlan, band: BandSpec) -> BandBasis:
     bins = np.flatnonzero((freqs >= low) & (freqs <= high))
     if bins.size == 0:
         raise ValueError(f"no PSD bins inside band ({low}, {high}) Hz")
-    one_sided = np.where((bins == 0) | (2 * bins == n), 1.0, 2.0)
+    one_sided = np.where(2 * bins == n, 1.0, 2.0)
     weights = one_sided * (freqs[1] - freqs[0]) / (plan.fs * np.sum(plan.window ** 2))
     # k*t is reduced mod n before scaling, so every angle lies in [0, 2*pi).
     angles = (2.0 * np.pi / n) * (np.outer(np.arange(n), bins) % n)

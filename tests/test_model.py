@@ -109,6 +109,10 @@ CHECKPOINT_KEYS = {
 def test_checkpoint_keys_are_pinned(label, regularizer):
     model = tiny_model(lstm_layers=2, temporal_regularizer=regularizer, variant=label)
     assert list(model.params()) == CHECKPOINT_KEYS[label, regularizer]
+    # The first backward makes the gradient buffers, so their keys are read after one step.
+    rng = np.random.default_rng(31)
+    logits = model.forward(*tiny_batch(rng), train=True, rng=rng)
+    model.backward(np.ones_like(logits))
     assert list(model.grads()) == CHECKPOINT_KEYS[label, regularizer]
 
 
@@ -369,24 +373,26 @@ class TestStreamInputGradients:
 
 class TestTrainingMemory:
     def test_epoch_allocates_only_the_moments_beyond_the_model(self):
-        # spatial_fc1 is 4,000 x 512, 16.4 MB of the 16.5 MB of parameters. An epoch
-        # may allocate Adam's two moments and a little for activations; a weight
-        # gradient built as a new array and then copied would add another 16.4 MB.
+        # spatial_fc1 is 4,000 x 512, 16.4 MB of the 16.5 MB of parameters. Traced from
+        # before the model is built, an epoch may hold four parameter-sized stores: the
+        # parameters, the gradients the first backward makes, Adam's two moments, and a
+        # little for activations. A weight gradient built as a new array and then copied
+        # would add another 16.4 MB.
         import tracemalloc
 
-        model = tiny_model(seed=8, variant="spatial", spatial_input_dim=4000,
-                           spatial_hidden=512, spatial_dropout=0.5, epochs=1, batch_size=8)
         rng = np.random.default_rng(25)
         xs = rng.standard_normal((16, 4000))
         labels = np.tile([0, 1], 8)
-        param_bytes = sum(p.nbytes for p in model.params().values())
         tracemalloc.start()
         try:
+            model = tiny_model(seed=8, variant="spatial", spatial_input_dim=4000,
+                               spatial_hidden=512, spatial_dropout=0.5, epochs=1, batch_size=8)
             train_model(model, None, xs, labels, seed=9)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * param_bytes + 2 ** 21, f"peak {peak / 2 ** 20:.1f} MiB"
+        param_bytes = sum(p.nbytes for p in model.params().values())
+        assert peak < 4 * param_bytes + 2 ** 21, f"peak {peak / 2 ** 20:.1f} MiB"
 
     # A temporal stream at the lstm-train batch and length, with half its hidden size.
     TEMPORAL = dict(variant="temporal", temporal_input_dim=20, lstm_layers=3, lstm_hidden=128,
@@ -448,6 +454,47 @@ class TestTrainingMemory:
 
 
 class TestInferenceMemory:
+    def test_no_gradient_buffers_before_the_first_backward(self):
+        model = tiny_model(seed=11)
+        assert model.grads() == {}
+        model.predict_scores(*tiny_batch(np.random.default_rng(32)))
+        assert model.grads() == {}
+
+    def test_fitted_model_holds_the_checkpoint_arrays_only(self):
+        # spatial_fc1 is 4,000 x 512, 16.4 MB of the 16.5 MB of parameters. A model built
+        # to be loaded takes the checkpoint's arrays without a copy and makes no gradient
+        # buffers, so building, loading and scoring a batch stay far below one copy.
+        import tracemalloc
+
+        config = ArchitectureConfig(**{**TINY, "spatial_input_dim": 4000, "spatial_hidden": 512})
+        trained = TwoStreamModel(config, seed=12)
+        param_bytes = sum(p.nbytes for p in trained.params().values())
+        rng = np.random.default_rng(33)
+        xt = rng.standard_normal((8, 3, TINY["temporal_input_dim"]))
+        xs = rng.standard_normal((8, 4000))
+        expected = trained.predict_scores(xt, xs)
+        tracemalloc.start()
+        try:
+            fitted = TwoStreamModel(config, seed=None)
+            fitted.load_params(trained.state())
+            scores = fitted.predict_scores(xt, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert scores.tobytes() == expected.tobytes()
+        assert peak < param_bytes / 4, f"peak {peak / 2 ** 20:.2f} MiB"
+
+    def test_loaded_model_trains_as_the_model_it_was_saved_from(self):
+        # The first backward makes a loaded model's gradient buffers too.
+        xt, xs, labels = separable_dataset(np.random.default_rng(34), n=16)
+        original = tiny_model(seed=13, epochs=2, batch_size=8)
+        loaded = TwoStreamModel(original.config, seed=None)
+        loaded.load_params({key: arr.copy() for key, arr in original.state().items()})
+        for model in (original, loaded):
+            train_model(model, xt, xs, labels, seed=14)
+        for key, arr in original.state().items():
+            assert loaded.state()[key].tobytes() == arr.tobytes(), key
+
     def test_predict_scores_keeps_nothing_and_peaks_at_one_lstm_layer(self):
         # The lstm-train model: 3 x 256 LSTM with batch norm, fused, regression head, on
         # 64 trials x 15 windows of 64 features. Scoring holds at most one LSTM layer's

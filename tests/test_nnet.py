@@ -493,6 +493,29 @@ CACHING_BLOCKS = pytest.mark.parametrize("make_block, shape, name", [
 ], ids=["lstm", "batchnorm", "attention", "dense", "dropout", "dropout-rate-0"])
 
 
+class TestGradientBuffers:
+    """A block's gradient buffers are made by its first backward, not at construction."""
+
+    @CACHING_BLOCKS
+    def test_first_backward_makes_the_gradient_buffers(self, make_block, shape, name):
+        block = make_block()
+        assert block.grads == {}
+        x = np.random.default_rng(32).standard_normal(shape)
+        y = block.forward(x, train=False)
+        block.forward(x, rng=np.random.default_rng(0))
+        assert block.grads == {}  # no forward makes them
+        block.backward(np.ones_like(y), input_grad=False)
+        assert list(block.grads) == list(block.params)
+        for key, grad in block.grads.items():
+            assert grad.shape == block.params[key].shape and grad.dtype == np.float64, key
+
+    def test_attention_shares_the_buffers_its_scorer_makes(self):
+        att = Attention(3, rng=np.random.default_rng(33))
+        att.forward(np.random.default_rng(34).standard_normal((2, 4, 3)))
+        att.backward(np.ones((2, 3)))
+        assert att.grads is att.scorer.grads and list(att.grads) == ["w", "b"]
+
+
 class TestBackwardConsumesTheCache:
     @CACHING_BLOCKS
     def test_second_backward_without_a_forward_raises_naming_the_block(self, make_block,
@@ -524,6 +547,9 @@ class TestBackwardConsumesTheCache:
         assert block._cache is None
         with pytest.raises(RuntimeError, match=f"^{name}.backward needs a training forward"):
             block.backward(np.ones_like(y))
+
+    def test_attention_weights_are_none_before_any_forward(self):
+        assert Attention(3, rng=np.random.default_rng(21)).weights is None
 
     def test_attention_weights_outlive_the_backward(self):
         att = Attention(3, rng=np.random.default_rng(21))
@@ -696,6 +722,32 @@ class TestAdam:
             assert state.v["w"].tobytes() == v.tobytes()
             assert g.tobytes() == given.tobytes()
         assert clipped == 3
+
+    def test_moments_are_made_by_the_first_step_with_the_textbook_bits(self):
+        # Starting from m = v = 0, the first step writes b1*0 + s as s + 0.0. Signed zeros
+        # in the parameters and gradients check that a -0.0 comes out as the sum makes it.
+        rng = np.random.default_rng(8)
+        start = rng.standard_normal((3, 40))
+        start[0, :10] = 0.0
+        start[0, 10:20] = -0.0
+        params = {"w": start.copy()}
+        state = adam_init(params)
+        assert state.m == {} and state.v == {}
+        p, m, v = start.copy(), np.zeros(start.shape), np.zeros(start.shape)
+        scales = []
+        for step in range(1, 4):
+            g = rng.standard_normal(start.shape) * (40.0 if step == 2 else 0.1)
+            g[0, ::2] = 0.0
+            g[0, 1::2] = -0.0
+            g[1, :5] = -0.0
+            scale = clip_scale(clip_global_norm({"w": g}), 5.0)
+            scales.append(scale)
+            adam_step(state, params, {"w": g}, scale)
+            p, m, v = self.textbook_step(p, m, v, g * scale, step)
+            assert params["w"].tobytes() == p.tobytes()
+            assert state.m["w"].tobytes() == m.tobytes()
+            assert state.v["w"].tobytes() == v.tobytes()
+        assert [s != 1.0 for s in scales] == [False, True, False]
 
     def test_non_contiguous_parameter_rejected(self):
         params = {"w": np.zeros((4, 6))[:, ::2]}

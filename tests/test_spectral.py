@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from spd_bci.config import PROFILES
-from types import SimpleNamespace
-
 from spd_bci.filters import BandSpec, apply_filter_zero_phase, design_butterworth_bandpass, zero_phase_sos
 from spd_bci.spectral import (
     HALF_LN_2PI_E,
@@ -27,14 +25,8 @@ FS = 200.0
 
 
 def basis_of(plan, band):
-    """The BandBasis of (low, high) Hz edges.
-
-    A BandSpec starts above DC, so a band with a DC edge, which only these
-    tests build, passes its edges as a bare record.
-    """
-    low, high = band
-    spec = BandSpec(low, high) if low > 0 else SimpleNamespace(low_hz=low, high_hz=high)
-    return band_basis(plan, spec)
+    """The BandBasis of (low, high) Hz edges."""
+    return band_basis(plan, BandSpec(*band))
 
 
 def oracle_psd(frame, fs, window):
@@ -307,8 +299,9 @@ EDGE_CASES = [
     for name, band in (
         ("edges-on-bins", (8.0, 13.0)),
         ("edges-between-bins", (4.5, 7.5)),
-        ("dc-edge", (0.0, 62.0)),
-        ("up-to-nyquist", (0.0, 100.0)),
+        # A band starts above DC, so these start at the first positive bin, 1 Hz.
+        ("dc-edge", (1.0, 62.0)),
+        ("up-to-nyquist", (1.0, 100.0)),
     )
     for fs in (200.0, 125.0)  # even and odd window lengths
 ]
