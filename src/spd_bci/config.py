@@ -20,7 +20,7 @@ from typing import get_args, get_type_hints
 
 from .errors import ConfigError
 from .filters import BandSpec, seed_rhythm_bands, uniform_bands
-from .model import VARIANTS, ModelSettings, check_head_outputs
+from .model import METRICS, TASKS, VARIANTS, ModelSettings, check_head_outputs, head_outputs
 
 
 # Keys a named dataset profile owns; a config file cannot contradict them.
@@ -71,7 +71,7 @@ class PipelineConfig(ModelSettings):
     test trials (unsupervised re-centring, so it needs two or more);
     ``train-mean`` projects each trial at the training references alone.
     The train split always uses the training references. ``task`` follows
-    ``loss``: mse is regression, cross-entropy and bce classification.
+    ``loss``, as :data:`spd_bci.model.TASKS` maps them.
     Every ``ablate_variants`` label is checked here, as ``variant`` is. A
     bad value of a key declared here raises ConfigError naming the key and
     the value.
@@ -80,7 +80,7 @@ class PipelineConfig(ModelSettings):
     _CHOICES = {
         **ModelSettings._CHOICES, "reference_policy": ("test-mean", "train-mean"),
         "rank_mode": ("fixed", "grid"), "constant_channel": ("error", "zero"),
-        "task": ("classification", "regression"),
+        "task": tuple(METRICS),
     }
 
     profile: str
@@ -120,7 +120,7 @@ class PipelineConfig(ModelSettings):
                 f"keys task = {self.task}, n_classes = {self.n_classes}, "
                 f"loss = {self.loss}: {exc}"
             ) from exc
-        task = "regression" if self.loss == "mse" else "classification"
+        task = TASKS[self.loss]
         if self.task != task:
             raise ConfigError(
                 f"keys task = {self.task}, loss = {self.loss}: "
@@ -164,9 +164,7 @@ class PipelineConfig(ModelSettings):
 
     @property
     def n_outputs(self) -> int:
-        if self.task == "classification" and self.loss == "cross-entropy":
-            return self.n_classes
-        return 1
+        return head_outputs(self.loss, self.task, self.n_classes)
 
     def resolve_paths(self, base: Path):
         """Anchor relative paths at the config file's directory."""

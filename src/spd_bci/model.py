@@ -11,6 +11,13 @@ scalar scores, rescales each embedding by (1 + weight), and feeds the
 concatenation through a dense layer into the task head. The weights,
 the head's scores and their derivatives come from ``nnet``'s activation table.
 
+The loss decides the task: :data:`TASKS` maps each loss to the task it
+trains, and :data:`METRICS` each task to the metrics it reports, in the
+order ``ablate`` writes them. The decisions, the training log,
+``evaluate_model``, the config's checks and the pipeline's metric rows
+read these two tables; the targets follow the head's output count. The
+head's losses live here too, in :meth:`TwoStreamModel.loss_and_grad`.
+
 One label from :data:`VARIANTS` names the model. ``fused`` is the model
 above; ``temporal`` and ``spatial`` keep one stream; ``concatenation``
 drops the encoders and concatenates the embeddings unscaled;
@@ -68,6 +75,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .nnet import (
+    AdamState,
     Attention,
     BatchNorm,
     Dense,
@@ -76,15 +84,11 @@ from .nnet import (
     _activate,
     _activate_backward,
     _consume_cache,
-    adam_init,
     adam_step,
     backward_chain,
-    binary_cross_entropy_with_logits,
     clip_global_norm,
     clip_scale,
     forward_chain,
-    mean_squared_error,
-    softmax_cross_entropy_with_logits,
 )
 
 # Model labels; the order is the ``meta.variant`` code stored in checkpoints.
@@ -100,9 +104,15 @@ LOSS_FOR_ACTIVATION = {
     "sigmoid": ("bce", "mse"),
     "linear": ("mse",),
 }
+# The task each loss trains; ``config`` checks a config's ``task`` against it.
+TASKS = {"cross-entropy": "classification", "bce": "classification", "mse": "regression"}
+# The metrics each task reports, in the order of the ``ablate`` rows.
+METRICS = {"classification": ("accuracy", "kappa"), "regression": ("rmse", "pcc")}
 # Task-head vocabularies; the order is the ``meta.output_activation``/``meta.loss`` code.
 OUTPUT_ACTIVATIONS = tuple(LOSS_FOR_ACTIVATION)
-LOSSES = ("cross-entropy", "bce", "mse")
+LOSSES = tuple(TASKS)
+# Cross-entropy and bce take the log of probabilities kept within [PROB_FLOOR, 1 - PROB_FLOOR].
+PROB_FLOOR = 1e-12
 # The choices that a checkpoint's tensor names and shapes leave open, stored as
 # ``meta.<field>``: a label as its index into this vocabulary, a count (None) as itself.
 _META_VOCABULARIES = {
@@ -133,10 +143,16 @@ def check_head_outputs(loss: str, n_outputs: int, n_classes: int | None = None) 
     """
     if loss == "cross-entropy" and n_outputs < 2:
         raise ValueError("categorical cross-entropy needs at least two outputs")
-    if loss in ("bce", "mse") and n_outputs != 1:
+    if loss != "cross-entropy" and n_outputs != 1:
         raise ValueError(f"{loss} pairs with a single output unit")
     if loss == "bce" and n_classes not in (None, 2):
         raise ValueError(f"bce scores two classes, not {n_classes}")
+
+
+def head_outputs(loss: str, task: str, n_classes: int) -> int:
+    """The output units of a ``loss`` head on ``task``: one per class for a cross-entropy
+    classification head, one otherwise; :func:`check_head_outputs` then judges the count."""
+    return n_classes if loss == "cross-entropy" and task == "classification" else 1
 
 
 @dataclass(kw_only=True)
@@ -369,14 +385,27 @@ class TwoStreamModel:
 
     # -- task head ------------------------------------------------------------
 
-    def loss_and_grad(self, logits, targets):
+    def loss_and_grad(self, logits, targets) -> tuple[float, np.ndarray]:
+        """The mean loss of the head's scores against ``targets``, and its gradient wrt
+        the logits.
+
+        Cross-entropy (softmax head) and bce (sigmoid head) take the log of
+        the scores kept within [PROB_FLOOR, 1 - PROB_FLOOR], so a saturated
+        score gives a finite loss, and their gradient wrt the logits is
+        (scores - targets) / n. mse scores the head's probability or value
+        and backpropagates through the head's activation.
+        """
+        scores = self.activate(logits)
+        n = len(targets)
         if self.config.loss == "cross-entropy":
-            return softmax_cross_entropy_with_logits(logits, targets)
-        if self.config.loss == "bce":
-            return binary_cross_entropy_with_logits(logits, targets)
-        scores = self.activate(logits)  # mse on the head's probability or value
-        loss, grad = mean_squared_error(scores, targets)
-        return loss, _activate_backward(grad, scores, self._head)
+            loss = -np.mean(np.sum(targets * np.log(np.maximum(scores, PROB_FLOOR)), axis=-1))
+        elif self.config.loss == "bce":
+            p = np.clip(scores, PROB_FLOOR, 1.0 - PROB_FLOOR)
+            loss = -np.mean(targets * np.log(p) + (1.0 - targets) * np.log(1.0 - p))
+        else:
+            diff = scores - targets
+            return float(np.mean(diff ** 2)), _activate_backward(2.0 * diff / n, scores, self._head)
+        return float(loss), (scores - targets) / n
 
     def activate(self, logits) -> np.ndarray:
         """Head scores from logits: class probabilities, a probability, or the value."""
@@ -384,11 +413,11 @@ class TwoStreamModel:
 
     def decide(self, scores) -> np.ndarray:
         """Predictions from head scores: the class, 0/1 at 0.5, or the regression value."""
-        if self.config.loss == "cross-entropy":
-            return np.argmax(scores, axis=1)
-        if self.config.loss == "bce":
+        if TASKS[self.config.loss] == "regression":
+            return scores[:, 0]
+        if scores.shape[1] == 1:  # bce's one unit is the probability of class 1
             return (scores[:, 0] >= 0.5).astype(int)
-        return scores[:, 0]
+        return np.argmax(scores, axis=1)
 
     def predict_scores(self, xt, xs) -> np.ndarray:
         return self.activate(self.forward(xt, xs, train=False))
@@ -398,9 +427,10 @@ class TwoStreamModel:
 
 
 def encode_targets(labels, config: ArchitectureConfig) -> np.ndarray:
-    """Labels to training targets: one-hot for CE, column vectors otherwise."""
+    """Labels to training targets: one-hot for a head with one unit per class (only
+    cross-entropy's has more than one), column vectors otherwise."""
     labels = np.asarray(labels)
-    if config.loss == "cross-entropy":
+    if config.n_outputs > 1:
         idx = labels.astype(int)
         if idx.min() < 0 or idx.max() >= config.n_outputs:
             raise ValueError(
@@ -441,8 +471,9 @@ def train_model(
         raise ValueError(f"{len(xt)} temporal inputs for {n} labels")
     if xs is not None and len(xs) != n:
         raise ValueError(f"{len(xs)} spatial inputs for {n} labels")
+    classification = TASKS[cfg.loss] == "classification"
     rng = np.random.default_rng(seed)
-    optimizer = adam_init(model.params(), lr=cfg.learning_rate)
+    optimizer = AdamState(lr=cfg.learning_rate)
     history = []
     labels_array = np.asarray(labels)
     for epoch in range(1, cfg.epochs + 1):
@@ -470,7 +501,7 @@ def train_model(
         record = {"epoch": epoch, "loss": epoch_loss / n}
         if log_path is not None:
             predicted, seen = np.concatenate(predictions), labels_array[order]
-            if cfg.loss in ("cross-entropy", "bce"):
+            if classification:
                 record["accuracy"] = float(np.mean(predicted == seen.astype(int)))
             else:
                 record["rmse"] = root_mean_squared_error(seen, predicted)
@@ -547,15 +578,15 @@ def evaluate_model(model: TwoStreamModel, xt, xs, labels) -> dict:
     """
     predictions = model.predict(xt, xs)
     labels = np.asarray(labels)
-    if model.config.loss in ("cross-entropy", "bce"):
-        n_classes = model.config.n_outputs if model.config.loss == "cross-entropy" else 2
-        confusion = confusion_counts(labels.astype(int), predictions, n_classes)
+    if TASKS[model.config.loss] == "regression":
         return {
-            "accuracy": float(np.mean(predictions == labels.astype(int))),
-            "kappa": _defined(cohen_kappa, confusion),
-            "confusion": confusion.tolist(),
+            "rmse": root_mean_squared_error(labels, predictions),
+            "pcc": _defined(pearson_correlation, labels, predictions),
         }
+    n_classes = max(model.config.n_outputs, 2)  # bce's one unit scores two classes
+    confusion = confusion_counts(labels.astype(int), predictions, n_classes)
     return {
-        "rmse": root_mean_squared_error(labels, predictions),
-        "pcc": _defined(pearson_correlation, labels, predictions),
+        "accuracy": float(np.mean(predictions == labels.astype(int))),
+        "kappa": _defined(cohen_kappa, confusion),
+        "confusion": confusion.tolist(),
     }

@@ -1,4 +1,4 @@
-"""Trainable building blocks in plain numpy: dense, LSTM, attention, batch norm, losses, Adam.
+"""Trainable building blocks in plain numpy: dense, LSTM, attention, batch norm, Adam.
 
 Every layer keeps its parameters and gradient buffers in name-keyed
 dicts of float64 arrays, so a full backward pass runs without an
@@ -62,7 +62,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 LEAKY_SLOPE = 0.3
-PROB_FLOOR = 1e-12
 # Elements per Adam block: its five f64 slices (1.25 MiB) stay in cache across the passes.
 ADAM_BLOCK = 1 << 15
 
@@ -487,46 +486,6 @@ def backward_chain(blocks, grad: np.ndarray, input_grad: bool = True) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Losses. Each loss returns (scalar mean loss, gradient wrt its first input).
-# ---------------------------------------------------------------------------
-
-def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean categorical cross-entropy of probabilities against one-hot targets."""
-    p = np.maximum(probs, PROB_FLOOR)
-    return float(-np.mean(np.sum(targets * np.log(p), axis=-1)))
-
-
-def softmax_cross_entropy_with_logits(logits: np.ndarray, targets: np.ndarray):
-    """Fused softmax + categorical cross-entropy, numerically stable."""
-    probs = stable_softmax(logits, axis=-1)
-    loss = cross_entropy(probs, targets)
-    grad = (probs - targets) / logits.shape[0]
-    return loss, grad
-
-
-def binary_cross_entropy(p: np.ndarray, y: np.ndarray) -> float:
-    """Mean binary cross-entropy of probabilities against 0/1 targets."""
-    p = np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
-
-
-def binary_cross_entropy_with_logits(logits: np.ndarray, y: np.ndarray):
-    """Fused sigmoid + binary cross-entropy."""
-    p = sigmoid(logits)
-    loss = binary_cross_entropy(p, y)
-    grad = (p - y) / y.size
-    return loss, grad
-
-
-def mean_squared_error(pred: np.ndarray, y: np.ndarray):
-    """Mean squared error and its gradient wrt the prediction."""
-    diff = pred - y
-    loss = float(np.mean(diff ** 2))
-    grad = 2.0 * diff / diff.size
-    return loss, grad
-
-
-# ---------------------------------------------------------------------------
 # Optimization.
 # ---------------------------------------------------------------------------
 
@@ -542,11 +501,6 @@ class AdamState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
-
-
-def adam_init(params: dict[str, np.ndarray], lr: float = 0.001) -> AdamState:
-    """An optimizer for ``params`` at learning rate ``lr``; it holds no arrays yet."""
-    return AdamState(lr=lr)
 
 
 def adam_step(state: AdamState, params: dict[str, np.ndarray],

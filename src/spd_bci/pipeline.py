@@ -48,6 +48,7 @@ from .geometry import (
     tangent_vectorize,
 )
 from .model import (
+    METRICS,
     ArchitectureConfig,
     ModelSettings,
     TwoStreamModel,
@@ -279,6 +280,15 @@ def run_features(config: PipelineConfig) -> dict:
     bank = design_filter_bank(config.bands, config.fs)
     plan = plan_stft(config.trial_seconds, config.fs)
     bases = [band_basis(plan, band) for band in bank.bands]
+    test_dir = config.work_dir / "preprocessed" / "test"
+    # Test-mean re-centring needs two test trials; counted before any trial is filtered.
+    n_test = len(_segment_files(test_dir))
+    if config.reference_policy == "test-mean" and n_test < 2:
+        raise DataError(
+            f"{test_dir} holds {n_test} test trial; "
+            "reference_policy = test-mean re-centres the test split at its own mean, which "
+            "maps a single trial to zero; reference_policy = train-mean projects a single trial"
+        )
     out_dir = config.work_dir / "features"
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -300,13 +310,6 @@ def run_features(config: PipelineConfig) -> dict:
             "scms": np.asarray(scms),  # (P, H, N, N)
         }
 
-    n_test = len(splits["test"]["labels"])
-    if config.reference_policy == "test-mean" and n_test < 2:
-        raise DataError(
-            f"{config.work_dir / 'preprocessed' / 'test'} holds {n_test} test trial; "
-            "reference_policy = test-mean re-centres the test split at its own mean, which "
-            "maps a single trial to zero; reference_policy = train-mean projects a single trial"
-        )
     filters, references, splits["train"]["spatial"] = fit_spatial_reducers(
         splits["train"]["scms"], config.bands, config.rank
     )
@@ -386,17 +389,12 @@ def _grid_point(config: PipelineConfig, train: dict, fit_idx, val_idx, rank: int
         spatial_val = spatial_features_for(scms[val_idx], config.bands, filters, references)
     except NumericalError as exc:
         # Say, a rank above that of the SCMs: the row records the band's error, no scores.
-        scores = ("accuracy", "kappa") if config.task == "classification" else ("rmse", "pcc")
-        return {"rank": rank, "error": str(exc), **dict.fromkeys(scores)}
+        return {"rank": rank, "error": str(exc), **dict.fromkeys(METRICS[config.task])}
     arch = _architecture(config, config.variant, temporal.shape[2], spatial_fit.shape[1])
     model = TwoStreamModel(arch, seed=config.seed)
     train_model(model, temporal[fit_idx], spatial_fit, labels[fit_idx], seed=config.seed)
     metrics = evaluate_model(model, temporal[val_idx], spatial_val, labels[val_idx])
-    row = {"rank": rank}
-    for key in ("accuracy", "kappa", "rmse", "pcc"):
-        if key in metrics:
-            row[key] = metrics[key]
-    return row
+    return {"rank": rank, **{key: metrics[key] for key in METRICS[config.task]}}
 
 
 def _validation_split(labels: np.ndarray, classification: bool, seed: int):
@@ -484,9 +482,8 @@ def run_ablate(config: PipelineConfig) -> list[dict]:
     rows = []
     for label in config.ablate_variants:
         metrics = _evaluate_variant(config, label, test)
-        for key in ("accuracy", "kappa", "rmse", "pcc"):
-            if key in metrics:
-                rows.append({"variant": label, "metric": key, "value": metrics[key]})
+        rows += [{"variant": label, "metric": key, "value": metrics[key]}
+                 for key in METRICS[config.task]]
     out_path = config.work_dir / "ablation.csv"
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=["variant", "metric", "value"])

@@ -585,13 +585,19 @@ class TestRecentredTestFeatures:
         extra = "".join(f"{name} = {value}\n" for name, value in OTHER_MODEL_SETTINGS.items())
         assert feature_bytes(recentring_workspace, extra) == feature_bytes(recentring_workspace)
 
-    def test_one_test_trial_exits_2_naming_the_split(self, tmp_path, capsys):
+    @pytest.fixture
+    def one_test_trial(self, tmp_path, capsys):
+        """The README example with one test trial, preprocessed; returns its config."""
         write_synthetic_dataset(tmp_path)
         for path in sorted((tmp_path / "raw" / "test").glob("*.eegs"))[1:]:
             path.unlink()
         config = write_config(tmp_path)
         assert main(["preprocess", "--config", str(config)]) == 0
         capsys.readouterr()
+        return config
+
+    def test_one_test_trial_exits_2_naming_the_split(self, tmp_path, capsys, one_test_trial):
+        config = one_test_trial
         assert main(["features", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert str(tmp_path / "work" / "preprocessed" / "test") in err
@@ -599,6 +605,23 @@ class TestRecentredTestFeatures:
         assert not (tmp_path / "work" / "features" / "test.spdt").exists()
         train_mean = write_config(tmp_path, extra="reference_policy = train-mean\n")
         assert main(["features", "--config", str(train_mean)]) == 0
+
+    def test_one_test_trial_fails_before_any_trial_is_filtered(
+        self, tmp_path, monkeypatch, one_test_trial
+    ):
+        from spd_bci import pipeline
+
+        calls = []
+        original = pipeline.filter_bank_decompose
+
+        def counting(segment, bank):
+            calls.append(segment)
+            return original(segment, bank)
+
+        monkeypatch.setattr(pipeline, "filter_bank_decompose", counting)
+        assert main(["features", "--config", str(one_test_trial)]) == 2
+        assert calls == []
+        assert not (tmp_path / "work" / "features").exists()
 
 
 class TestSeedOverride:
@@ -670,6 +693,27 @@ class TestRegressionPipeline:
         assert metrics["task"] == "regression"
         assert metrics["rmse"] < 0.25
         assert metrics["pcc"] > 0.5
+
+    def test_regression_ablate_writes_rmse_then_pcc_per_variant(self, tmp_path):
+        write_synthetic_dataset(tmp_path)  # the class labels 0 and 1 as regression targets
+        head = (
+            "task = regression\nn_classes = 1\noutput_activation = sigmoid\nloss = mse\n"
+            "epochs = 2\n"
+        )
+        for command in ("preprocess", "features"):
+            assert main([command, "--config", str(write_config(tmp_path, extra=head))]) == 0
+        for variant in ("fused", "spatial"):
+            config = write_config(tmp_path, extra=head + f"variant = {variant}\n")
+            assert main(["train", "--config", str(config)]) == 0
+        config = write_config(tmp_path, extra=head + "ablate_variants = fused,spatial\n")
+        assert main(["ablate", "--config", str(config)]) == 0
+        rows = (tmp_path / "work" / "ablation.csv").read_text().strip().splitlines()
+        assert rows[0] == "variant,metric,value"
+        cells = [line.split(",") for line in rows[1:]]
+        assert [cell[:2] for cell in cells] == [
+            ["fused", "rmse"], ["fused", "pcc"], ["spatial", "rmse"], ["spatial", "pcc"]
+        ]
+        assert all(np.isfinite(float(cell[2])) for cell in cells)
 
 
 def two_pass_train_features(config):

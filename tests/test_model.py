@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 from conftest import finite_difference_grads, max_relative_error
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spd_bci.errors import NumericalError
 from spd_bci.model import (
@@ -20,7 +22,7 @@ from spd_bci.model import (
     root_mean_squared_error,
     train_model,
 )
-from spd_bci.nnet import BatchNorm, Lstm, forward_chain
+from spd_bci.nnet import BatchNorm, Lstm, forward_chain, sigmoid, stable_softmax
 
 TINY = dict(
     temporal_input_dim=5,
@@ -311,6 +313,105 @@ class TestEndToEndGradients:
         for key, grad in analytic.items():
             err = max_relative_error(grad, numeric[key])
             assert err < 1e-4, f"{variant}: tensor {key} rel err {err:.2e}"
+
+
+# The four task heads: output activation, loss and output count.
+HEADS = {
+    "softmax-cross-entropy": dict(output_activation="softmax", loss="cross-entropy", n_outputs=3),
+    "sigmoid-bce": dict(output_activation="sigmoid", loss="bce", n_outputs=1),
+    "sigmoid-mse": dict(output_activation="sigmoid", loss="mse", n_outputs=1),
+    "linear-mse": dict(output_activation="linear", loss="mse", n_outputs=1),
+}
+
+
+def reference_loss_and_grad(config, logits, targets):
+    """The loss and logit gradient as ``nnet``'s loss functions computed them, kept as a
+    reference copy: fused softmax cross-entropy, fused sigmoid bce, and mse on the head's
+    scores backpropagated through the head's activation."""
+    if config.loss == "cross-entropy":
+        probs = stable_softmax(logits, axis=-1)
+        p = np.maximum(probs, 1e-12)
+        loss = float(-np.mean(np.sum(targets * np.log(p), axis=-1)))
+        return loss, (probs - targets) / logits.shape[0]
+    if config.loss == "bce":
+        p = sigmoid(logits)
+        clipped = np.clip(p, 1e-12, 1.0 - 1e-12)
+        loss = float(-np.mean(targets * np.log(clipped) + (1.0 - targets) * np.log(1.0 - clipped)))
+        return loss, (p - targets) / targets.size
+    scores = sigmoid(logits) if config.output_activation == "sigmoid" else logits
+    diff = scores - targets
+    grad = 2.0 * diff / diff.size
+    if config.output_activation == "sigmoid":
+        grad = grad * scores * (1.0 - scores)
+    return float(np.mean(diff ** 2)), grad
+
+
+def head_targets(config, rng, n):
+    """Targets for ``n`` trials: one-hot classes, 0/1 labels, or values in (0, 1)."""
+    if config.loss == "mse":
+        return encode_targets(rng.uniform(0.05, 0.95, size=n), config)
+    return encode_targets(rng.integers(0, max(config.n_outputs, 2), size=n), config)
+
+
+class TestLossAndGrad:
+    """The task head's loss and its gradient wrt the logits, for each head."""
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_matches_the_reference_bits_and_finite_differences(self, head):
+        model = tiny_model(**HEADS[head])
+        rng = np.random.default_rng(12)
+        logits = 2.0 * rng.standard_normal((6, model.config.n_outputs))
+        targets = head_targets(model.config, rng, 6)
+        loss, grad = model.loss_and_grad(logits, targets)
+        want_loss, want_grad = reference_loss_and_grad(model.config, logits, targets)
+        assert type(loss) is float
+        assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+        assert grad.shape == logits.shape and grad.tobytes() == want_grad.tobytes()
+        numeric = finite_difference_grads(
+            lambda: model.loss_and_grad(logits, targets)[0], {"x": logits}
+        )
+        assert max_relative_error(grad, numeric["x"]) < 1e-4
+
+    @pytest.mark.parametrize("head", HEADS)
+    def test_probability_floor_keeps_losses_finite(self, head):
+        # Logits of +-1000 saturate the head: each target's probability is exactly 0 or 1.
+        model = tiny_model(**HEADS[head])
+        if model.config.n_outputs > 1:
+            logits = np.array([[-1000.0, 0.0, 0.0], [0.0, -1000.0, 1000.0]])
+            targets = encode_targets(np.array([0, 1]), model.config)
+            assert stable_softmax(logits)[[0, 1], [0, 1]].tolist() == [0.0, 0.0]
+        else:
+            logits = np.array([[-1000.0], [1000.0]])
+            targets = encode_targets(np.array([1, 0]), model.config)
+            if model.config.output_activation == "sigmoid":
+                assert sigmoid(logits).ravel().tolist() == [0.0, 1.0]
+        loss, grad = model.loss_and_grad(logits, targets)
+        assert np.isfinite(loss) and np.all(np.isfinite(grad))
+
+    def test_cross_entropy_of_perfect_prediction_is_zero(self):
+        model = tiny_model(**HEADS["softmax-cross-entropy"])
+        logits = np.array([[-1000.0, 0.0, -1000.0]])  # softmax gives exactly [0, 1, 0]
+        loss, _ = model.loss_and_grad(logits, encode_targets(np.array([1]), model.config))
+        assert loss == 0.0
+
+    def test_mse_example(self):
+        model = tiny_model(**HEADS["linear-mse"])
+        loss, _ = model.loss_and_grad(np.array([[0.0], [1.0]]), np.array([[1.0], [0.0]]))
+        assert loss == pytest.approx(1.0)
+
+    def test_bce_half_is_log_two(self):
+        model = tiny_model(**HEADS["sigmoid-bce"])
+        loss, _ = model.loss_and_grad(np.array([[0.0]]), np.array([[1.0]]))
+        assert loss == pytest.approx(np.log(2.0))
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_cross_entropy_nonnegative_and_zero_only_at_target(self, seed):
+        model = tiny_model(**HEADS["softmax-cross-entropy"])
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((4, 3))
+        loss, _ = model.loss_and_grad(logits, head_targets(model.config, rng, 4))
+        assert loss > 0.0  # softmax of finite logits is never exactly one-hot
 
 
 class TestBackwardOverwrites:

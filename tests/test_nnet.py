@@ -1,4 +1,4 @@
-"""Gradient checks against central finite differences, plus optimizer and loss tests."""
+"""Gradient checks against central finite differences, plus optimizer tests."""
 
 import numpy as np
 import pytest
@@ -10,25 +10,20 @@ from spd_bci.errors import DataError
 from spd_bci.nnet import (
     ADAM_BLOCK,
     LEAKY_SLOPE,
+    AdamState,
     Attention,
     BatchNorm,
     Dense,
     Dropout,
     Lstm,
-    adam_init,
     adam_step,
     backward_chain,
-    binary_cross_entropy,
-    binary_cross_entropy_with_logits,
     clip_global_norm,
     clip_scale,
-    cross_entropy,
     forward_chain,
     load_checkpoint,
-    mean_squared_error,
     save_checkpoint,
     sigmoid,
-    softmax_cross_entropy_with_logits,
     stable_softmax,
     _activate,
     _activate_backward,
@@ -602,62 +597,11 @@ def test_every_block_class_runs_in_a_chain():
                 backward_chain(chain, np.ones_like(y))
 
 
-class TestLosses:
-    def test_cross_entropy_of_perfect_prediction_is_zero(self):
-        onehot = np.array([[0.0, 1.0, 0.0]])
-        assert cross_entropy(onehot, onehot) == 0.0
-
-    def test_mse_example(self):
-        loss, _ = mean_squared_error(np.array([0.0, 1.0]), np.array([1.0, 0.0]))
-        assert loss == pytest.approx(1.0)
-
-    def test_bce_half_is_log_two(self):
-        assert binary_cross_entropy(np.array([0.5]), np.array([1.0])) == pytest.approx(
-            np.log(2.0)
-        )
-
-    def test_probability_floor_keeps_losses_finite(self):
-        assert np.isfinite(cross_entropy(np.array([[0.0, 1.0]]), np.array([[1.0, 0.0]])))
-        assert np.isfinite(binary_cross_entropy(np.array([0.0]), np.array([1.0])))
-
-    @given(st.integers(min_value=0, max_value=2**31 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_cross_entropy_nonnegative_and_zero_only_at_target(self, seed):
-        rng = np.random.default_rng(seed)
-        logits = rng.standard_normal((4, 3))
-        probs = stable_softmax(logits, axis=1)
-        onehot = np.zeros((4, 3))
-        onehot[np.arange(4), rng.integers(0, 3, size=4)] = 1.0
-        loss = cross_entropy(probs, onehot)
-        assert loss > 0.0  # softmax of finite logits is never exactly one-hot
-
-    def test_fused_softmax_ce_gradient(self):
-        rng = np.random.default_rng(12)
-        logits = rng.standard_normal((3, 4))
-        onehot = np.zeros((3, 4))
-        onehot[np.arange(3), [1, 0, 3]] = 1.0
-        _, grad = softmax_cross_entropy_with_logits(logits, onehot)
-        numeric = finite_difference_grads(
-            lambda: softmax_cross_entropy_with_logits(logits, onehot)[0], {"x": logits}
-        )
-        assert max_relative_error(grad, numeric["x"]) < GRAD_TOL
-
-    def test_fused_bce_gradient(self):
-        rng = np.random.default_rng(13)
-        logits = rng.standard_normal((5, 1))
-        y = rng.integers(0, 2, size=(5, 1)).astype(float)
-        _, grad = binary_cross_entropy_with_logits(logits, y)
-        numeric = finite_difference_grads(
-            lambda: binary_cross_entropy_with_logits(logits, y)[0], {"x": logits}
-        )
-        assert max_relative_error(grad, numeric["x"]) < GRAD_TOL
-
-
 class TestAdam:
     def test_first_step_magnitude_is_learning_rate(self):
         params = {"w": np.array([1.0, -2.0])}
         grads = {"w": np.array([0.3, -4.0])}
-        state = adam_init(params)
+        state = AdamState(lr=0.001)
         adam_step(state, params, grads)
         np.testing.assert_allclose(
             params["w"], [1.0 - 0.001, -2.0 + 0.001], atol=1e-7
@@ -665,7 +609,7 @@ class TestAdam:
 
     def test_zero_gradient_leaves_parameters(self):
         params = {"w": np.array([1.0, 2.0])}
-        state = adam_init(params)
+        state = AdamState(lr=0.001)
         adam_step(state, params, {"w": np.zeros(2)})
         np.testing.assert_array_equal(params["w"], [1.0, 2.0])
 
@@ -686,7 +630,7 @@ class TestAdam:
             oracle_trace.append(x)
 
         params = {"x": np.array([0.7])}
-        state = adam_init(params)
+        state = AdamState(lr=0.001)
         trace = []
         for _ in range(10):
             adam_step(state, params, {"x": params["x"].copy()})
@@ -706,7 +650,7 @@ class TestAdam:
         rng = np.random.default_rng(7)
         start = np.asarray(rng.standard_normal(shape))
         params = {"w": start.copy(), "b": np.zeros(4)}
-        state = adam_init(params)
+        state = AdamState(lr=0.001)
         p, m, v = start.copy(), np.zeros(shape), np.zeros(shape)
         clipped, size = 0, max(1, int(np.prod(shape)))
         for step in range(1, 6):
@@ -731,7 +675,7 @@ class TestAdam:
         start[0, :10] = 0.0
         start[0, 10:20] = -0.0
         params = {"w": start.copy()}
-        state = adam_init(params)
+        state = AdamState(lr=0.001)
         assert state.m == {} and state.v == {}
         p, m, v = start.copy(), np.zeros(start.shape), np.zeros(start.shape)
         scales = []
@@ -751,7 +695,7 @@ class TestAdam:
 
     def test_non_contiguous_parameter_rejected(self):
         params = {"w": np.zeros((4, 6))[:, ::2]}
-        state = adam_init(params)
+        state = AdamState(lr=0.001)
         with pytest.raises(ValueError, match="contiguous"):
             adam_step(state, params, {"w": np.ones((4, 3))})
 
