@@ -25,11 +25,12 @@ depend on the scale of the covariances, and :class:`MeanInfo` reports
 that norm. Jeuris, Vandebril and Vandereycken (2012) compare Karcher-mean
 solvers.
 
-The matrix functions, congruence reduction and tangent vectorization
-also take a stack (..., R, R): one batched ``eigh`` covers it, and the
-per-matrix positive-definite check names the first matrix that fails.
-Every map through a reference M, from the Karcher step to MDRM, whitens
-at M through one kernel that returns the log eigenpairs.
+The SCM and its ridge take a stack too, so a trial's band covariances
+are one product. The matrix functions, congruence reduction and tangent
+vectorization take a stack (..., R, R): one batched ``eigh`` covers it,
+and the per-matrix positive-definite check names the first matrix that
+fails. Every map through a reference M, from the Karcher step to MDRM,
+whitens at M through one kernel that returns the log eigenpairs.
 """
 
 from __future__ import annotations
@@ -117,30 +118,32 @@ def _sqrtm_pair(mat: np.ndarray, what: str):
 
 
 def scm(samples: np.ndarray) -> np.ndarray:
-    """Spatial covariance matrix C = X X^T / (T - 1) of one (n_channels, n_samples) trial.
+    """Spatial covariance C = X X^T / (T - 1) of a (n_channels, n_samples) trial or a stack.
 
-    The result is symmetric positive semi-definite; it is strictly
-    positive definite only when the trial has full channel rank.
+    A stack (..., N, T) gives (..., N, N) in one matmul, each matrix the
+    bits of its own call. C is symmetric positive semi-definite; it is
+    strictly positive definite only when the trial has full channel rank.
     """
     x = np.asarray(samples, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError(f"expected a channels x samples matrix, got shape {x.shape}")
-    if x.shape[1] < 2:
+    if x.ndim < 2:
+        raise ValueError(f"expected channels x samples matrices, got shape {x.shape}")
+    if x.shape[-1] < 2:
         raise ValueError("need at least two samples to estimate a covariance")
     if not np.all(np.isfinite(x)):
         raise ValueError("samples contain non-finite values")
-    return _symmetrize(x @ x.T / (x.shape[1] - 1))
+    return _symmetrize(x @ np.swapaxes(x, -1, -2) / (x.shape[-1] - 1))
 
 
 def ridge_regularize(mat: np.ndarray, gamma: float = 1e-8) -> np.ndarray:
-    """Add gamma * mean(eigenvalue) to the diagonal.
+    """Add gamma * mean(eigenvalue) to the diagonal of a matrix or of each matrix of a stack.
 
     Optional escape hatch for ill-conditioned covariances of real
     recordings; it nudges semi-definite matrices into the SPD cone while
     perturbing well-conditioned ones negligibly.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    return mat + (gamma * np.trace(mat) / mat.shape[0]) * np.eye(mat.shape[0])
+    scale = gamma * np.trace(mat, axis1=-2, axis2=-1) / mat.shape[-1]
+    return mat + np.asarray(scale)[..., None, None] * np.eye(mat.shape[-1])
 
 
 def euclidean_mean(mats) -> np.ndarray:

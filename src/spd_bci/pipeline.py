@@ -4,6 +4,11 @@ Every step reads and writes only deterministic artifacts (binary tensor
 bundles, sorted-key JSON, CSV), so rerunning with the same config and
 seed reproduces outputs byte for byte.
 
+Preprocess and features read every trial through one check against the
+profile. Features fills each split's arrays in place, trial i in row i,
+and ``scm`` and ``ridge_regularize`` take a trial's (H, N, T) stack of
+band signals, so its H covariances are one product.
+
 One parallel map runs each band's spatial geometry (PCA on the training
 SCMs, congruence reduction, Karcher mean and tangent vectors) and each
 rank of grid mode as one task on a thread pool of min(items, usable CPUs)
@@ -75,6 +80,31 @@ def _segment_files(directory: Path) -> list[Path]:
     return files
 
 
+def _read_trial(config: PipelineConfig, path: Path):
+    """The trial at ``path``, checked against the profile; preprocess and features read here.
+
+    A trial whose rate, channel count or length is not the profile's is a
+    DataError naming its file, and so is a trial without a label or, for
+    classification, with a label outside [0, n_classes). ``read_segment``
+    has already rejected a non-finite label.
+    """
+    segment = dataio.read_segment(path)
+    n_samples = int(round(config.trial_seconds * config.fs))
+    if segment.fs != config.fs:
+        raise DataError(f"{path}: sampling rate {segment.fs} Hz, profile expects {config.fs} Hz")
+    if segment.n_channels != config.n_channels:
+        raise DataError(
+            f"{path}: {segment.n_channels} channels, profile expects {config.n_channels}"
+        )
+    if segment.n_samples != n_samples:
+        raise DataError(f"{path}: {segment.n_samples} samples, profile expects {n_samples}")
+    if segment.label is None:
+        raise DataError(f"{path}: trial has no label")
+    if config.task == "classification" and segment.label not in range(config.n_classes):
+        raise DataError(f"{path}: label {segment.label} is not a class in [0, {config.n_classes})")
+    return segment
+
+
 def run_preprocess(config: PipelineConfig) -> dict:
     """Broadband filter, notch, and min-max normalize every raw segment.
 
@@ -94,12 +124,7 @@ def run_preprocess(config: PipelineConfig) -> dict:
         n_ok = 0
         for path in _segment_files(raw_dir):
             try:
-                segment = dataio.read_segment(path)
-                if segment.fs != config.fs:
-                    raise DataError(
-                        f"{path}: sampling rate {segment.fs} Hz does not match "
-                        f"profile rate {config.fs} Hz"
-                    )
+                segment = _read_trial(config, path)
                 try:
                     x = apply_filter_zero_phase(broadband, segment.samples)
                     x = apply_filter_zero_phase(notch, x)
@@ -117,40 +142,6 @@ def run_preprocess(config: PipelineConfig) -> dict:
     if not counts:
         raise ConfigError("config sets neither raw_train_dir nor raw_test_dir")
     return counts
-
-
-def _load_split_segments(config: PipelineConfig, split: str):
-    """The split's preprocessed trials, read and checked one at a time.
-
-    A trial whose rate, channel count or length is not the profile's is a
-    DataError naming its file, and so is a trial without a label or, for
-    classification, with a label outside [0, n_classes). ``read_segment``
-    has already rejected a non-finite label.
-    """
-    in_dir = config.work_dir / "preprocessed" / split
-    expected_samples = int(round(config.trial_seconds * config.fs))
-    classes = range(config.n_classes) if config.task == "classification" else None
-    for path in _segment_files(in_dir):
-        segment = dataio.read_segment(path)
-        if segment.fs != config.fs:
-            raise DataError(
-                f"{path}: sampling rate {segment.fs} Hz, profile expects {config.fs} Hz"
-            )
-        if segment.n_channels != config.n_channels:
-            raise DataError(
-                f"{path}: {segment.n_channels} channels, profile expects {config.n_channels}"
-            )
-        if segment.n_samples != expected_samples:
-            raise DataError(
-                f"{path}: {segment.n_samples} samples, profile expects {expected_samples}"
-            )
-        if segment.label is None:
-            raise DataError(f"{path}: trial has no label")
-        if classes is not None and segment.label not in classes:
-            raise DataError(
-                f"{path}: label {segment.label} is not a class in [0, {config.n_classes})"
-            )
-        yield segment
 
 
 def _usable_cpus() -> int:
@@ -276,16 +267,16 @@ def spatial_features_for(scms: np.ndarray, bands: list, filters, references=None
 
 
 def run_features(config: PipelineConfig) -> dict:
-    """Temporal feature sequences and spatial tangent features for both splits."""
+    """Temporal sequences and spatial tangent features of both splits; only train keeps SCMs."""
     bank = design_filter_bank(config.bands, config.fs)
     plan = plan_stft(config.trial_seconds, config.fs)
     bases = [band_basis(plan, band) for band in bank.bands]
-    test_dir = config.work_dir / "preprocessed" / "test"
+    in_dir = config.work_dir / "preprocessed"
+    files = {split: _segment_files(in_dir / split) for split in ("test", "train")}
     # Test-mean re-centring needs two test trials; counted before any trial is filtered.
-    n_test = len(_segment_files(test_dir))
-    if config.reference_policy == "test-mean" and n_test < 2:
+    if config.reference_policy == "test-mean" and len(files["test"]) < 2:
         raise DataError(
-            f"{test_dir} holds {n_test} test trial; "
+            f"{in_dir / 'test'} holds {len(files['test'])} test trial; "
             "reference_policy = test-mean re-centres the test split at its own mean, which "
             "maps a single trial to zero; reference_policy = train-mean projects a single trial"
         )
@@ -294,45 +285,35 @@ def run_features(config: PipelineConfig) -> dict:
 
     splits = {}
     for split in ("train", "test"):
-        temporal, scms, labels = [], [], []
-        # One filter-bank pass per trial feeds both streams.
-        for segment in _load_split_segments(config, split):
+        n_trials = len(files[split])
+        temporal = np.empty((n_trials, plan.n_windows, 2 * len(bank.bands) * config.n_channels))
+        scms = np.empty((n_trials, len(bank.bands), config.n_channels, config.n_channels))
+        labels = np.empty(n_trials)
+        for i, path in enumerate(files[split]):
+            segment = _read_trial(config, path)
+            # One filter-bank pass per trial feeds both streams.
             band_signals = filter_bank_decompose(segment, bank)
-            temporal.append(build_feature_sequence(band_signals, bases, plan).values)
-            band_scms = [scm(x) for x in band_signals]
-            if config.scm_ridge:
-                band_scms = [ridge_regularize(c) for c in band_scms]
-            scms.append(band_scms)
-            labels.append(float(segment.label))
-        splits[split] = {
-            "temporal": np.stack(temporal),
-            "labels": np.asarray(labels),
-            "scms": np.asarray(scms),  # (P, H, N, N)
-        }
+            temporal[i] = build_feature_sequence(band_signals, bases, plan).values
+            scms[i] = ridge_regularize(scm(band_signals)) if config.scm_ridge else scm(band_signals)
+            labels[i] = segment.label
+        # The key order is the file's; "spatial" is filled in below.
+        splits[split] = {"temporal": temporal, "spatial": None, "labels": labels, "scms": scms}
 
-    filters, references, splits["train"]["spatial"] = fit_spatial_reducers(
-        splits["train"]["scms"], config.bands, config.rank
+    train, test = splits["train"], splits["test"]
+    filters, references, train["spatial"] = fit_spatial_reducers(
+        train["scms"], config.bands, config.rank
     )
     recentre = config.reference_policy == "test-mean"
-    splits["test"]["spatial"] = spatial_features_for(
-        splits["test"]["scms"], config.bands, filters, None if recentre else references
+    test["spatial"] = spatial_features_for(
+        test.pop("scms"), config.bands, filters, None if recentre else references
     )
     info = {}
     for split, bundle in splits.items():
-        spatial = bundle["spatial"]
-        dataio.write_tensors(
-            out_dir / f"{split}.spdt",
-            {
-                "temporal": bundle["temporal"],
-                "spatial": spatial,
-                "labels": bundle["labels"],
-                "scms": bundle["scms"],
-            },
-        )
+        dataio.write_tensors(out_dir / f"{split}.spdt", bundle)
         info[split] = {
             "n_segments": bundle["temporal"].shape[0],
             "temporal_dim": bundle["temporal"].shape[2],
-            "spatial_dim": spatial.shape[1],
+            "spatial_dim": bundle["spatial"].shape[1],
         }
     spatial_model = {}
     for b, (w, ref) in enumerate(zip(filters, references)):

@@ -524,8 +524,8 @@ class TestPipelineRun:
         assert main(["preprocess", "--config", str(config)]) == 1
 
     @pytest.mark.parametrize("label", [5, -1, None], ids=["above", "negative", "missing"])
-    def test_test_trial_label_outside_the_task_exits_2_at_features(self, tmp_path, capsys,
-                                                                   label):
+    def test_test_trial_label_outside_the_task_exits_2_at_preprocess(self, tmp_path, capsys,
+                                                                     label):
         # Unchecked, a class 5 made evaluate fail on an index, and a class -1 was counted
         # in class 1's confusion row.
         write_synthetic_dataset(tmp_path)
@@ -533,13 +533,62 @@ class TestPipelineRun:
         segment = read_segment(bad)
         write_segment(bad, EegSegment(segment.samples, segment.fs, label))
         config = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and "Traceback" not in err
+        assert ("no label" if label is None else f"label {label} is not a class in [0, 2)") in err
+        assert not (tmp_path / "work" / "preprocessed" / "test" / bad.name).exists()
+
+    @pytest.mark.parametrize("cut, message", [
+        ((slice(3), slice(None)), "3 channels, profile expects 4"),
+        ((slice(None), slice(300)), "300 samples, profile expects 400"),
+    ], ids=["channels", "length"])
+    def test_raw_trial_of_another_shape_exits_2_at_preprocess(self, tmp_path, capsys, cut,
+                                                              message):
+        write_synthetic_dataset(tmp_path)
+        bad = tmp_path / "raw" / "train" / "seg_004.eegs"
+        segment = read_segment(bad)
+        write_segment(bad, segment.with_samples(segment.samples[cut]))
+        config = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config)]) == 2
+        assert f"{bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "work" / "preprocessed" / "train" / bad.name).exists()
+
+    def test_trial_the_profile_cannot_use_is_skipped_on_continue(self, tmp_path, caplog):
+        from spd_bci.data import read_tensors
+
+        write_synthetic_dataset(tmp_path)
+        bad = tmp_path / "raw" / "test" / "seg_000.eegs"
+        segment = read_segment(bad)
+        write_segment(bad, EegSegment(segment.samples, segment.fs, 5))
+        config = write_config(tmp_path, extra="continue_on_error = true\n")
         assert main(["preprocess", "--config", str(config)]) == 0
+        assert f"skipping {bad}: {bad}: label 5 is not a class in [0, 2)" in caplog.messages
+        assert main(["features", "--config", str(config)]) == 0
+        test = read_tensors(tmp_path / "work" / "features" / "test.spdt")
+        assert test["labels"].shape == (23,) and test["temporal"].shape[0] == 23
+
+    def test_preprocessed_trial_replaced_after_preprocess_exits_2_at_features(self, tmp_path,
+                                                                              capsys):
+        # Features reads its trials through the same check, so a preprocessed file
+        # changed since preprocess is named where it lies.
+        write_synthetic_dataset(tmp_path)
+        config = write_config(tmp_path)
+        assert main(["preprocess", "--config", str(config)]) == 0
+        bad = tmp_path / "work" / "preprocessed" / "test" / "seg_000.eegs"
+        segment = read_segment(bad)
+        write_segment(bad, EegSegment(segment.samples, segment.fs, 5))
         capsys.readouterr()
         assert main(["features", "--config", str(config)]) == 2
-        err = capsys.readouterr().err
-        assert str(tmp_path / "work" / "preprocessed" / "test" / bad.name) in err
-        assert ("no label" if label is None else f"label {label} is not a class in [0, 2)") in err
+        assert f"{bad}: label 5 is not a class in [0, 2)" in capsys.readouterr().err
         assert not (tmp_path / "work" / "features" / "test.spdt").exists()
+
+    def test_test_bundle_holds_no_scms(self, workspace):
+        # Only grid mode reads SCMs, and only the train split's.
+        from spd_bci.data import read_tensors
+
+        test = read_tensors(workspace / "work" / "features" / "test.spdt")
+        assert sorted(test) == ["labels", "spatial", "temporal"]
 
 
 # A value other than BASE_CONFIG's for every ModelSettings field, all in range.
@@ -787,6 +836,56 @@ class TestSinglePassFeatures:
         assert sorted(got) == sorted(want)
         for key, value in want.items():
             np.testing.assert_allclose(got[key], value, rtol=1e-10, atol=1e-10, err_msg=key)
+
+    def test_one_scm_call_per_trial(self, workspace, monkeypatch):
+        from spd_bci import pipeline
+
+        shapes, original = [], pipeline.scm
+
+        def counting(samples):
+            shapes.append(samples.shape)
+            return original(samples)
+
+        monkeypatch.setattr(pipeline, "scm", counting)
+        assert main(["features", "--config", str(write_config(workspace))]) == 0
+        assert shapes == [(2, 4, 400)] * (40 + 24)  # one (bands, channels, samples) stack each
+
+    def test_trial_loop_holds_the_split_arrays_once(self, tmp_path, monkeypatch):
+        # Traced peak up to the spatial fit: each split's rows, filled in place, plus
+        # one trial's work. Rows gathered in lists and then stacked are held twice.
+        import tracemalloc
+
+        from spd_bci import pipeline
+
+        n_trials, n_channels, n_samples, n_bands, n_windows = 200 + 4, 48, 400, 2, 3
+        rng = np.random.default_rng(0)
+        for split, first, stop in (("train", 0, 200), ("test", 200, n_trials)):
+            out = tmp_path / "work" / "preprocessed" / split
+            out.mkdir(parents=True)
+            for i in range(first, stop):
+                samples = rng.standard_normal((n_channels, n_samples))
+                write_segment(out / f"seg_{i:03d}.eegs", EegSegment(samples, 200.0, i % 2))
+        config = load_config(write_config(tmp_path, extra=f"n_channels = {n_channels}\n"))
+
+        class Fitted(Exception):
+            pass
+
+        def at_fit(train_scms, bands, rank):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            raise Fitted
+
+        peaks = []
+        monkeypatch.setattr(pipeline, "fit_spatial_reducers", at_fit)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Fitted):
+                pipeline.run_features(config)
+        finally:
+            tracemalloc.stop()
+        row_values = n_windows * 2 * n_bands * n_channels + n_bands * n_channels**2 + 1
+        split_arrays = 8 * n_trials * row_values  # temporal, scms and labels: 8.1 MiB
+        band_signals = 8 * n_bands * n_channels * n_samples
+        assert peaks[0] < split_arrays + 2 * band_signals + 3 * 2**20, peaks[0] / 2**20
 
     def test_features_holds_at_most_two_raw_trials(self, workspace, monkeypatch):
         # Each trial is read when the loop reaches it: the one being read and the one

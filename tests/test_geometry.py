@@ -76,6 +76,25 @@ class TestScm:
         with pytest.raises(ValueError, match="finite"):
             scm(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
+    # One trial's (bands, channels, samples) stack at the seed, bci2a and lstm-train shapes.
+    @pytest.mark.parametrize("shape", [(5, 62, 1600), (25, 22, 1000), (4, 8, 1600)])
+    def test_stack_gives_the_per_matrix_bits(self, shape):
+        x = np.random.default_rng(3).standard_normal(shape)
+        per_matrix = np.stack([scm(band) for band in x])
+        assert np.array_equal(scm(x), per_matrix)
+        assert np.array_equal(
+            ridge_regularize(per_matrix), np.stack([ridge_regularize(c) for c in per_matrix])
+        )
+
+    @pytest.mark.parametrize("samples, message", [
+        (np.where(np.arange(3)[:, None, None] == 2, np.nan, np.ones((3, 4, 50))), "finite"),
+        (np.ones((3, 4, 1)), "two samples"),
+        (np.ones(50), "channels x samples"),
+    ], ids=["non-finite-band", "one-sample", "one-dimensional"])
+    def test_stack_errors_are_the_matrix_errors(self, samples, message):
+        with pytest.raises(ValueError, match=message):
+            scm(samples)
+
 
 class TestEuclideanMean:
     def test_mean_of_identical_matrices(self):
