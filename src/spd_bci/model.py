@@ -13,7 +13,7 @@ the head's scores and their derivatives come from ``nnet``'s activation table.
 
 The loss decides the task: :data:`TASKS` maps each loss to the task it
 trains, and :data:`METRICS` each task to the metrics it reports, in the
-order ``ablate`` writes them. The decisions, the training log,
+order ``ablate`` writes them. The decisions, the training records,
 ``evaluate_model``, the config's checks and the pipeline's metric rows
 read these two tables; the targets follow the head's output count. The
 head's losses live here too, in :meth:`TwoStreamModel.loss_and_grad`.
@@ -54,8 +54,8 @@ of one forward pass's activations that no backward can rebuild bit for
 bit (no tanh(c), x̂ or separate gate gradients), which the LSTM,
 attention and batch-norm backward passes free as they read them. Neither
 stream computes the gradient with respect to its input, which nothing
-reads. An epoch makes one forward pass over the training set: the
-log's metric comes from the same training-mode predictions as its loss.
+reads. An epoch makes one forward pass over the training set: its
+record's metric comes from the same training-mode predictions as its loss.
 
 The model keeps the blocks' one cache rule: a training forward caches
 what ``backward`` reads (the fusion keeps the embeddings and their
@@ -66,7 +66,6 @@ validation run, leaves no activations on the model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from functools import partial
@@ -442,27 +441,17 @@ def encode_targets(labels, config: ArchitectureConfig) -> np.ndarray:
     return labels.astype(np.float64).reshape(-1, 1)
 
 
-def train_model(
-    model: TwoStreamModel,
-    xt,
-    xs,
-    labels,
-    *,
-    seed: int = 0,
-    log_path=None,
-) -> list[dict]:
-    """Mini-batch Adam training; returns the per-epoch loss log.
+def train_model(model: TwoStreamModel, xt, xs, labels, *, seed: int = 0) -> list[dict]:
+    """Mini-batch Adam training; returns one record per epoch.
 
     The schedule (epochs, batch size, learning rate) is ``model.config``'s.
     Deterministic given the seed: shuffling and dropout masks come from
-    one generator. A non-finite loss aborts with diagnostics. Each
-    ``history`` record holds ``epoch`` and ``loss``, the mean over the
-    epoch's batches of the training-mode loss, each taken before that
-    batch's update. When ``log_path`` is given the record also holds the
-    accuracy or rmse of those same training-mode predictions (the rule of
-    :meth:`TwoStreamModel.predict`), and the records are written there as
-    JSON lines. Either way an epoch makes one forward pass over the data,
-    so the fitted parameters do not depend on the log.
+    one generator. A non-finite loss aborts with diagnostics. Each record
+    holds ``epoch``, ``loss``, the mean over the epoch's batches of the
+    training-mode loss, each taken before that batch's update, and the
+    task's first metric (accuracy or rmse) of those same training-mode
+    predictions, by the rule of :meth:`TwoStreamModel.predict`. An epoch
+    makes one forward pass over the data.
     """
     cfg = model.config
     targets = encode_targets(labels, cfg)
@@ -471,7 +460,7 @@ def train_model(
         raise ValueError(f"{len(xt)} temporal inputs for {n} labels")
     if xs is not None and len(xs) != n:
         raise ValueError(f"{len(xs)} spatial inputs for {n} labels")
-    classification = TASKS[cfg.loss] == "classification"
+    metric = METRICS[TASKS[cfg.loss]][0]
     rng = np.random.default_rng(seed)
     optimizer = AdamState(lr=cfg.learning_rate)
     history = []
@@ -491,25 +480,18 @@ def train_model(
                     f"training diverged: non-finite loss at epoch {epoch}, "
                     f"batch starting at sample {start}"
                 )
-            if log_path is not None:
-                predictions.append(model.decide(model.activate(logits)))
+            predictions.append(model.decide(model.activate(logits)))
             model.backward(dlogits)
             grads = model.grads()
             scale = clip_scale(clip_global_norm(grads))
             adam_step(optimizer, model.params(), grads, scale)
             epoch_loss += loss * len(batch)
-        record = {"epoch": epoch, "loss": epoch_loss / n}
-        if log_path is not None:
-            predicted, seen = np.concatenate(predictions), labels_array[order]
-            if classification:
-                record["accuracy"] = float(np.mean(predicted == seen.astype(int)))
-            else:
-                record["rmse"] = root_mean_squared_error(seen, predicted)
-        history.append(record)
-    if log_path is not None:
-        with open(log_path, "w", encoding="utf-8") as fh:
-            for record in history:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        predicted, seen = np.concatenate(predictions), labels_array[order]
+        if metric == "accuracy":
+            score = float(np.mean(predicted == seen.astype(int)))
+        else:
+            score = root_mean_squared_error(seen, predicted)
+        history.append({"epoch": epoch, "loss": epoch_loss / n, metric: score})
     return history
 
 

@@ -137,7 +137,9 @@ def run_preprocess(config: PipelineConfig) -> dict:
             except Exception as exc:
                 if not config.continue_on_error:
                     raise
-                logger.error("skipping %s: %s", path, exc)
+                # A skipped trial leaves no output, also none from an earlier run.
+                (out_dir / path.name).unlink(missing_ok=True)
+                logger.error("skipping %s", exc if str(path) in str(exc) else f"{path}: {exc}")
         counts[split] = n_ok
     if not counts:
         raise ConfigError("config sets neither raw_train_dir nor raw_test_dir")
@@ -332,10 +334,30 @@ def _architecture(config: PipelineConfig, label: str, temporal_dim: int,
 
 
 def _load_features(config: PipelineConfig, split: str) -> dict:
+    """The ``split`` feature bundle, holding one row per trial in each tensor a step reads.
+
+    Those are ``labels``, ``temporal`` and ``spatial``, and the training
+    ``scms`` in grid mode. A missing one, or one whose row count is not
+    that of ``labels``, is a DataError naming the file and the tensor.
+    """
     path = config.work_dir / "features" / f"{split}.spdt"
     if not path.is_file():
         raise DataError(f"feature file {path} does not exist; run the features step first")
-    return dataio.read_tensors(path)
+    bundle = dataio.read_tensors(path)
+    names = ["labels", "temporal", "spatial"]
+    if split == "train" and config.rank_mode == "grid":
+        names.append("scms")
+    rows = {}
+    for name in names:
+        if name not in bundle:
+            raise DataError(f"{path}: no tensor {name!r}; rerun the features step")
+        rows[name] = len(bundle[name]) if bundle[name].ndim else 0
+        if rows[name] != rows["labels"]:
+            raise DataError(
+                f"{path}: tensor {name!r} has {rows[name]} rows, tensor 'labels' has "
+                f"{rows['labels']}"
+            )
+    return bundle
 
 
 def _checkpoint_path(config: PipelineConfig, label: str) -> Path:
@@ -354,10 +376,10 @@ def run_train(config: PipelineConfig) -> dict:
     model_dir = config.work_dir / "model"
     model_dir.mkdir(parents=True, exist_ok=True)
     history = train_model(
-        model, train["temporal"], train["spatial"], train["labels"],
-        seed=config.seed,
-        log_path=model_dir / f"train_log_{label}.jsonl",
+        model, train["temporal"], train["spatial"], train["labels"], seed=config.seed
     )
+    log = "".join(json.dumps(record, sort_keys=True) + "\n" for record in history)
+    (model_dir / f"train_log_{label}.jsonl").write_text(log, encoding="utf-8")
     save_checkpoint(_checkpoint_path(config, label), model.state())
     return {"variant": label, "epochs": len(history), "final_loss": history[-1]["loss"]}
 

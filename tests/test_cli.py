@@ -558,12 +558,16 @@ class TestPipelineRun:
         from spd_bci.data import read_tensors
 
         write_synthetic_dataset(tmp_path)
+        config = write_config(tmp_path, extra="continue_on_error = true\n")
+        # A first run preprocesses the trial; the rerun that skips it removes that copy.
+        assert main(["preprocess", "--config", str(config)]) == 0
         bad = tmp_path / "raw" / "test" / "seg_000.eegs"
         segment = read_segment(bad)
         write_segment(bad, EegSegment(segment.samples, segment.fs, 5))
-        config = write_config(tmp_path, extra="continue_on_error = true\n")
         assert main(["preprocess", "--config", str(config)]) == 0
-        assert f"skipping {bad}: {bad}: label 5 is not a class in [0, 2)" in caplog.messages
+        assert f"skipping {bad}: label 5 is not a class in [0, 2)" in caplog.messages
+        out_dir = tmp_path / "work" / "preprocessed" / "test"
+        assert len(list(out_dir.glob("*.eegs"))) == 23 and not (out_dir / bad.name).exists()
         assert main(["features", "--config", str(config)]) == 0
         test = read_tensors(tmp_path / "work" / "features" / "test.spdt")
         assert test["labels"].shape == (23,) and test["temporal"].shape[0] == 23
@@ -582,6 +586,33 @@ class TestPipelineRun:
         assert main(["features", "--config", str(config)]) == 2
         assert f"{bad}: label 5 is not a class in [0, 2)" in capsys.readouterr().err
         assert not (tmp_path / "work" / "features" / "test.spdt").exists()
+
+    @pytest.mark.parametrize("split, step, labels, message", [
+        ("test", "evaluate", None, "no tensor 'labels'"),
+        ("test", "evaluate", slice(3), "tensor 'temporal' has 24 rows, tensor 'labels' has 3"),
+        ("train", "train", slice(5), "tensor 'temporal' has 40 rows, tensor 'labels' has 5"),
+    ], ids=["test-without-labels", "test-short-labels", "train-short-labels"])
+    def test_damaged_feature_bundle_exits_2_naming_file_and_tensor(
+        self, workspace, tmp_path, capsys, split, step, labels, message
+    ):
+        import shutil
+
+        from spd_bci.data import read_tensors, write_tensors
+
+        shutil.copytree(workspace / "work" / "features", tmp_path / "work" / "features")
+        config = write_config(tmp_path, extra="epochs = 1\n")
+        assert main(["train", "--config", str(config)]) == 0
+        path = tmp_path / "work" / "features" / f"{split}.spdt"
+        bundle = read_tensors(path)
+        if labels is None:
+            del bundle["labels"]
+        else:
+            bundle["labels"] = bundle["labels"][labels]
+        write_tensors(path, bundle)
+        capsys.readouterr()
+        assert main([step, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: {message}" in err and "Traceback" not in err
 
     def test_test_bundle_holds_no_scms(self, workspace):
         # Only grid mode reads SCMs, and only the train split's.
@@ -682,6 +713,9 @@ class TestSeedOverride:
         log_path = tmp_path / "work" / "model" / "train_log_fused.jsonl"
         assert main(["train", "--config", str(config), "--seed", "11"]) == 0
         run_a = log_path.read_bytes()
+        records = [json.loads(line) for line in run_a.decode().splitlines()]
+        assert [r["epoch"] for r in records] == [1, 2, 3, 4]
+        assert all(set(r) == {"accuracy", "epoch", "loss"} for r in records)
         assert main(["train", "--config", str(config), "--seed", "11"]) == 0
         assert log_path.read_bytes() == run_a  # same seed, same trajectory
         assert main(["train", "--config", str(config), "--seed", "99"]) == 0
@@ -713,6 +747,50 @@ spatial_embedding_dim = 16
 encoder_hidden = 8
 fusion_hidden = 32
 """
+
+
+# The model keys every profile leaves open, at the smallest sizes.
+SMALL_MODEL = """
+epochs = 1
+batch_size = 4
+lstm_layers = 1
+lstm_hidden = 4
+temporal_embedding_dim = 3
+spatial_hidden = 6
+spatial_embedding_dim = 3
+encoder_hidden = 2
+fusion_hidden = 4
+"""
+
+
+class TestEveryProfile:
+    @pytest.mark.parametrize("profile", sorted(PROFILES))
+    def test_profile_runs_every_step(self, tmp_path, profile):
+        from spd_bci.model import METRICS
+
+        shape = PROFILES[profile]
+        n_channels, n_classes = shape["n_channels"], shape["n_classes"]
+        n_samples = int(round(shape["trial_seconds"] * shape["fs"]))
+        rng = np.random.default_rng(0)
+        for split in ("train", "test"):
+            out = tmp_path / "raw" / split
+            out.mkdir(parents=True)
+            for i in range(8 if split == "train" else 4):
+                # A class per trial in turn, or a real target in (0, 1).
+                label = i % n_classes if shape["task"] == "classification" else (i + 1) / 10
+                x = rng.standard_normal((n_channels, n_samples))
+                write_segment(out / f"seg_{i:03d}.eegs", EegSegment(x, shape["fs"], label))
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(
+            f"profile = {profile}\nraw_train_dir = raw/train\nraw_test_dir = raw/test\n"
+            + SMALL_MODEL,
+            encoding="utf-8",
+        )
+        for command in ("preprocess", "features", "train", "evaluate"):
+            assert main([command, "--config", str(config)]) == 0, command
+        metrics = json.loads((tmp_path / "work" / "metrics.json").read_text())
+        assert metrics["profile"] == profile and metrics["n_test"] == 4
+        assert set(METRICS[shape["task"]]) <= set(metrics)
 
 
 class TestRegressionPipeline:

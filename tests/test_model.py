@@ -685,24 +685,19 @@ class TestTraining:
             with pytest.raises(NumericalError, match="diverged"):
                 train_model(model, xt, 1e200 * xs, targets, seed=6)
 
-    def test_training_log_has_epoch_loss_and_metric(self, tmp_path):
-        import json
-
+    def test_training_log_has_epoch_loss_and_metric(self):
         rng = np.random.default_rng(34)
         xt, xs, labels = separable_dataset(rng, n=16)
         model = tiny_model(seed=6, epochs=3, batch_size=8)
-        log_path = tmp_path / "log.jsonl"
-        train_model(model, xt, xs, labels, seed=7, log_path=log_path)
-        lines = log_path.read_text().strip().splitlines()
-        assert len(lines) == 3
-        first = json.loads(lines[0])
-        assert first["epoch"] == 1
-        assert set(first) == {"epoch", "loss", "accuracy"}
+        history = train_model(model, xt, xs, labels, seed=7)
+        assert len(history) == 3
+        assert history[0]["epoch"] == 1
+        assert set(history[0]) == {"epoch", "loss", "accuracy"}
 
     @pytest.mark.parametrize("activation", ["sigmoid", "linear"])
-    def test_logged_rmse_comes_from_the_pass_that_gave_the_loss(self, tmp_path, activation):
+    def test_logged_rmse_comes_from_the_pass_that_gave_the_loss(self, activation):
         # Under mse the epoch loss is the mean squared error of the training-mode
-        # predictions, so the logged rmse of those same predictions squares to it.
+        # predictions, so the recorded rmse of those same predictions squares to it.
         rng = np.random.default_rng(37)
         xt, xs, _ = separable_dataset(rng, n=20)
         targets = 1.0 / (1.0 + np.exp(-xs[:, 0]))
@@ -710,11 +705,12 @@ class TestTraining:
             seed=9, output_activation=activation, loss="mse", n_outputs=1, spatial_dropout=0.5,
             epochs=4, batch_size=8,
         )
-        history = train_model(model, xt, xs, targets, seed=10, log_path=tmp_path / "log")
+        history = train_model(model, xt, xs, targets, seed=10)
         for record in history:
+            assert set(record) == {"epoch", "loss", "rmse"}
             assert record["rmse"] ** 2 == pytest.approx(record["loss"], rel=1e-12, abs=0.0)
 
-    def test_an_epoch_makes_one_forward_pass_over_the_data(self, tmp_path, monkeypatch):
+    def test_an_epoch_makes_one_forward_pass_over_the_data(self, monkeypatch):
         rng = np.random.default_rng(38)
         xt, xs, labels = separable_dataset(rng, n=20)
         epochs, batch_size = 3, 8
@@ -727,27 +723,9 @@ class TestTraining:
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(model, "forward", counting)
-        train_model(model, xt, xs, labels, seed=11, log_path=tmp_path / "log")
+        train_model(model, xt, xs, labels, seed=11)
         assert len(calls) == epochs * -(-20 // batch_size)  # ceil(n / batch_size) per epoch
         assert all(calls)  # every pass is a training step
-
-    def test_without_log_history_has_loss_only_and_same_parameters(self, tmp_path):
-        rng = np.random.default_rng(35)
-        xt, xs, labels = separable_dataset(rng, n=16)
-        runs = []
-        for log_path in (None, tmp_path / "log.jsonl"):
-            model = tiny_model(seed=7, spatial_dropout=0.5, epochs=3, batch_size=8)
-            history = train_model(model, xt, xs, labels, seed=8, log_path=log_path)
-            runs.append((history, model))
-        (bare, bare_model), (logged, logged_model) = runs
-        assert [set(r) for r in bare] == [{"epoch", "loss"}] * 3
-        assert [r["loss"] for r in bare] == [r["loss"] for r in logged]
-        for key, value in logged_model.params().items():
-            assert bare_model.params()[key].tobytes() == value.tobytes(), key
-        for i in range(TINY["lstm_layers"]):
-            bare_reg, logged_reg = (m.blocks[f"lstm{i}_reg"] for m in (bare_model, logged_model))
-            assert bare_reg.running_mean.tobytes() == logged_reg.running_mean.tobytes()
-            assert bare_reg.running_var.tobytes() == logged_reg.running_var.tobytes()
 
 
 class TestMetrics:
